@@ -6,6 +6,7 @@ the failure report).  The corpus lives under corpus/ and is regenerated by
 and shared across the criteria.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -203,3 +204,28 @@ def test_criterion_9_negative_controls():
     )
     ok = ok and proc.returncode == 2 and "cocycle-identity" in proc.stdout
     _criterion(9, "negative controls fail in the named ways", ok)
+
+
+# sha256 of the verification reports below; a mismatch means the report
+# bytes changed.  Witnesses of the forced fixtures carry the certificate
+# error strings, so those are pinned too.
+GOLDEN_REPORTS = {
+    "corpus": "3ed35d380d5de0de0da5dfce516ef3f388b246e3ca13a453f43722af9188f062",
+    "forced": "59f08504f6ef2ce23ac31f1edd73bb7718367bdbbdad6011e57e23dd0afc1ccb",
+}
+
+
+def _digest(reports) -> str:
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def test_golden_report_hashes(corpus_reports):
+    corpus = {f"{p.parent.name}/{p.name}": rep.to_dict() for p, rep in corpus_reports.items()}
+    forced = {
+        name: run_all(
+            load_instance(FIXTURES / name), oracle_bound=ORACLE_BOUND, force=True
+        ).to_dict()
+        for name in ("corrupted_cocycle.json", "h1_violating.json")
+    }
+    got = {"corpus": _digest(corpus), "forced": _digest(forced)}
+    assert got == GOLDEN_REPORTS
