@@ -6,7 +6,7 @@ canonical and membership cannot be decided by back-substitution alone.
 The Howell form fixes both.
 """
 
-from logcap.lattice import Submodule, ZModRing, ZModMatrix, normal_form, quotient_order, solve
+from logcap.lattice import Submodule, ZModRing, quotient_order, solve
 
 ring = ZModRing(2, 3)  # Z/8
 print(f"working over Z/{ring.modulus}")
@@ -38,5 +38,6 @@ print("index of the span in (Z/8)^2:", quotient_order(full, sub_a))
 print("solve 2x = 4:", solve([[2]], [4], ring))
 print("solve 2x = 1:", solve([[2]], [1], ring))
 
-m = ZModMatrix(ring, [[2, 1], [4, 4]])
-print("normal form of", [list(r) for r in m.rows], "->", normal_form(m).basis)
+# The Howell form of a matrix's row space is the basis of its Submodule.
+rows = [[2, 1], [4, 4]]
+print("normal form of", rows, "->", Submodule.from_generators(ring, 2, rows).basis)

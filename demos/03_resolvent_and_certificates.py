@@ -18,7 +18,6 @@ from logcap.groupring import trace_element
 from logcap.resolvent import (
     ResolventElt,
     certificate_determinants,
-    context,
     delta,
     omega_act,
     relation_matrices,
@@ -35,19 +34,17 @@ for k, inst in enumerate(instances):
     det_m, _ = certificate_determinants(inst, cert)
     tr = trace_element(inst.group, inst.ring)
     d = delta(inst, cert)
-    ctx = context(inst)
-    image = inst.span_a([trace(inst, b) for b in ctx.bt_basis_elements()])
+    image = inst.span_a([trace(inst, b) for b in inst.frame.bt_basis])
     order = image.order() // inst.zero_a().order()
     print(f"instance {k}: det M = Tr: {det_m == tr},  delta = {d},  capitulation image order = {order}")
 
 # On the last instance, check the operator identity Tr = w delta on the
-# degree-zero generators, coordinate by coordinate.
+# degree-zero generators, coordinate by coordinate.  The instance's frame
+# holds its certificate and delta, computed once on first use.
 inst = instances[-1]
-cert = relation_matrices(inst)
-d = delta(inst, cert)
-ctx = context(inst)
+_, d, _ = inst.frame.relations
 print("\noperator identity on the degree-zero part of the last instance:")
-for b in ctx.bt_basis_elements():
+for b in inst.frame.bt_basis:
     lhs = trace(inst, b)
     rhs = omega_act(inst, star_act(inst, d, b))
     print(f"  Tr({b.to_vec()}) = {lhs} = w(delta * .) -> {rhs.a}: {lhs == rhs.a}")

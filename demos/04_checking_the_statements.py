@@ -12,8 +12,12 @@ The instance here has G = (Z/3)^2 with an asymmetric factor set, so the
 boundary module is nonzero and V8 is not vacuous.
 """
 
-from logcap.instance import build_instance
-from logcap.verifier import report_markdown, run_all
+import json
+import tempfile
+from pathlib import Path
+
+from logcap.cli import main
+from logcap.instance import build_instance, save_instance
 
 table = {}
 for g1 in range(3):
@@ -24,10 +28,16 @@ for g1 in range(3):
 ident = [[1, 0], [0, 1]]
 inst = build_instance(3, 3, [3, 3], [3], [ident, ident], table)
 
-report = run_all(inst)
-print(report_markdown("G = (Z/3)^2 with asymmetric factor set", report))
+# Verify through the command line: a JSON report, then its markdown rendering.
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "g33_asymmetric.json"
+    report_path = Path(tmp) / "report.json"
+    save_instance(inst, path)
+    main(["verify", str(path), "--out", str(report_path)])
+    main(["report", str(report_path)])
+    report = json.loads(report_path.read_text())["instances"][0]
 
-v8 = next(v for v in report.verdicts if v.check_id == "V8")
-print("boundary module order:", v8.witness["boundary_order"], "(delta kills it)")
-v9 = next(v for v in report.verdicts if v.check_id == "V9")
-print("ambiguous index:", v9.witness["index"], "= |G| =", v9.witness["group_order"])
+checks = {c["check"]: c for c in report["checks"]}
+print("boundary module order:", checks["V8"]["witness"]["boundary_order"], "(delta kills it)")
+v9 = checks["V9"]["witness"]
+print("ambiguous index:", v9["index"], "= |G| =", v9["group_order"])

@@ -23,18 +23,7 @@ from .instance import (
     save_instance,
     validate,
 )
-from .lattice import (
-    Submodule,
-    ZMod,
-    ZModMatrix,
-    ZModRing,
-    kernel,
-    normal_form,
-    preimage,
-    quotient_order,
-    solve,
-    solve_matrix,
-)
+from .lattice import Submodule, ZModRing, kernel, preimage, quotient_order, solve
 from .resolvent import (
     RelationCertificate,
     ResolventElt,
@@ -56,8 +45,6 @@ __all__ = [
     "RelationCertificate",
     "ResolventElt",
     "Submodule",
-    "ZMod",
-    "ZModMatrix",
     "ZModRing",
     "build_instance",
     "coboundary_shift",
@@ -66,7 +53,6 @@ __all__ = [
     "instance_to_dict",
     "kernel",
     "load_instance",
-    "normal_form",
     "preimage",
     "omega_act",
     "quotient_order",
@@ -75,7 +61,6 @@ __all__ = [
     "run_check",
     "save_instance",
     "solve",
-    "solve_matrix",
     "star_act",
     "trace",
     "trace_element",

@@ -3,8 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 malformed input, 2 a
 mathematical check failed (validation failure or a fail/hypothesis-failed
 verdict), 3 a resource refusal (search space above the ceiling, oracle
-bound exceeded).  All configuration comes from flags; reports are byte
-stable for fixed inputs and seeds.
+bound exceeded, relation matrix above the determinant bound).  All
+configuration comes from flags; reports are byte stable for fixed inputs
+and seeds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import forge, verifier
+from .groupring import RingSizeError
 from .instance import SchemaError, load_instance, validate
 
 EXIT_OK = 0
@@ -85,6 +87,9 @@ def cmd_verify(args) -> int:
     except (SchemaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except RingSizeError as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
     payload = {
         "instances": results,
         "summary": _summary(results),

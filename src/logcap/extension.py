@@ -72,10 +72,6 @@ def u_identity(inst: "Instance") -> UElement:
     return UElement(inst, inst.a_zero(), inst.group.identity())
 
 
-def u_mul(x: UElement, y: UElement) -> UElement:
-    return x * y
-
-
 def u_elements(inst: "Instance"):
     """All of U in a deterministic order (A coordinates outer, G inner)."""
     import itertools

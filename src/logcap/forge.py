@@ -19,13 +19,21 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groupring import AbelianLGroup, GElt
-from .instance import Instance, build_instance, instance_to_dict, validate
+from .instance import (
+    Instance,
+    build_instance,
+    instance_to_dict,
+    log_ceil,
+    precision_terms,
+    validate,
+)
 from .lattice import Submodule, ZModRing, preimage
 from .resolvent import boundary_module
 
@@ -63,12 +71,6 @@ class SearchParams:
 # -- action configurations ------------------------------------------------------
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _torsion_endomorphisms(d: Tuple[int, ...]):
     """All well-defined matrices on the torsion module, entry (i, j) running
     over the multiples of d_j / gcd(d_i, d_j) below d_j."""
@@ -76,8 +78,8 @@ def _torsion_endomorphisms(d: Tuple[int, ...]):
     ranges = []
     for i in range(t):
         for j in range(t):
-            step = d[j] // _gcd(d[i], d[j])
-            ranges.append([step * k for k in range(_gcd(d[i], d[j]))])
+            step = d[j] // math.gcd(d[i], d[j])
+            ranges.append([step * k for k in range(math.gcd(d[i], d[j]))])
     for flat in itertools.product(*ranges):
         yield tuple(tuple(flat[i * t + j] for j in range(t)) for i in range(t))
 
@@ -186,17 +188,18 @@ class _CocycleSpace:
         self.group = AbelianLGroup(prime, g_orders)
         self.d = tuple(atilde_orders)
         self.t = len(self.d)
-        self.exp = max(self.d, default=prime)
-        self.ring = ZModRing(prime, _log_exp(self.exp, prime))
+        self.ring = ZModRing(prime, log_ceil(max(self.d, default=prime), prime))
         self.nonid = self.group.nonidentity()
         self.pairs = [(s, g) for s in self.nonid for g in self.nonid]
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
         self.nvars = len(self.pairs) * self.t
+        # the order of each table coordinate: pair-major, torsion-minor
+        self.orders = tuple(self.d[k % self.t] for k in range(self.nvars))
         inst = build_instance(
             prime, precision, g_orders, atilde_orders, action, {}
         )
         self._p_mats = {
-            g: [row[: self.t] for row in inst.action_matrix(g)[: self.t]]
+            g: [row[: self.t] for row in inst.frame.action[g][: self.t]]
             for g in self.group.elements()
         }
         self._sub = self._solve()
@@ -257,9 +260,7 @@ class _CocycleSpace:
         return preimage(rows, target_rel, self.ring)
 
     def _reduce_table(self, vec: Sequence[int]) -> Vec:
-        return tuple(
-            x % self.d[k % self.t] for k, x in enumerate(vec)
-        )
+        return tuple(x % o for x, o in zip(vec, self.orders))
 
     def count(self) -> int:
         if self._order_cache is None:
@@ -277,7 +278,7 @@ class _CocycleSpace:
     def tables(self) -> List[Vec]:
         """All factor-set vectors, sorted."""
         gens = [self._reduce_table(r) for r in self._sub.basis]
-        return sorted(_closure(gens, self.d, self.t, self.nvars))
+        return sorted(_closure(gens, self.orders))
 
     def coboundaries(self) -> List[Vec]:
         """The subgroup of shifts of the table by admissible transversal moves."""
@@ -332,7 +333,7 @@ class _CocycleSpace:
                         v -= cvals[sg][j]
                     table[self._var((s, g), j)] = v
             gens.append(self._reduce_table(table))
-        return sorted(_closure(gens, self.d, self.t, self.nvars))
+        return sorted(_closure(gens, self.orders))
 
     def canonical_tables(self) -> List[Vec]:
         """One lexicographically minimal representative per coboundary class."""
@@ -344,9 +345,7 @@ class _CocycleSpace:
                 continue
             out.append(z)
             for w in shifts:
-                seen.add(
-                    tuple((a + b) % self.d[k % self.t] for k, (a, b) in enumerate(zip(z, w)))
-                )
+                seen.add(tuple((a + b) % o for a, b, o in zip(z, w, self.orders)))
         return out
 
     def table_to_dict(self, vec: Vec) -> Dict[Tuple[GElt, GElt], Vec]:
@@ -354,13 +353,6 @@ class _CocycleSpace:
             pair: tuple(vec[self.pair_index[pair] * self.t + i] for i in range(self.t))
             for pair in self.pairs
         }
-
-
-def _log_exp(e: int, prime: int) -> int:
-    n = 0
-    while prime**n < e:
-        n += 1
-    return max(n, 1)
 
 
 def _unit(n, k):
@@ -375,8 +367,9 @@ def _scaled_unit(n, k, c):
     return row
 
 
-def _closure(gens: Iterable[Vec], d: Tuple[int, ...], t: int, width: int) -> set:
-    zero = (0,) * width
+def _closure(gens: Iterable[Vec], orders: Sequence[int]) -> set:
+    """The subgroup of the product of the Z/orders[k] that gens generate."""
+    zero = (0,) * len(orders)
     out = {zero}
     frontier = [zero]
     gens = list(dict.fromkeys(gens))
@@ -384,7 +377,7 @@ def _closure(gens: Iterable[Vec], d: Tuple[int, ...], t: int, width: int) -> set
         nxt = []
         for x in frontier:
             for g in gens:
-                y = tuple((a + b) % d[k % t] for k, (a, b) in enumerate(zip(x, g)))
+                y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
                 if y not in out:
                     out.add(y)
                     nxt.append(y)
@@ -396,9 +389,7 @@ def _closure(gens: Iterable[Vec], d: Tuple[int, ...], t: int, width: int) -> set
 
 
 def _precision_floor(prime, atilde_orders, g_orders) -> int:
-    m_at = _log_exp(max(atilde_orders, default=1), prime) if atilde_orders else 0
-    m_g = _log_exp(max(g_orders, default=1), prime) if g_orders else 0
-    return m_at + m_g + 1
+    return sum(precision_terms(prime, atilde_orders, g_orders)) + 1
 
 
 def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=None):
@@ -608,7 +599,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
                 if c[1] != group.identity():
                     raise AssertionError("commutator left the abelian normal subgroup")
                 vals.add(c[0])
-        return _abelian_closure(vals, orders)
+        return _closure(vals, orders)
 
     derived = commutator_span(elements)
     degree_zero = [u for u in elements if u[0][-1] % inst.ring.modulus == 0]
@@ -639,25 +630,8 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
         derived_degree_zero=frozenset(derived_dz),
         transfer=transfer,
         degree_zero_index=len(degree_zero) // len(derived),
-        gamma_commutators=frozenset(_abelian_closure(gamma_comms, orders)),
+        gamma_commutators=frozenset(_closure(gamma_comms, orders)),
     )
-
-
-def _abelian_closure(vals, orders) -> set:
-    zero = tuple(0 for _ in orders)
-    out = {zero}
-    frontier = [zero]
-    gens = sorted(set(vals))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return out
 
 
 # -- corpus building ------------------------------------------------------------

@@ -10,6 +10,7 @@ report output), so results are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Sequence, Tuple
 
 from .lattice import ModulusMismatchError, ZModRing, _is_prime
@@ -92,7 +93,7 @@ class AbelianLGroup:
         out = 1
         for x, o in zip(a, self.orders):
             if x % o:
-                out = max(out, o // _gcd(x % o, o))
+                out = max(out, o // math.gcd(x, o))
         return out
 
     def contains(self, a) -> bool:
@@ -101,12 +102,6 @@ class AbelianLGroup:
             and len(a) == len(self.orders)
             and all(isinstance(x, int) and 0 <= x < o for x, o in zip(a, self.orders))
         )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_l_power(o: int, l: int) -> bool:
@@ -301,12 +296,6 @@ class OmegaRingElt:
         return f"({self.r0}) + w*({self.r1})"
 
 
-def _one_like(x):
-    if isinstance(x, OmegaRingElt):
-        return OmegaRingElt.one(x.r0.group, x.r0.ring)
-    return GroupRingElt.one(x.group, x.ring)
-
-
 DET_DIMENSION_BOUND = 4
 
 
@@ -339,51 +328,3 @@ def _det_rec(m):
             term = -term
         acc = term if acc is None else acc + term
     return acc
-
-
-def adjugate(m: Sequence[Sequence], bound: int = DET_DIMENSION_BOUND):
-    """The transposed cofactor matrix: adjugate(m) * m = det(m) * identity."""
-    s = len(m)
-    for row in m:
-        if len(row) != s:
-            raise RingSizeError("adjugate of a non-square matrix")
-    if s > bound:
-        raise RingSizeError(f"matrix dimension {s} exceeds adjugate bound {bound}")
-    if s == 0:
-        raise RingSizeError("adjugate of an empty matrix is not defined here")
-    if s == 1:
-        return [[_one_like(m[0][0])]]
-    adj = [[None] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(s):
-            minor = [
-                [m[r][c] for c in range(s) if c != j] for r in range(s) if r != i
-            ]
-            cof = _det_rec(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return adj
-
-
-def mat_mul(a, b):
-    s = len(a)
-    t = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(s):
-        row = []
-        for j in range(t):
-            acc = None
-            for r in range(k):
-                term = a[i][r] * b[r][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_identity(group: AbelianLGroup, ring: ZModRing, s: int):
-    one = GroupRingElt.one(group, ring)
-    zero = GroupRingElt.zero(group, ring)
-    return [[one if i == j else zero for j in range(s)] for i in range(s)]

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .groupring import AbelianLGroup, GElt, GroupRingElt, _is_l_power
 from .lattice import Submodule, ZModRing
+
+if TYPE_CHECKING:
+    from .resolvent import Frame
 
 Vec = Tuple[int, ...]
 
@@ -47,9 +51,6 @@ class ClassModule:
     @property
     def dim(self) -> int:
         return len(self.atilde_orders) + 1
-
-    def coordinate_orders(self, ring: ZModRing) -> Tuple[int, ...]:
-        return self.atilde_orders + (ring.modulus,)
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,19 @@ class Instance:
     group: AbelianLGroup
     module: ClassModule
     cocycle: Cocycle
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+
+    @cached_property
+    def frame(self) -> "Frame":
+        """The derived state of this instance (ring, actions, certificate)."""
+        from .resolvent import Frame
+
+        return Frame(self)
 
     # -- basic coordinates ---------------------------------------------
 
     @property
     def ring(self) -> ZModRing:
-        return ZModRing(self.prime, self.precision)
+        return self.frame.ring
 
     @property
     def dim_a(self) -> int:
@@ -97,10 +104,10 @@ class Instance:
         return self.module.torsion_rank
 
     def coordinate_orders(self) -> Tuple[int, ...]:
-        return self.module.coordinate_orders(self.ring)
+        return self.frame.orders
 
     def a_reduce(self, vec: Sequence[int]) -> Vec:
-        return tuple(x % o for x, o in zip(vec, self.coordinate_orders()))
+        return tuple(x % o for x, o in zip(vec, self.frame.orders))
 
     def a_add(self, x: Sequence[int], y: Sequence[int]) -> Vec:
         return self.a_reduce([a + b for a, b in zip(x, y)])
@@ -131,27 +138,8 @@ class Instance:
 
     # -- the G-action ----------------------------------------------------
 
-    def action_matrix(self, g: GElt):
-        """Row-action matrix of an arbitrary group element (cached)."""
-        cache = self._cache.setdefault("act", {})
-        if g in cache:
-            return cache[g]
-        N = self.ring.modulus
-        d = self.dim_a
-        mat = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        for gen_index, k in enumerate(g):
-            base = self.module.action[gen_index]
-            for _ in range(k):
-                mat = [
-                    [sum(mat[i][r] * base[r][j] for r in range(d)) % N for j in range(d)]
-                    for i in range(d)
-                ]
-        mat = tuple(tuple(row) for row in mat)
-        cache[g] = mat
-        return mat
-
     def act(self, g: GElt, vec: Sequence[int]) -> Vec:
-        mat = self.action_matrix(g)
+        mat = self.frame.action[g]
         d = self.dim_a
         return self.a_reduce([sum(vec[i] * mat[i][j] for i in range(d)) for j in range(d)])
 
@@ -179,20 +167,8 @@ class Instance:
 
     # -- submodules of A ---------------------------------------------------
 
-    def relation_rows_a(self):
-        """Rows spanning coordinate torsion: d_i * e_i for the torsion part."""
-        rows = []
-        d = self.dim_a
-        for i, o in enumerate(self.module.atilde_orders):
-            row = [0] * d
-            row[i] = o
-            rows.append(row)
-        return rows
-
     def span_a(self, gens: Sequence[Sequence[int]]) -> Submodule:
-        return Submodule.from_generators(
-            self.ring, self.dim_a, list(gens) + self.relation_rows_a()
-        )
+        return self.frame.span(gens, self.dim_a)
 
     def zero_a(self) -> Submodule:
         return self.span_a([])
@@ -211,9 +187,6 @@ class Instance:
             out *= o
         return out
 
-    def atilde_exponent(self) -> int:
-        return max(self.module.atilde_orders, default=1)
-
 
 # -- construction -----------------------------------------------------------
 
@@ -230,9 +203,9 @@ def build_instance(
     structural problems.  Arithmetic invariants are left to ``validate``."""
     try:
         group = AbelianLGroup(prime, g_orders)
+        ring = ZModRing(prime, precision)
     except ValueError as e:
         raise SchemaError(str(e)) from None
-    ring = ZModRing(prime, precision)
     t = len(atilde_orders)
     for o in atilde_orders:
         if not _is_l_power(o, prime) or o < prime:
@@ -258,17 +231,30 @@ def build_instance(
         if len(v) != t:
             raise SchemaError(f"cocycle value for ({s}, {g}) has length {len(v)}, expected {t}")
         table[(s, g)] = tuple(x % o for x, o in zip(v, atilde_orders))
-    inst = Instance(
+    return Instance(
         prime=prime,
         precision=precision,
         group=group,
         module=ClassModule(tuple(int(o) for o in atilde_orders), tuple(mats)),
         cocycle=Cocycle.from_table(table),
     )
-    return inst
 
 
 # -- validation ---------------------------------------------------------------
+
+
+def log_ceil(e: int, prime: int) -> int:
+    """The least m >= 0 with prime**m >= e."""
+    m = 0
+    while prime**m < e:
+        m += 1
+    return m
+
+
+def precision_terms(prime: int, atilde_orders: Sequence[int], g_orders: Sequence[int]):
+    """(m_A, m_G), the least exponents with l^m_A >= exp(A~) and
+    l^m_G >= exp(G); the precision rule asks for n >= m_A + m_G + 1."""
+    return log_ceil(max(atilde_orders, default=1), prime), log_ceil(max(g_orders, default=1), prime)
 
 
 @dataclass(frozen=True)
@@ -308,13 +294,7 @@ def validate(inst: Instance) -> ValidationReport:
     d = inst.dim_a
     orders = inst.module.atilde_orders
 
-    m_at = 0
-    e = inst.atilde_exponent()
-    while inst.prime**m_at < e:
-        m_at += 1
-    m_g = 0
-    while inst.prime**m_g < group.exponent():
-        m_g += 1
+    m_at, m_g = precision_terms(inst.prime, orders, group.orders)
     ok = inst.precision >= m_at + m_g + 1
     checks.append(
         CheckResult(
@@ -483,6 +463,11 @@ def coboundary_shift(inst: Instance, c: Dict[GElt, Sequence[int]]) -> Instance:
 _TOP_KEYS = {"prime", "precision", "G", "A", "cocycle"}
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_gelt(key: str, group, what: str) -> GElt:
     # group only needs .rank and .contains; cocycle keys use a pair view
     try:
@@ -522,19 +507,19 @@ def instance_from_dict(data: dict) -> Instance:
         raise SchemaError(f"missing top-level keys: {sorted(missing)}")
     prime = data["prime"]
     precision = data["precision"]
-    if not isinstance(prime, int) or not isinstance(precision, int):
+    if not _is_int(prime) or not _is_int(precision):
         raise SchemaError("prime and precision must be integers")
     gsec = data["G"]
     if not isinstance(gsec, dict) or set(gsec) != {"orders"}:
         raise SchemaError("G must be an object with exactly the key 'orders'")
     g_orders = gsec["orders"]
-    if not isinstance(g_orders, list) or not all(isinstance(x, int) for x in g_orders):
+    if not isinstance(g_orders, list) or not all(_is_int(x) for x in g_orders):
         raise SchemaError("G.orders must be a list of integers")
     asec = data["A"]
     if not isinstance(asec, dict) or set(asec) != {"atilde_orders", "action"}:
         raise SchemaError("A must be an object with keys 'atilde_orders' and 'action'")
     at_orders = asec["atilde_orders"]
-    if not isinstance(at_orders, list) or not all(isinstance(x, int) for x in at_orders):
+    if not isinstance(at_orders, list) or not all(_is_int(x) for x in at_orders):
         raise SchemaError("A.atilde_orders must be a list of integers")
     action_sec = asec["action"]
     if not isinstance(action_sec, dict):
@@ -546,7 +531,7 @@ def instance_from_dict(data: dict) -> Instance:
     for k in expected:
         m = action_sec[k]
         if not isinstance(m, list) or not all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in m
+            isinstance(r, list) and all(_is_int(x) for x in r) for r in m
         ):
             raise SchemaError(f"A.action.{k} must be a row-major integer matrix")
         action.append(m)
@@ -563,7 +548,7 @@ def instance_from_dict(data: dict) -> Instance:
             raise SchemaError("cocycle keys must be strings")
         flat = _parse_gelt(key, _PairGroup(group), f"cocycle key {key!r}")
         s_elt, t_elt = flat[: group.rank], flat[group.rank :]
-        if not isinstance(v, list) or not all(isinstance(x, int) for x in v):
+        if not isinstance(v, list) or not all(_is_int(x) for x in v):
             raise SchemaError(f"cocycle value for {key!r} must be a list of integers")
         table[(s_elt, t_elt)] = v
     return build_instance(prime, precision, g_orders, at_orders, action, table)

@@ -30,6 +30,11 @@ class ContainmentError(ValueError):
     """Raised when a quotient is requested for non-nested submodules."""
 
 
+class InternalInvariantError(RuntimeError):
+    """An identity that must hold on validated data failed; indicates a bug
+    or an unvalidated instance."""
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -71,9 +76,6 @@ class ZModRing:
     def reduce(self, x: int) -> int:
         return x % self.modulus
 
-    def elt(self, x: int) -> "ZMod":
-        return ZMod(x % self.modulus, self.prime, self.precision)
-
     def val(self, x: int) -> int:
         """l-adic valuation of x mod l^n; val(0) = n by convention."""
         x %= self.modulus
@@ -102,98 +104,6 @@ class ZModRing:
         if not self.is_unit(x):
             raise ZeroDivisionError(f"{x} is not a unit mod {self.modulus}")
         return pow(x, -1, self.modulus)
-
-
-@dataclass(frozen=True)
-class ZMod:
-    """A residue in Z/l^n; arithmetic is only defined within one ring."""
-
-    residue: int
-    prime: int
-    precision: int
-
-    def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "residue", self.residue % self.prime**self.precision)
-
-    @property
-    def ring(self) -> ZModRing:
-        return ZModRing(self.prime, self.precision)
-
-    def _check(self, other: "ZMod") -> None:
-        if (self.prime, self.precision) != (other.prime, other.precision):
-            raise ModulusMismatchError(
-                f"cannot mix Z/{self.prime}^{self.precision} with "
-                f"Z/{other.prime}^{other.precision}"
-            )
-
-    def __add__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.residue + other.residue, self.prime, self.precision)
-
-    def __sub__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.residue - other.residue, self.prime, self.precision)
-
-    def __mul__(self, other: "ZMod") -> "ZMod":
-        self._check(other)
-        return ZMod(self.residue * other.residue, self.prime, self.precision)
-
-    def __neg__(self) -> "ZMod":
-        return ZMod(-self.residue, self.prime, self.precision)
-
-    def inverse(self) -> "ZMod":
-        return ZMod(self.ring.inv(self.residue), self.prime, self.precision)
-
-
-class ZModMatrix:
-    """A rectangular matrix over one ring Z/l^n, stored as tuple rows."""
-
-    __slots__ = ("ring", "rows", "nrows", "ncols")
-
-    def __init__(self, ring: ZModRing, rows: Sequence[Sequence[int]], ncols: Optional[int] = None):
-        rows = [tuple(ring.reduce(x) for x in r) for r in rows]
-        if rows:
-            ncols_seen = {len(r) for r in rows}
-            if len(ncols_seen) != 1:
-                raise ShapeError("ragged rows")
-            width = ncols_seen.pop()
-            if ncols is not None and ncols != width:
-                raise ShapeError("ncols does not match row width")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        self.ring = ring
-        self.rows = tuple(rows)
-        self.nrows = len(rows)
-        self.ncols = ncols
-
-    @classmethod
-    def from_elements(cls, grid: Sequence[Sequence[ZMod]]) -> "ZModMatrix":
-        keys = {(e.prime, e.precision) for row in grid for e in row}
-        if len(keys) > 1:
-            raise ModulusMismatchError(f"mixed rings in matrix: {sorted(keys)}")
-        if not keys:
-            raise ShapeError("cannot infer ring from an empty grid")
-        p, n = keys.pop()
-        return cls(ZModRing(p, n), [[e.residue for e in row] for row in grid])
-
-    def entry(self, i: int, j: int) -> ZMod:
-        return self.ring.elt(self.rows[i][j])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ZModMatrix)
-            and self.ring == other.ring
-            and self.rows == other.rows
-            and self.ncols == other.ncols
-        )
-
-    def __repr__(self) -> str:
-        return f"ZModMatrix({self.ring!r}, {list(map(list, self.rows))!r})"
 
 
 def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
@@ -349,17 +259,13 @@ class Submodule:
         yield from rec(0)
 
 
-def normal_form(m: ZModMatrix) -> Submodule:
-    """Canonical Howell form of the row space of ``m``."""
-    return Submodule.from_generators(m.ring, m.ncols, m.rows)
-
-
 def quotient_order(outer: Submodule, inner: Submodule) -> int:
     """The index |outer / inner|, requiring inner to be contained in outer."""
     if not outer.contains_submodule(inner):
         raise ContainmentError("inner submodule is not contained in outer")
     q, r = divmod(outer.order(), inner.order())
-    assert r == 0
+    if r:
+        raise InternalInvariantError("the inner order does not divide the outer order")
     return q
 
 
@@ -403,23 +309,9 @@ def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) 
         return None
     # defensive: the returned solution must verify exactly
     for j in range(width):
-        s = sum(x[i] * rows[i][j] for i in range(len(rows))) % N
-        assert s == target[j] % N
+        if sum(x[i] * rows[i][j] for i in range(len(rows))) % N != target[j] % N:
+            raise InternalInvariantError(f"solution fails the equations at column {j}")
     return tuple(x)
-
-
-def solve_matrix(m: ZModMatrix, v: Sequence) -> Optional[tuple]:
-    """Spec-level wrapper: x with x * m = v, entries returned as ZMod."""
-    if len(v) != m.ncols:
-        raise ShapeError(f"target of length {len(v)}, expected {m.ncols}")
-    tgt = [e.residue if isinstance(e, ZMod) else int(e) for e in v]
-    for e in v:
-        if isinstance(e, ZMod) and (e.prime, e.precision) != (m.ring.prime, m.ring.precision):
-            raise ModulusMismatchError("target entries over a different ring")
-    x = solve(m.rows, tgt, m.ring)
-    if x is None:
-        return None
-    return tuple(m.ring.elt(c) for c in x)
 
 
 def kernel(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> Submodule:
@@ -436,89 +328,3 @@ def preimage(map_rows: Sequence[Sequence[int]], sub: Submodule, ring: ZModRing) 
     ker = kernel(stacked, sub.ambient, ring)
     gens = [row[:k] for row in ker.basis]
     return Submodule.from_generators(ring, k, gens)
-
-
-def image(map_rows: Sequence[Sequence[int]], sub: Submodule, ring: ZModRing, width: int) -> Submodule:
-    """The image {x * map_rows : x in sub} inside (Z/l^n)^width."""
-    N = ring.modulus
-    gens = []
-    for row in sub.basis:
-        img = [0] * width
-        for i, c in enumerate(row):
-            if c:
-                for j in range(width):
-                    img[j] = (img[j] + c * map_rows[i][j]) % N
-        gens.append(img)
-    return Submodule.from_generators(ring, width, gens)
-
-
-def smith_invariants(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> tuple:
-    """Nonzero diagonal invariants (powers of l) of the matrix over Z/l^n.
-
-    Used only where the diagonal structure of a quotient is reported;
-    submodule canonical forms always go through the Howell machinery.
-    """
-    N = ring.modulus
-    m = [[x % N for x in r] for r in rows]
-    nr = len(m)
-    out = []
-    top = 0
-    while top < min(nr, width):
-        best = None
-        best_val = ring.precision + 1
-        for i in range(top, nr):
-            for j in range(top, width):
-                if m[i][j]:
-                    v = ring.val(m[i][j])
-                    if v < best_val:
-                        best_val = v
-                        best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for r in m:
-            r[top], r[bj] = r[bj], r[top]
-        u_inv = ring.inv(ring.unit_part(m[top][top]))
-        m[top] = [(u_inv * x) % N for x in m[top]]
-        p = m[top][top]
-        for i in range(top + 1, nr):
-            if m[i][top]:
-                q = m[i][top] // p
-                for j in range(top, width):
-                    m[i][j] = (m[i][j] - q * m[top][j]) % N
-        for j in range(top + 1, width):
-            if m[top][j]:
-                q = m[top][j] // p
-                for i in range(top, nr):
-                    m[i][j] = (m[i][j] - q * m[i][top]) % N
-        out.append(p)
-        top += 1
-    return tuple(sorted(out))
-
-
-def quotient_invariants(outer: Submodule, inner: Submodule) -> tuple:
-    """Cyclic invariants (powers of l, > 1) of outer/inner for reporting.
-
-    Expresses inner in outer-basis coordinates, adds the coefficient order
-    relations, and reads the quotient structure off the Smith diagonal.
-    """
-    if not outer.contains_submodule(inner):
-        raise ContainmentError("inner submodule is not contained in outer")
-    ring = outer.ring
-    N = ring.modulus
-    r = len(outer.basis)
-    if r == 0:
-        return ()
-    rows = []
-    for row in inner.basis:
-        coeffs = solve(outer.basis, row, ring)
-        assert coeffs is not None
-        rows.append(list(coeffs))
-    for i, (row, col) in enumerate(zip(outer.basis, outer.pivots)):
-        order_rel = [0] * r
-        order_rel[i] = (N // row[col]) % N
-        rows.append(order_rel)
-    invs = smith_invariants(rows, r, ring)
-    factors = list(invs) + [N] * (r - len(invs))
-    return tuple(sorted(f for f in factors if f > 1))

@@ -1,8 +1,9 @@
 """The resolvent module B = A + I_G with its twisted actions.
 
-Coordinates of B are fixed once per instance: the torsion generators of A,
-then gamma, then the augmentation-ideal basis (tau - 1) for tau != 1 in the
-canonical element order.  The G-action is the linearized twist
+Coordinates of B are fixed once per instance, by its ``Frame``: the
+torsion generators of A, then gamma, then the augmentation-ideal basis
+(tau - 1) for tau != 1 in the canonical element order.  The G-action is
+the linearized twist
 
     sigma * a = a^sigma,     sigma * (tau - 1) = f(sigma, tau) + sigma(tau - 1),
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .groupring import (
@@ -26,17 +28,12 @@ from .groupring import (
     det_ring,
     trace_element,
 )
-from .lattice import Submodule, solve
+from .lattice import InternalInvariantError, Submodule, ZModRing, solve
 
 if TYPE_CHECKING:
     from .instance import Instance
 
 Vec = Tuple[int, ...]
-
-
-class InternalInvariantError(RuntimeError):
-    """An identity that must hold on validated data failed; indicates a bug
-    or an unvalidated instance."""
 
 
 class InfeasibleRelationError(RuntimeError):
@@ -122,181 +119,190 @@ class ResolventElt:
         return not any(self.a) and not any(self.lam)
 
 
-# -- per-instance context -----------------------------------------------------
+# -- the per-instance frame ----------------------------------------------------
 
 
-class _Context:
-    """Cached coordinate machinery of B for one instance."""
+class Frame:
+    """The derived state of one instance, each member computed on first use.
+
+    Holds the coefficient ring, the coordinate orders and the G-action of
+    A, the star and omega matrices of B, the bases of B and B-tilde, and
+    the relation certificate with delta.  Every instance owns one, as
+    ``inst.frame``; the data it is derived from is immutable, so nothing
+    here is ever invalidated.  Coordinates of B: the torsion generators of
+    A, then gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes
+    first in all three, so ``span`` serves each of them.
+    """
 
     def __init__(self, inst: "Instance"):
         self.inst = inst
-        self.ring = inst.ring
-        self.N = self.ring.modulus
-        self.group = inst.group
-        self.t = inst.torsion_rank
-        self.nonid = inst.group.nonidentity()
-        self.nonid_index = {g: i for i, g in enumerate(self.nonid)}
-        self.dim_a = inst.dim_a
-        self.dim_b = inst.dim_a + len(self.nonid)
-        # degree-zero coordinates: torsion block then lambda block (gamma dropped)
-        self.dim_bt = self.t + len(self.nonid)
-        self._star: Dict[GElt, tuple] = {}
 
-    # coordinate helpers ----------------------------------------------
+    @cached_property
+    def ring(self) -> ZModRing:
+        return ZModRing(self.inst.prime, self.inst.precision)
 
-    def b_vec(self, elt: ResolventElt) -> Vec:
-        return elt.to_vec()
+    @cached_property
+    def orders(self) -> Vec:
+        """Coordinate orders of A: the torsion orders, then l^n for gamma."""
+        return self.inst.module.atilde_orders + (self.ring.modulus,)
+
+    @cached_property
+    def action(self) -> Dict[GElt, tuple]:
+        """Row-action matrix of every group element, tau_1^k_1 ... tau_s^k_s
+        multiplied in generator order."""
+        inst = self.inst
+        N = self.ring.modulus
+        d = inst.dim_a
+        out = {}
+        for g in inst.group.elements():
+            k = max((i for i, x in enumerate(g) if x), default=None)
+            if k is None:
+                out[g] = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+                continue
+            prev = out[g[:k] + (g[k] - 1,) + g[k + 1 :]]
+            base = inst.module.action[k]
+            out[g] = tuple(
+                tuple(sum(prev[i][r] * base[r][j] for r in range(d)) % N for j in range(d))
+                for i in range(d)
+            )
+        return out
+
+    @cached_property
+    def nonid_index(self) -> Dict[GElt, int]:
+        return {g: i for i, g in enumerate(self.inst.group.nonidentity())}
+
+    @property
+    def dim_b(self) -> int:
+        return self.inst.dim_a + len(self.nonid_index)
+
+    @property
+    def dim_bt(self) -> int:
+        return self.inst.torsion_rank + len(self.nonid_index)
+
+    # coordinates ---------------------------------------------------------
+
+    def relation_rows(self, width: int) -> List[list]:
+        """The coordinate torsion d_i * e_i, in the coordinates of A, B or
+        B-tilde (told apart by the width)."""
+        rows = []
+        for i, o in enumerate(self.inst.module.atilde_orders):
+            row = [0] * width
+            row[i] = o
+            rows.append(row)
+        return rows
+
+    def span(self, gens: Sequence[Sequence[int]], width: int) -> Submodule:
+        return Submodule.from_generators(self.ring, width, list(gens) + self.relation_rows(width))
 
     def bt_vec(self, elt: ResolventElt) -> Vec:
-        if elt.a[-1] % self.N:
+        if elt.a[-1] % self.ring.modulus:
             raise InternalInvariantError("element has nonzero degree")
-        return elt.a[: self.t] + elt.lam
+        return elt.a[: self.inst.torsion_rank] + elt.lam
 
     def elt_from_bt(self, vec: Sequence[int]) -> ResolventElt:
-        a = tuple(vec[: self.t]) + (0,)
-        return ResolventElt(self.inst, a, tuple(vec[self.t :]))
+        t = self.inst.torsion_rank
+        return ResolventElt(self.inst, tuple(vec[:t]) + (0,), tuple(vec[t:]))
 
     def lam_vec(self, coeffs: Dict[GElt, int]) -> Vec:
-        out = [0] * len(self.nonid)
+        out = [0] * len(self.nonid_index)
         for g, c in coeffs.items():
             if g in self.nonid_index:
                 out[self.nonid_index[g]] += c
         return tuple(out)
 
-    # actions ------------------------------------------------------------
-
-    def star_matrix(self, sigma: GElt) -> tuple:
-        if sigma in self._star:
-            return self._star[sigma]
-        inst = self.inst
-        rows = []
-        for i in range(self.dim_a):
-            e_i = tuple(1 if j == i else 0 for j in range(self.dim_a))
-            rows.append(inst.act(sigma, e_i) + (0,) * len(self.nonid))
-        one = self.group.identity()
-        for tau in self.nonid:
-            a_part = inst.cocycle_in_a(sigma, tau)
-            lam = {}
-            st = self.group.mul(sigma, tau)
-            if st != one:
-                lam[st] = lam.get(st, 0) + 1
-            if sigma != one:
-                lam[sigma] = lam.get(sigma, 0) - 1
-            rows.append(a_part + self.lam_vec(lam))
-        mat = tuple(tuple(x % self.N for x in r) for r in rows)
-        self._star[sigma] = mat
-        return mat
-
-    def apply_matrix(self, vec: Sequence[int], mat: Sequence[Sequence[int]], width: int) -> list:
-        out = [0] * width
-        for i, c in enumerate(vec):
+    def apply(self, vec: Sequence[int], mat: Sequence[Sequence[int]]) -> list:
+        """vec * mat over Z/l^n."""
+        N = self.ring.modulus
+        out = [0] * len(mat[0])
+        for c, row in zip(vec, mat):
             if c:
-                row = mat[i]
-                for j in range(width):
-                    out[j] = (out[j] + c * row[j]) % self.N
+                for j, x in enumerate(row):
+                    out[j] = (out[j] + c * x) % N
         return out
+
+    # the actions on B ----------------------------------------------------
 
     def star_elt(self, sigma: GElt, b: ResolventElt) -> ResolventElt:
-        vec = self.apply_matrix(b.to_vec(), self.star_matrix(sigma), self.dim_b)
-        return ResolventElt.from_vec(self.inst, vec)
+        return ResolventElt.from_vec(self.inst, self.apply(b.to_vec(), self.star[sigma]))
 
-    def omega_matrix(self) -> tuple:
-        if "omega" in self.inst._cache:
-            return self.inst._cache["omega"]
-        rows = [(0,) * self.dim_b for _ in range(self.dim_a)]
-        out = list(rows)
-        for tau in self.nonid:
-            a_tau = self.inst.a_tau(tau)
-            if a_tau[-1] % self.N:
+    @cached_property
+    def star(self) -> Dict[GElt, tuple]:
+        """The matrix of the twisted action of every sigma on B."""
+        inst = self.inst
+        group = inst.group
+        one = group.identity()
+        N = self.ring.modulus
+        d = inst.dim_a
+        zeros = (0,) * len(self.nonid_index)
+        out = {}
+        for sigma in group.elements():
+            rows = [inst.act(sigma, tuple(int(i == j) for j in range(d))) + zeros for i in range(d)]
+            for tau in group.nonidentity():
+                lam = {}
+                st = group.mul(sigma, tau)
+                if st != one:
+                    lam[st] = lam.get(st, 0) + 1
+                if sigma != one:
+                    lam[sigma] = lam.get(sigma, 0) - 1
+                rows.append(inst.cocycle_in_a(sigma, tau) + self.lam_vec(lam))
+            out[sigma] = tuple(tuple(x % N for x in r) for r in rows)
+        return out
+
+    @cached_property
+    def omega(self) -> tuple:
+        """The matrix of w: zero on A, (tau - 1) -> (1 - tau) * gamma."""
+        inst = self.inst
+        rows = [(0,) * self.dim_b] * inst.dim_a
+        for tau in inst.group.nonidentity():
+            a_tau = inst.a_tau(tau)
+            if a_tau[-1] % self.ring.modulus:
                 raise InternalInvariantError("(1 - tau) * gamma has nonzero degree")
-            out.append(a_tau + (0,) * len(self.nonid))
-        mat = tuple(tuple(r) for r in out)
-        self.inst._cache["omega"] = mat
-        return mat
+            rows.append(a_tau + (0,) * len(self.nonid_index))
+        return tuple(rows)
 
-    # distinguished submodules ------------------------------------------
+    # bases and shared submodules -------------------------------------------
 
-    def relation_rows_b(self) -> List[list]:
-        rows = []
-        for i, o in enumerate(self.inst.module.atilde_orders):
-            row = [0] * self.dim_b
-            row[i] = o
-            rows.append(row)
-        return rows
+    @cached_property
+    def b_basis(self) -> Tuple[ResolventElt, ...]:
+        """The coordinate basis of B: unit vectors of A, then the (tau - 1)."""
+        inst = self.inst
+        d = inst.dim_a
+        units = [ResolventElt.from_a(inst, tuple(int(i == j) for j in range(d))) for i in range(d)]
+        return tuple(units) + tuple(ResolventElt.basis_tau(inst, tau) for tau in inst.group.nonidentity())
 
-    def relation_rows_bt(self) -> List[list]:
-        rows = []
-        for i, o in enumerate(self.inst.module.atilde_orders):
-            row = [0] * self.dim_bt
-            row[i] = o
-            rows.append(row)
-        return rows
+    @cached_property
+    def bt_basis(self) -> Tuple[ResolventElt, ...]:
+        """The basis of B-tilde: the B basis without gamma."""
+        t = self.inst.torsion_rank
+        return self.b_basis[:t] + self.b_basis[t + 1 :]
 
-    def span_b(self, gens: Sequence[Sequence[int]]) -> Submodule:
-        return Submodule.from_generators(
-            self.ring, self.dim_b, list(gens) + self.relation_rows_b()
-        )
-
-    def span_bt(self, gens: Sequence[Sequence[int]]) -> Submodule:
-        return Submodule.from_generators(
-            self.ring, self.dim_bt, list(gens) + self.relation_rows_bt()
-        )
-
-    def b_basis_elements(self) -> List[ResolventElt]:
-        out = []
-        for i in range(self.dim_a):
-            a = tuple(1 if j == i else 0 for j in range(self.dim_a))
-            out.append(ResolventElt.from_a(self.inst, a))
-        for tau in self.nonid:
-            out.append(ResolventElt.basis_tau(self.inst, tau))
-        return out
-
-    def bt_basis_elements(self) -> List[ResolventElt]:
-        out = []
-        for i in range(self.t):
-            a = tuple(1 if j == i else 0 for j in range(self.dim_a))
-            out.append(ResolventElt.from_a(self.inst, a))
-        for tau in self.nonid:
-            out.append(ResolventElt.basis_tau(self.inst, tau))
-        return out
-
-    def b_tilde_in_b(self) -> Submodule:
-        return self.span_b([e.to_vec() for e in self.bt_basis_elements()])
-
-    def atilde_in_b(self) -> Submodule:
+    @cached_property
+    def ig_bt(self) -> Submodule:
+        """I_G * B-tilde in B-tilde coordinates."""
+        inst = self.inst
         gens = []
-        for i in range(self.t):
-            row = [0] * self.dim_b
-            row[i] = 1
-            gens.append(row)
-        return self.span_b(gens)
+        for tau in inst.group.generators():
+            x = _ig_elt(inst, tau)
+            for b in self.bt_basis:
+                gens.append(self.bt_vec(star_act(inst, x, b)))
+        return self.span(gens, self.dim_bt)
 
-    def ig_squared_in_b(self) -> Submodule:
-        """Products (g - 1)(h - 1) of the plain group ring, embedded in B."""
-        one = self.group.identity()
-        gens = []
-        for g in self.nonid:
-            for h in self.nonid:
-                lam: Dict[GElt, int] = {}
-                gh = self.group.mul(g, h)
-                if gh != one:
-                    lam[gh] = lam.get(gh, 0) + 1
-                lam[g] = lam.get(g, 0) - 1
-                lam[h] = lam.get(h, 0) - 1
-                gens.append((0,) * self.dim_a + self.lam_vec(lam))
-        return self.span_b(gens)
-
-    def ig_gamma_a(self) -> Submodule:
+    @cached_property
+    def ig_gamma(self) -> Submodule:
         """I_G * gamma = the span of all (1 - tau) * gamma inside A."""
-        return self.inst.span_a([self.inst.a_tau(tau) for tau in self.group.elements()])
+        inst = self.inst
+        return inst.span_a([inst.a_tau(tau) for tau in inst.group.elements()])
 
-
-def context(inst: "Instance") -> _Context:
-    ctx = inst._cache.get("resolvent")
-    if ctx is None:
-        ctx = _Context(inst)
-        inst._cache["resolvent"] = ctx
-    return ctx
+    @cached_property
+    def relations(self) -> Tuple[Optional["RelationCertificate"], Optional[GroupRingElt], Optional[str]]:
+        """(certificate, delta, error): the relation certificate and the
+        operator delta, with the error that stopped either as text."""
+        cert = None
+        try:
+            cert = relation_matrices(self.inst)
+            return cert, delta(self.inst, cert), None
+        except (InfeasibleRelationError, CertificateError) as e:
+            return cert, None, f"{type(e).__name__}: {e}"
 
 
 # -- public operations ---------------------------------------------------------
@@ -304,22 +310,19 @@ def context(inst: "Instance") -> _Context:
 
 def star_act(inst: "Instance", x: GroupRingElt, b: ResolventElt) -> ResolventElt:
     """The linearized twisted action of a group-ring element on B."""
-    ctx = context(inst)
-    acc = ResolventElt.from_vec(inst, (0,) * ctx.dim_b)
+    frame = inst.frame
+    vec = b.to_vec()
+    out = [0] * frame.dim_b
     for g, c in x.coeffs.items():
-        acc = acc + ctx.star_elt(g, b).scale(c)
-    return acc
+        for j, y in enumerate(frame.apply(vec, frame.star[g])):
+            out[j] += c * y
+    return ResolventElt.from_vec(inst, out)
 
 
 def omega_act(inst: "Instance", b: ResolventElt) -> ResolventElt:
     """w * b for w = gamma - 1: zero on A, (tau - 1) -> (1 - tau) * gamma."""
-    ctx = context(inst)
-    vec = ctx.apply_matrix(b.to_vec(), ctx.omega_matrix(), ctx.dim_b)
-    return ResolventElt.from_vec(inst, vec)
-
-
-def omega_ring_act(inst: "Instance", x: OmegaRingElt, b: ResolventElt) -> ResolventElt:
-    return star_act(inst, x.r0, b) + omega_act(inst, star_act(inst, x.r1, b))
+    frame = inst.frame
+    return ResolventElt.from_vec(inst, frame.apply(b.to_vec(), frame.omega))
 
 
 def trace(inst: "Instance", b: ResolventElt) -> Vec:
@@ -331,18 +334,33 @@ def trace(inst: "Instance", b: ResolventElt) -> Vec:
     return out.a
 
 
-def ig_star_b(inst: "Instance", degree_zero: bool = False) -> Submodule:
-    """The submodule I_G * B (or I_G * B-tilde) in B coordinates."""
-    ctx = context(inst)
-    basis = ctx.bt_basis_elements() if degree_zero else ctx.b_basis_elements()
+def ig_star_b(inst: "Instance") -> Submodule:
+    """The submodule I_G * B in B coordinates."""
+    frame = inst.frame
     gens = []
     for tau in inst.group.generators():
-        one_elt = GroupRingElt.of(inst.group, inst.ring, tau) - GroupRingElt.one(
-            inst.group, inst.ring
-        )
-        for b in basis:
-            gens.append(star_act(inst, one_elt, b).to_vec())
-    return ctx.span_b(gens)
+        x = _ig_elt(inst, tau)
+        for b in frame.b_basis:
+            gens.append(star_act(inst, x, b).to_vec())
+    return frame.span(gens, frame.dim_b)
+
+
+def ig_squared_in_b(inst: "Instance") -> Submodule:
+    """Products (g - 1)(h - 1) of the plain group ring, embedded in B."""
+    frame = inst.frame
+    group = inst.group
+    one = group.identity()
+    gens = []
+    for g in group.nonidentity():
+        for h in group.nonidentity():
+            lam: Dict[GElt, int] = {}
+            gh = group.mul(g, h)
+            if gh != one:
+                lam[gh] = lam.get(gh, 0) + 1
+            lam[g] = lam.get(g, 0) - 1
+            lam[h] = lam.get(h, 0) - 1
+            gens.append((0,) * inst.dim_a + frame.lam_vec(lam))
+    return frame.span(gens, frame.dim_b)
 
 
 def boundary_module(inst: "Instance") -> Submodule:
@@ -397,46 +415,32 @@ class RelationCertificate:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _ring_vec(ctx: _Context, x: GroupRingElt) -> Vec:
-    return tuple(x.coefficient(g) % ctx.N for g in ctx.group.elements())
+def _ring_vec(inst: "Instance", x: GroupRingElt) -> Vec:
+    return tuple(x.coefficient(g) % inst.ring.modulus for g in inst.group.elements())
 
 
-def _ig_elt(ctx: _Context, tau: GElt, c: int = 1) -> GroupRingElt:
-    one = ctx.group.identity()
-    return GroupRingElt(ctx.group, ctx.ring, {tau: c, one: -c})
+def _ig_elt(inst: "Instance", tau: GElt, c: int = 1) -> GroupRingElt:
+    """c * (tau - 1) in the group ring."""
+    return GroupRingElt(inst.group, inst.ring, {tau: c, inst.group.identity(): -c})
 
 
 def lambda_generation_holds(inst: "Instance") -> bool:
     """Whether the b_i = tau_i - 1 generate the degree-zero part over the
     omega-extended group ring."""
-    ctx = context(inst)
+    frame = inst.frame
     gens = []
     for tau_i in inst.group.generators():
         b_i = ResolventElt.basis_tau(inst, tau_i)
         for g in inst.group.elements():
-            moved = ctx.star_elt(g, b_i)
-            gens.append(ctx.bt_vec(moved))
-            gens.append(ctx.bt_vec(omega_act(inst, moved)))
-    span = ctx.span_bt(gens)
-    return span == ctx.span_bt([ctx.bt_vec(e) for e in ctx.bt_basis_elements()])
-
-
-def _omega_image_rows(ctx: _Context) -> List[Vec]:
-    """Generators of w * B-tilde in degree-zero coordinates."""
-    inst = ctx.inst
-    rows = []
-    for tau in ctx.group.elements():
-        a_tau = inst.a_tau(tau)
-        rows.append(a_tau[: ctx.t] + (0,) * len(ctx.nonid))
-    return rows
-
-
-def _star_bt(ctx: _Context, x: GroupRingElt, b: ResolventElt) -> Vec:
-    return ctx.bt_vec(star_act(ctx.inst, x, b))
+            moved = frame.star_elt(g, b_i)
+            gens.append(frame.bt_vec(moved))
+            gens.append(frame.bt_vec(omega_act(inst, moved)))
+    span = frame.span(gens, frame.dim_bt)
+    return span == frame.span([frame.bt_vec(e) for e in frame.bt_basis], frame.dim_bt)
 
 
 def _solve_mu_row(
-    ctx: _Context,
+    inst: "Instance",
     i: int,
     b_elts: List[ResolventElt],
     cofactors: Optional[List[GroupRingElt]],
@@ -450,83 +454,81 @@ def _solve_mu_row(
     determinant exactly the trace.  In the gamma form the complement
     unknown is mu_i * gamma rather than an omega term.
     """
-    inst = ctx.inst
-    group = ctx.group
+    frame = inst.frame
+    group = inst.group
+    nonid = group.nonidentity()
     s = group.rank
     o_i = group.orders[i]
     det_cols = group.size() if cofactors is not None else 0
 
     rows = []
-    unknown_count = 0
     for j in range(s):
-        for tau in ctx.nonid:
-            contrib = list(_star_bt(ctx, _ig_elt(ctx, tau), b_elts[j]))
+        for tau in nonid:
+            contrib = list(frame.bt_vec(star_act(inst, _ig_elt(inst, tau), b_elts[j])))
             if cofactors is not None:
-                contrib += list(_ring_vec(ctx, _ig_elt(ctx, tau) * cofactors[j]))
+                contrib += list(_ring_vec(inst, _ig_elt(inst, tau) * cofactors[j]))
             rows.append(contrib)
-            unknown_count += 1
-    mu_block = unknown_count
+    mu_block = len(rows)
 
+    complement = []
     if use_gamma_form:
         # gamma-form complement: coefficients of mu_i over the I_G basis
         gamma_elt = ResolventElt.from_a(inst, inst.gamma())
-        for tau in ctx.nonid:
-            moved = star_act(inst, _ig_elt(ctx, tau), gamma_elt)
-            rows.append(list(ctx.bt_vec(moved)) + [0] * det_cols)
+        for tau in nonid:
+            complement.append(frame.bt_vec(star_act(inst, _ig_elt(inst, tau), gamma_elt)))
     else:
-        # omega terms are solved afterwards; quotient them out here
-        for r in _omega_image_rows(ctx):
-            rows.append(list(r) + [0] * det_cols)
-    for r in ctx.relation_rows_bt():
+        # omega terms are solved afterwards; quotient them out here:
+        # generators of w * B-tilde in degree-zero coordinates
+        t = inst.torsion_rank
+        for tau in group.elements():
+            complement.append(inst.a_tau(tau)[:t] + (0,) * len(nonid))
+    for r in complement + frame.relation_rows(frame.dim_bt):
         rows.append(list(r) + [0] * det_cols)
 
-    target = list(ctx.bt_vec(b_elts[i].scale(o_i)))
+    target = list(frame.bt_vec(b_elts[i].scale(o_i)))
     if cofactors is not None:
-        tr = trace_element(group, inst.ring)
-        rhs = cofactors[i].scale(o_i) - tr
-        target += list(_ring_vec(ctx, rhs))
+        rhs = cofactors[i].scale(o_i) - trace_element(group, inst.ring)
+        target += list(_ring_vec(inst, rhs))
 
-    sol = solve(rows, target, ctx.ring)
+    sol = solve(rows, target, inst.ring)
     if sol is None:
         return None
     out = []
     k = 0
     for j in range(s):
         coeffs = GroupRingElt.zero(group, inst.ring)
-        for tau in ctx.nonid:
+        for tau in nonid:
             c = sol[k]
             k += 1
             if c:
-                coeffs = coeffs + _ig_elt(ctx, tau, c)
+                coeffs = coeffs + _ig_elt(inst, tau, c)
         out.append(coeffs)
     if use_gamma_form:
         mu_i = GroupRingElt.zero(group, inst.ring)
-        for tau in ctx.nonid:
-            c = sol[mu_block + ctx.nonid_index[tau]]
+        for tau in nonid:
+            c = sol[mu_block + frame.nonid_index[tau]]
             if c:
-                mu_i = mu_i + _ig_elt(ctx, tau, c)
+                mu_i = mu_i + _ig_elt(inst, tau, c)
         out.append(mu_i)
     return out
 
 
 def _solve_nu_row(
-    ctx: _Context, i: int, b_elts: List[ResolventElt], mu_row: List[GroupRingElt]
+    inst: "Instance", i: int, b_elts: List[ResolventElt], mu_row: List[GroupRingElt]
 ) -> Optional[List[GroupRingElt]]:
-    inst = ctx.inst
-    group = ctx.group
+    frame = inst.frame
+    group = inst.group
     s = group.rank
-    o_i = group.orders[i]
-    residual = b_elts[i].scale(o_i)
+    residual = b_elts[i].scale(group.orders[i])
     for j in range(s):
         residual = residual - star_act(inst, mu_row[j], b_elts[j])
     rows = []
     for j in range(s):
         for g in group.elements():
-            moved = ctx.star_elt(g, b_elts[j])
-            rows.append(list(ctx.bt_vec(omega_act(inst, moved))))
-    for r in ctx.relation_rows_bt():
-        rows.append(list(r))
-    sol = solve(rows, list(ctx.bt_vec(residual)), ctx.ring)
+            moved = frame.star_elt(g, b_elts[j])
+            rows.append(list(frame.bt_vec(omega_act(inst, moved))))
+    rows += frame.relation_rows(frame.dim_bt)
+    sol = solve(rows, list(frame.bt_vec(residual)), inst.ring)
     if sol is None:
         return None
     out = []
@@ -542,10 +544,10 @@ def _solve_nu_row(
     return out
 
 
-def _cofactor_row(ctx: _Context, m_rows: List[List[GroupRingElt]], i: int, s: int):
+def _cofactor_row(inst: "Instance", m_rows: List[List[GroupRingElt]], i: int, s: int):
     """Signed minors along row i of the matrix whose other rows are fixed."""
     if s == 1:
-        return [GroupRingElt.one(ctx.group, ctx.ring)]
+        return [GroupRingElt.one(inst.group, inst.ring)]
     cof = []
     other = [m_rows[r] for r in range(s) if r != i]
     for j in range(s):
@@ -557,14 +559,12 @@ def _cofactor_row(ctx: _Context, m_rows: List[List[GroupRingElt]], i: int, s: in
     return cof
 
 
-def _diag_entry(ctx: _Context, i: int, j: int, o_i: int, mu: GroupRingElt) -> GroupRingElt:
-    base = GroupRingElt.scalar(ctx.group, ctx.ring, o_i) if i == j else GroupRingElt.zero(
-        ctx.group, ctx.ring
-    )
+def _diag_entry(inst: "Instance", i: int, j: int, o_i: int, mu: GroupRingElt) -> GroupRingElt:
+    base = GroupRingElt.scalar(inst.group, inst.ring, o_i if i == j else 0)
     return base - mu
 
 
-def _solve_form(ctx: _Context, b_elts: List[ResolventElt], use_gamma_form: bool):
+def _solve_form(inst: "Instance", b_elts: List[ResolventElt], use_gamma_form: bool):
     """All relation rows, with the determinant constraint imposed on one row.
 
     Rows other than the constrained one are solved first (deterministic
@@ -572,17 +572,17 @@ def _solve_form(ctx: _Context, b_elts: List[ResolventElt], use_gamma_form: bool)
     conditions.  Constraining the last row works on every instance we
     generate; earlier rows are tried as fallbacks.
     """
-    group = ctx.group
+    group = inst.group
     s = group.rank
     if s == 0:
-        return [], []
+        return []
     for constrained in range(s - 1, -1, -1):
         mu_rows: List[Optional[List[GroupRingElt]]] = [None] * s
         ok = True
         for i in range(s):
             if i == constrained:
                 continue
-            mu = _solve_mu_row(ctx, i, b_elts, None, use_gamma_form)
+            mu = _solve_mu_row(inst, i, b_elts, None, use_gamma_form)
             if mu is None:
                 ok = False
                 break
@@ -595,14 +595,14 @@ def _solve_form(ctx: _Context, b_elts: List[ResolventElt], use_gamma_form: bool)
                 m_rows.append([None] * s)
             else:
                 m_rows.append(
-                    [_diag_entry(ctx, i, j, group.orders[i], mu_rows[i][j]) for j in range(s)]
+                    [_diag_entry(inst, i, j, group.orders[i], mu_rows[i][j]) for j in range(s)]
                 )
-        cof = _cofactor_row(ctx, m_rows, constrained, s)
-        mu = _solve_mu_row(ctx, constrained, b_elts, cof, use_gamma_form)
+        cof = _cofactor_row(inst, m_rows, constrained, s)
+        mu = _solve_mu_row(inst, constrained, b_elts, cof, use_gamma_form)
         if mu is None:
             continue
         mu_rows[constrained] = mu
-        return mu_rows, [constrained]
+        return mu_rows
     raise InfeasibleRelationError(
         "no relation certificate with det M = Tr exists for any constrained row"
     )
@@ -611,8 +611,7 @@ def _solve_form(ctx: _Context, b_elts: List[ResolventElt], use_gamma_form: bool)
 def relation_matrices(inst: "Instance") -> RelationCertificate:
     """Solve the defining relations of the b_i = tau_i - 1 in both forms and
     return the verified certificate."""
-    ctx = context(inst)
-    group = ctx.group
+    group = inst.group
     s = group.rank
     if s > 0 and not lambda_generation_holds(inst):
         raise InfeasibleRelationError(
@@ -620,24 +619,24 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
         )
     b_elts = [ResolventElt.basis_tau(inst, tau) for tau in group.generators()]
 
-    mu_rows, _ = _solve_form(ctx, b_elts, use_gamma_form=False)
+    mu_rows = _solve_form(inst, b_elts, use_gamma_form=False)
     nu_rows = []
     for i in range(s):
-        nu = _solve_nu_row(ctx, i, b_elts, mu_rows[i])
+        nu = _solve_nu_row(inst, i, b_elts, mu_rows[i])
         if nu is None:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
         nu_rows.append(nu)
 
-    lam_full, _ = _solve_form(ctx, b_elts, use_gamma_form=True)
+    lam_full = _solve_form(inst, b_elts, use_gamma_form=True)
     lam_rows = [row[:s] for row in lam_full]
     mu_vec = [row[s] for row in lam_full]
 
     m_matrix = tuple(
-        tuple(_diag_entry(ctx, i, j, group.orders[i], mu_rows[i][j]) for j in range(s))
+        tuple(_diag_entry(inst, i, j, group.orders[i], mu_rows[i][j]) for j in range(s))
         for i in range(s)
     )
     lam_matrix = tuple(
-        tuple(_diag_entry(ctx, i, j, group.orders[i], lam_rows[i][j]) for j in range(s))
+        tuple(_diag_entry(inst, i, j, group.orders[i], lam_rows[i][j]) for j in range(s))
         for i in range(s)
     )
     cert = RelationCertificate(
@@ -651,8 +650,7 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
 
 
 def _verify_certificate(inst, cert, b_elts, mu_rows, lam_rows):
-    ctx = context(inst)
-    group = ctx.group
+    group = inst.group
     s = group.rank
     for i in range(s):
         resid = b_elts[i].scale(group.orders[i])

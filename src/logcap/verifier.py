@@ -18,22 +18,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import extension
-from .groupring import GroupRingElt, trace_element
+from .groupring import GroupRingElt, RingSizeError, trace_element
 from .instance import Instance, ValidationReport, validate
 from .lattice import preimage, quotient_order
 from .resolvent import (
-    CertificateError,
-    InfeasibleRelationError,
-    RelationCertificate,
-    ResolventElt,
     boundary_module,
     certificate_determinants,
-    context,
-    delta,
+    ig_squared_in_b,
     ig_star_b,
     lambda_generation_holds,
     omega_act,
-    relation_matrices,
     star_act,
     trace,
 )
@@ -81,64 +75,22 @@ def _fmt_ring(x: GroupRingElt) -> dict:
     return {",".join(map(str, g)): int(c) for g, c in sorted(x.coeffs.items())}
 
 
-class _Session:
-    """Shared state for one instance: certificate, delta, cached submodules."""
+def _cert_hash(inst: Instance) -> Optional[str]:
+    cert = inst.frame.relations[0]
+    return cert.content_hash() if cert else None
 
-    def __init__(self, inst: Instance, oracle_bound: int):
-        self.inst = inst
-        self.oracle_bound = oracle_bound
-        self.ctx = context(inst)
-        self.cert: Optional[RelationCertificate] = None
-        self.delta_op: Optional[GroupRingElt] = None
-        self.cert_error: Optional[str] = None
-        try:
-            self.cert = relation_matrices(inst)
-            self.delta_op = delta(inst, self.cert)
-        except (InfeasibleRelationError, CertificateError) as e:
-            self.cert_error = f"{type(e).__name__}: {e}"
 
-    def cert_hash(self) -> Optional[str]:
-        return self.cert.content_hash() if self.cert else None
-
-    def delta_matrix(self):
-        inst = self.inst
-        d = inst.dim_a
-        rows = []
-        for i in range(d):
-            e_i = tuple(1 if j == i else 0 for j in range(d))
-            rows.append(inst.act_ring(self.delta_op, e_i))
-        return rows
-
-    def ig_bt(self):
-        # I_G * B-tilde in degree-zero coordinates
-        inst = self.inst
-        ctx = self.ctx
-        one = inst.group.identity()
-        gens = []
-        for tau in inst.group.generators():
-            x = GroupRingElt(inst.group, inst.ring, {tau: 1, one: -1})
-            for b in ctx.bt_basis_elements():
-                gens.append(ctx.bt_vec(star_act(inst, x, b)))
-        return ctx.span_bt(gens)
-
-    def omega_bt_matrix(self):
-        inst = self.inst
-        ctx = self.ctx
-        rows = []
-        for b in ctx.bt_basis_elements():
-            rows.append(list(ctx.bt_vec(omega_act(inst, b))))
-        return rows
-
-    def ambiguous_preimage(self):
-        ctx = self.ctx
-        return preimage(self.omega_bt_matrix(), self.ig_bt(), ctx.ring)
+def _ambiguous(inst: Instance):
+    """The classes of B-tilde that w sends into I_G * B-tilde."""
+    frame = inst.frame
+    omega_rows = [list(frame.bt_vec(omega_act(inst, b))) for b in frame.bt_basis]
+    return preimage(omega_rows, frame.ig_bt, inst.ring)
 
 
 # -- individual checks ---------------------------------------------------------
 
 
-def _v1_diagram(sess: _Session) -> Verdict:
-    inst = sess.inst
+def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
     elements = []
     one = inst.group.identity()
     for i in range(inst.dim_a):
@@ -146,7 +98,7 @@ def _v1_diagram(sess: _Session) -> Verdict:
         elements.append(extension.UElement(inst, a, one))
     for tau in inst.group.generators():
         elements.append(extension.UElement(inst, inst.a_zero(), tau))
-    exhaustive = extension.u_order(inst) <= sess.oracle_bound
+    exhaustive = extension.u_order(inst) <= oracle_bound
     if exhaustive:
         elements = list(extension.u_elements(inst))
     checked = 0
@@ -167,39 +119,38 @@ def _v1_diagram(sess: _Session) -> Verdict:
     return Verdict("V1", "pass", {"elements_checked": checked, "exhaustive": exhaustive})
 
 
-def _v2_denominator(sess: _Session) -> Verdict:
-    inst = sess.inst
-    ctx = sess.ctx
+def _v2_denominator(inst: Instance, oracle_bound: int) -> Verdict:
+    frame = inst.frame
     lhs = ig_star_b(inst)
-    rhs = ctx.atilde_in_b() + ctx.ig_squared_in_b()
+    atilde = [e.to_vec() for e in frame.b_basis[: inst.torsion_rank]]
+    rhs = frame.span(atilde, frame.dim_b) + ig_squared_in_b(inst)
     ok = lhs == rhs
-    witness = {"order": lhs.order() // ctx.span_b([]).order()}
+    witness = {"order": lhs.order() // frame.span([], frame.dim_b).order()}
     if not ok:
         witness["lhs_basis"] = [list(r) for r in lhs.basis]
         witness["rhs_basis"] = [list(r) for r in rhs.basis]
     return Verdict("V2", "pass" if ok else "fail", witness)
 
 
-def _v3_determinant(sess: _Session) -> Verdict:
-    inst = sess.inst
-    ctx = sess.ctx
-    if sess.cert is None:
-        return Verdict("V3", "fail", {"error": sess.cert_error})
+def _v3_determinant(inst: Instance, oracle_bound: int) -> Verdict:
+    frame = inst.frame
+    cert, _, error = frame.relations
+    if cert is None:
+        return Verdict("V3", "fail", {"error": error})
     tr = trace_element(inst.group, inst.ring)
-    det_m, det_lam = certificate_determinants(inst, sess.cert)
+    det_m, det_lam = certificate_determinants(inst, cert)
     ok = det_m == tr and det_lam == tr
     witness = {
         "det_M_is_trace": det_m == tr,
         "det_gamma_form_is_trace": det_lam == tr,
         "augmentation": det_m.augmentation(),
         "group_order": inst.group.size() % inst.ring.modulus,
-        "certificate": sess.cert_hash(),
+        "certificate": cert.content_hash(),
     }
-    ig_gamma = ctx.ig_gamma_a()
     outside = []
-    for b in ctx.bt_basis_elements():
+    for b in frame.bt_basis:
         tv = trace(inst, b)
-        if tv not in ig_gamma:
+        if tv not in frame.ig_gamma:
             outside.append(_fmt_vec(tv))
     if outside:
         ok = False
@@ -209,10 +160,9 @@ def _v3_determinant(sess: _Session) -> Verdict:
     return Verdict("V3", "pass" if ok else "fail", witness)
 
 
-def _v4_genus(sess: _Session) -> Verdict:
-    inst = sess.inst
+def _v4_genus(inst: Instance, oracle_bound: int) -> Verdict:
     u_t_prime = extension.derived_subgroup(inst, degree_zero=True)
-    u_omega = sess.ctx.ig_gamma_a()
+    u_omega = inst.frame.ig_gamma
     total = u_t_prime + u_omega
     atilde = inst.atilde_submodule()
     ok = total == atilde
@@ -229,15 +179,14 @@ def _v4_genus(sess: _Session) -> Verdict:
     return Verdict("V4", "pass" if ok else "fail", witness)
 
 
-def _v5_omega(sess: _Session) -> Verdict:
-    inst = sess.inst
-    ctx = sess.ctx
+def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
+    frame = inst.frame
     witness: dict = {}
     # route 1: the omega operator applied to the degree-zero part
-    gens = [omega_act(inst, b).a for b in ctx.bt_basis_elements()]
+    gens = [omega_act(inst, b).a for b in frame.bt_basis]
     s_omega = inst.span_a(gens)
     # route 2: the ideal acting on gamma through the module action
-    s_gamma = ctx.ig_gamma_a()
+    s_gamma = frame.ig_gamma
     # route 3: commutators of the gamma lift inside the extension group
     gamma_lift = extension.UElement(inst, inst.gamma(), inst.group.identity())
     comm_gens = []
@@ -258,7 +207,7 @@ def _v5_omega(sess: _Session) -> Verdict:
         }
     # omega squared kills everything
     square_bad = []
-    for b in ctx.b_basis_elements():
+    for b in frame.b_basis:
         twice = omega_act(inst, omega_act(inst, b))
         if not twice.is_zero():
             square_bad.append(_fmt_vec(twice.to_vec()))
@@ -272,52 +221,47 @@ def _v5_omega(sess: _Session) -> Verdict:
     return Verdict("V5", "pass" if ok else "fail", witness)
 
 
-def _v6_delta(sess: _Session) -> Verdict:
-    inst = sess.inst
-    ctx = sess.ctx
-    if sess.delta_op is None:
-        return Verdict("V6", "fail", {"error": sess.cert_error})
+def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
+    frame = inst.frame
+    _, delta_op, error = frame.relations
+    if delta_op is None:
+        return Verdict("V6", "fail", {"error": error})
     bad = []
-    for b in ctx.bt_basis_elements():
+    for b in frame.bt_basis:
         lhs = trace(inst, b)
-        rhs = omega_act(inst, star_act(inst, sess.delta_op, b))
+        rhs = omega_act(inst, star_act(inst, delta_op, b))
         if any(rhs.lam) or lhs != rhs.a:
             bad.append(
                 {"element": _fmt_vec(b.to_vec()), "trace": _fmt_vec(lhs), "omega_delta": _fmt_vec(rhs.a)}
             )
-    trace_image = inst.span_a([trace(inst, b) for b in ctx.bt_basis_elements()])
-    dmat = sess.delta_matrix()
-    ig_gamma = ctx.ig_gamma_a()
-    delta_image = inst.span_a(
-        [inst.a_reduce([sum(r[i] * dmat[i][j] for i in range(inst.dim_a)) for j in range(inst.dim_a)]) for r in ig_gamma.basis]
-    )
+    trace_image = inst.span_a([trace(inst, b) for b in frame.bt_basis])
+    delta_image = inst.span_a([inst.act_ring(delta_op, r) for r in frame.ig_gamma.basis])
     images_equal = trace_image == delta_image
     ok = not bad and images_equal
     witness = {
-        "delta": _fmt_ring(sess.delta_op),
+        "delta": _fmt_ring(delta_op),
         "trace_image_order": trace_image.order() // inst.zero_a().order(),
         "images_equal": images_equal,
-        "certificate": sess.cert_hash(),
+        "certificate": _cert_hash(inst),
     }
     if bad:
         witness["mismatches"] = bad[:4]
     return Verdict("V6", "pass" if ok else "fail", witness)
 
 
-def _v7_main_theorem(sess: _Session) -> Verdict:
-    inst = sess.inst
-    ctx = sess.ctx
-    amb = sess.ambiguous_preimage()
+def _v7_main_theorem(inst: Instance, oracle_bound: int) -> Verdict:
+    frame = inst.frame
+    amb = _ambiguous(inst)
     zero = inst.zero_a()
     bad = []
     for row in amb.basis:
-        tv = trace(inst, ctx.elt_from_bt(row))
+        tv = trace(inst, frame.elt_from_bt(row))
         if tv not in zero:
             bad.append({"element": list(row), "trace": _fmt_vec(tv)})
     # reported as data: the order of the full trace kernel in the quotient
-    trace_rows = [list(trace(inst, b)) for b in ctx.bt_basis_elements()]
-    tr_kernel = preimage(trace_rows, zero, ctx.ring)
-    ig_bt = sess.ig_bt()
+    trace_rows = [list(trace(inst, b)) for b in frame.bt_basis]
+    tr_kernel = preimage(trace_rows, zero, inst.ring)
+    ig_bt = frame.ig_bt
     kernel_index = quotient_order(tr_kernel, ig_bt) if tr_kernel.contains_submodule(ig_bt) else None
     witness = {
         "ambiguous_order": quotient_order(amb, ig_bt),
@@ -328,31 +272,28 @@ def _v7_main_theorem(sess: _Session) -> Verdict:
     return Verdict("V7", "pass" if not bad else "fail", witness)
 
 
-def _v8_delta_kills_boundary(sess: _Session) -> Verdict:
-    inst = sess.inst
-    if sess.delta_op is None:
-        return Verdict("V8", "fail", {"error": sess.cert_error})
+def _v8_delta_kills_boundary(inst: Instance, oracle_bound: int) -> Verdict:
+    _, delta_op, error = inst.frame.relations
+    if delta_op is None:
+        return Verdict("V8", "fail", {"error": error})
     boundary = boundary_module(inst)
     zero = inst.zero_a()
     bad = []
     for row in boundary.basis:
-        img = inst.act_ring(sess.delta_op, row)
+        img = inst.act_ring(delta_op, row)
         if img not in zero:
             bad.append({"generator": list(row), "delta_image": _fmt_vec(img)})
     witness = {
         "boundary_order": boundary.order() // zero.order(),
-        "delta": _fmt_ring(sess.delta_op),
+        "delta": _fmt_ring(delta_op),
     }
     if bad:
         witness["violations"] = bad
     return Verdict("V8", "pass" if not bad else "fail", witness)
 
 
-def _v9_index(sess: _Session) -> Verdict:
-    inst = sess.inst
-    amb = sess.ambiguous_preimage()
-    ig_bt = sess.ig_bt()
-    idx = quotient_order(amb, ig_bt)
+def _v9_index(inst: Instance, oracle_bound: int) -> Verdict:
+    idx = quotient_order(_ambiguous(inst), inst.frame.ig_bt)
     ok = idx == inst.group.size()
     return Verdict(
         "V9",
@@ -361,17 +302,16 @@ def _v9_index(sess: _Session) -> Verdict:
     )
 
 
-def _v10_oracle(sess: _Session) -> Verdict:
-    inst = sess.inst
-    if extension.u_order(inst) > sess.oracle_bound:
+def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
+    if extension.u_order(inst) > oracle_bound:
         return Verdict(
             "V10",
             "skipped",
-            {"reason": f"|U| = {extension.u_order(inst)} exceeds bound {sess.oracle_bound}"},
+            {"reason": f"|U| = {extension.u_order(inst)} exceeds bound {oracle_bound}"},
         )
     from . import forge
 
-    facts = forge.oracle_group(inst, bound=sess.oracle_bound)
+    facts = forge.oracle_group(inst, bound=oracle_bound)
     mismatches = {}
 
     formula_uprime = set(extension.derived_subgroup(inst).elements())
@@ -416,23 +356,34 @@ _CHECKS = {
 }
 
 
+def _verdict(
+    inst: Instance, check_id: str, report: ValidationReport, oracle_bound: int, force: bool
+) -> Verdict:
+    """One check, gated on validation.  A check crashing on forced bad data
+    is a failure; a refused determinant size is not, and propagates."""
+    if not report.ok and not force:
+        return Verdict(
+            check_id, "hypothesis-failed", {"failed_validation": list(report.failed_names())}
+        )
+    inst.frame.relations  # the shared certificate comes first, outside the crash guard
+    try:
+        return _CHECKS[check_id](inst, oracle_bound)
+    except RingSizeError:
+        raise
+    except Exception as e:
+        return Verdict(check_id, "fail", {"error": f"{type(e).__name__}: {e}"})
+
+
 def run_check(
     inst: Instance,
     check_id: str,
     oracle_bound: int = DEFAULT_ORACLE_BOUND,
     force: bool = False,
-    _session: Optional[_Session] = None,
 ) -> Verdict:
     """Run one catalogue check; instances failing validation are gated."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
-    report = validate(inst)
-    if not report.ok and not force:
-        return Verdict(
-            check_id, "hypothesis-failed", {"failed_validation": list(report.failed_names())}
-        )
-    sess = _session or _Session(inst, oracle_bound)
-    return _CHECKS[check_id](sess)
+    return _verdict(inst, check_id, validate(inst), oracle_bound, force)
 
 
 @dataclass(frozen=True)
@@ -462,49 +413,13 @@ def run_all(
 ) -> InstanceReport:
     """Validate, then run the whole catalogue with one shared certificate."""
     report = validate(inst)
+    verdicts = tuple(_verdict(inst, cid, report, oracle_bound, force) for cid in CHECK_IDS)
     if not report.ok and not force:
-        verdicts = tuple(
-            Verdict(cid, "hypothesis-failed", {"failed_validation": list(report.failed_names())})
-            for cid in CHECK_IDS
-        )
         return InstanceReport(report, verdicts, None, None)
-    sess = _Session(inst, oracle_bound)
-    verdicts = []
-    for cid in CHECK_IDS:
-        try:
-            verdicts.append(_CHECKS[cid](sess))
-        except Exception as e:  # a check crashing on forced bad data is a failure
-            verdicts.append(Verdict(cid, "fail", {"error": f"{type(e).__name__}: {e}"}))
+    delta_op = inst.frame.relations[1]
     return InstanceReport(
         report,
-        tuple(verdicts),
-        sess.cert_hash(),
-        _fmt_ring(sess.delta_op) if sess.delta_op is not None else None,
+        verdicts,
+        _cert_hash(inst),
+        _fmt_ring(delta_op) if delta_op is not None else None,
     )
-
-
-def report_markdown(name: str, rep: InstanceReport) -> str:
-    lines = [f"### {name}", ""]
-    if not rep.validation.ok:
-        lines.append(f"validation failed: {', '.join(rep.validation.failed_names())}")
-        lines.append("")
-    lines.append("| check | status | arithmetic | detail |")
-    lines.append("|---|---|---|---|")
-    for v in rep.verdicts:
-        detail = _markdown_detail(v)
-        lines.append(
-            f"| {v.check_id} | {v.status} | {CHECK_ARITHMETIC.get(v.check_id, '')} | {detail} |"
-        )
-    if rep.certificate_hash:
-        lines.append("")
-        lines.append(f"certificate: `{rep.certificate_hash[:16]}`; delta: `{rep.delta}`")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _markdown_detail(v: Verdict) -> str:
-    keys = ("elements_checked", "order", "trace_image_order", "ambiguous_order", "index", "u_order", "boundary_order", "omega_image_order")
-    bits = [f"{k}={v.witness[k]}" for k in keys if k in v.witness]
-    if v.status not in ("pass", "skipped") and not bits:
-        bits = [str(v.witness)[:120]]
-    return ", ".join(bits)

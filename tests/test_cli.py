@@ -190,3 +190,44 @@ def test_verify_directory_input(tmp_path, capsys):
     code, out, _ = run_cli(["verify", tmp_path], capsys)
     assert code == 0
     assert json.loads(out)["summary"]["instances"] == 1
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _c2_payload(**changes):
+    payload = {
+        "prime": 2,
+        "precision": 3,
+        "G": {"orders": [2]},
+        "A": {"atilde_orders": [], "action": {"tau_1": [[1]]}},
+        "cocycle": {},
+    }
+    payload.update(changes)
+    return payload
+
+
+def test_zero_precision_is_an_input_error(tmp_path, capsys):
+    code, _, err = run_cli(["verify", _write(tmp_path, _c2_payload(precision=0))], capsys)
+    assert code == 1
+    assert "precision" in err and "Traceback" not in err
+
+
+def test_boolean_integer_field_is_an_input_error(tmp_path, capsys):
+    code, _, err = run_cli(["validate", _write(tmp_path, _c2_payload(precision=True))], capsys)
+    assert code == 1
+    assert "integers" in err and "Traceback" not in err
+
+
+def test_relation_matrix_above_determinant_bound_is_refused(tmp_path, capsys):
+    # G = (Z/2)^5 has a 5x5 relation matrix, one above the determinant bound
+    payload = _c2_payload(
+        G={"orders": [2] * 5},
+        A={"atilde_orders": [], "action": {f"tau_{k}": [[1]] for k in range(1, 6)}},
+    )
+    code, _, err = run_cli(["verify", _write(tmp_path, payload), "--oracle-bound", "0"], capsys)
+    assert code == 3
+    assert err.startswith("refused:") and "Traceback" not in err

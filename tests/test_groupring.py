@@ -8,10 +8,8 @@ from logcap.groupring import (
     GroupRingElt,
     OmegaRingElt,
     RingSizeError,
-    adjugate,
     augmentation_ideal_basis,
     det_ring,
-    mat_mul,
     trace_element,
 )
 from logcap.lattice import ModulusMismatchError, ZModRing
@@ -103,43 +101,6 @@ def test_mixed_group_or_ring_rejected():
         elt({(0,): 1}) + GroupRingElt(C2, ZModRing(2, 2), {(0,): 1})
     with pytest.raises(ModulusMismatchError):
         elt({(0,): 1}) + GroupRingElt(AbelianLGroup(2, [4]), Z8, {(0,): 1})
-
-
-def test_adjugate_one_by_one():
-    x = elt({(1,): 5})
-    adj = adjugate([[x]])
-    assert adj == [[GroupRingElt.one(C2, Z8)]]
-
-
-def test_adjugate_two_by_two_cofactor_shape():
-    a, b = elt({(0,): 2}), elt({(1,): 3})
-    c, d = elt({(1,): 1}), elt({(0,): 1, (1,): 1})
-    adj = adjugate([[a, b], [c, d]])
-    assert adj[0][0] == d and adj[0][1] == -b
-    assert adj[1][0] == -c and adj[1][1] == a
-
-
-@pytest.mark.parametrize("size", [1, 2, 3])
-def test_adjugate_times_matrix_is_det(size):
-    rnd = random.Random(size * 17)
-    g = AbelianLGroup(2, [2])
-    for _ in range(8):
-        m = [
-            [
-                GroupRingElt(g, Z8, {e: rnd.randrange(8) for e in g.elements()})
-                for _ in range(size)
-            ]
-            for _ in range(size)
-        ]
-        d = det_ring(m)
-        adj = adjugate(m)
-        prod = mat_mul(adj, m)
-        prod2 = mat_mul(m, adj)
-        for i in range(size):
-            for j in range(size):
-                expect = d if i == j else GroupRingElt.zero(g, Z8)
-                assert prod[i][j] == expect
-                assert prod2[i][j] == expect
 
 
 def test_det_of_scalar_diagonal_is_product_of_orders():

@@ -11,12 +11,10 @@ from logcap.resolvent import (
     ResolventElt,
     boundary_module,
     certificate_determinants,
-    context,
     delta,
     ig_star_b,
     lambda_generation_holds,
     omega_act,
-    omega_ring_act,
     relation_matrices,
     star_act,
     trace,
@@ -107,11 +105,14 @@ def test_omega_commutes_with_star(e1, inst33, rng):
 
 
 def test_omega_ring_action(e1, rng):
+    def act(x, b):  # r0 + w*r1 acts as r0 * b + w(r1 * b)
+        return star_act(e1, x.r0, b) + omega_act(e1, star_act(e1, x.r1, b))
+
     w = OmegaRingElt.omega(e1.group, e1.ring)
     for _ in range(5):
         b = random_b_elt(e1, rng)
-        assert omega_ring_act(e1, w, b) == omega_act(e1, b)
-        assert omega_ring_act(e1, w * w, b).is_zero()
+        assert act(w, b) == omega_act(e1, b)
+        assert act(w * w, b).is_zero()
 
 
 # -- the trace ---------------------------------------------------------------------
@@ -138,38 +139,43 @@ def test_ig_star_b_trivial_group():
 
 def test_ig_star_b_e1_explicit(e1):
     # I_G * B = torsion + 2 I_G: (tau-1)*gamma = -alpha, (tau-1)*(tau-1) = -2(tau-1)
-    ctx = context(e1)
-    expected = ctx.span_b([[1, 0, 0], [0, 0, 2]])
+    expected = e1.frame.span([[1, 0, 0], [0, 0, 2]], e1.frame.dim_b)
     assert ig_star_b(e1) == expected
 
 
 @pytest.mark.parametrize("fixture", ["e1", "inst33", "trivial_atilde"])
 def test_index_of_ig_b_in_degree_zero_is_group_order(fixture, request):
     inst = request.getfixturevalue(fixture)
-    ctx = context(inst)
-    assert quotient_order(ctx.b_tilde_in_b(), ig_star_b(inst)) == inst.group.size()
+    frame = inst.frame
+    b_tilde = frame.span([e.to_vec() for e in frame.bt_basis], frame.dim_b)
+    assert quotient_order(b_tilde, ig_star_b(inst)) == inst.group.size()
 
 
 def test_ig_b_decomposes_through_degree_zero_part(e1, inst33):
     for inst in (e1, inst33):
-        ctx = context(inst)
-        ig_gamma = ctx.ig_gamma_a()
-        gamma_part = ctx.span_b([row + (0,) * (inst.group.size() - 1) for row in ig_gamma.basis])
-        assert ig_star_b(inst) == ig_star_b(inst, degree_zero=True) + gamma_part
+        frame = inst.frame
+        t = inst.torsion_rank
+        # I_G * B-tilde, embedded in B: a zero gamma coordinate after the torsion
+        ig_bt = frame.span([row[:t] + (0,) + row[t:] for row in frame.ig_bt.basis], frame.dim_b)
+        gamma_part = frame.span(
+            [row + (0,) * (inst.group.size() - 1) for row in frame.ig_gamma.basis], frame.dim_b
+        )
+        assert ig_star_b(inst) == ig_bt + gamma_part
 
 
 @pytest.mark.parametrize("fixture", ["e1", "inst33"])
 def test_index_modulo_ig_bt_plus_omega_bt_is_group_order(fixture, request):
     inst = request.getfixturevalue(fixture)
-    ctx = context(inst)
-    omega_rows = [omega_act(inst, b).to_vec() for b in ctx.bt_basis_elements()]
+    frame = inst.frame
+    omega_rows = [omega_act(inst, b).to_vec() for b in frame.bt_basis]
     ig_bt_gens = []
     for tau in inst.group.generators():
         x = ring_elt(inst, {tau: 1, inst.group.identity(): -1})
-        for b in ctx.bt_basis_elements():
+        for b in frame.bt_basis:
             ig_bt_gens.append(star_act(inst, x, b).to_vec())
-    denom = ctx.span_b(list(omega_rows) + ig_bt_gens)
-    assert quotient_order(ctx.b_tilde_in_b(), denom) == inst.group.size()
+    denom = frame.span(list(omega_rows) + ig_bt_gens, frame.dim_b)
+    b_tilde = frame.span([e.to_vec() for e in frame.bt_basis], frame.dim_b)
+    assert quotient_order(b_tilde, denom) == inst.group.size()
 
 
 def test_lambda_generation_holds_on_fixtures(e1, inst33, trivial_atilde):
@@ -278,8 +284,7 @@ def test_delta_rejects_non_trace_multiple(e1):
 def test_trace_equals_omega_delta_on_generators(inst33):
     cert = relation_matrices(inst33)
     d = delta(inst33, cert)
-    ctx = context(inst33)
-    for b in ctx.bt_basis_elements():
+    for b in inst33.frame.bt_basis:
         got = omega_act(inst33, star_act(inst33, d, b))
         assert trace(inst33, b) == got.a and not any(got.lam)
 

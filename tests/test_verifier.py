@@ -112,10 +112,26 @@ def test_report_serialization_roundtrip(e1):
     assert again["validation"]["ok"] is True
 
 
-def test_markdown_report_contains_table(e1):
-    from logcap.verifier import report_markdown
+def test_markdown_report_contains_table(e1, tmp_path, capsys):
+    from logcap.cli import main
+    from logcap.instance import save_instance
 
-    rep = run_all(e1)
-    md = report_markdown("e1", rep)
+    path = tmp_path / "e1.json"
+    save_instance(e1, path)
+    assert main(["verify", str(path), "--format", "markdown"]) == 0
+    md = capsys.readouterr().out
     assert "| V1 | pass |" in md
-    assert "certificate:" in md
+    assert "certificate `" in md
+
+
+def test_run_check_reports_a_crashing_check_as_fail(e1, monkeypatch):
+    from logcap import verifier
+
+    def crash(inst, oracle_bound):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(verifier._CHECKS, "V4", crash)
+    v = run_check(e1, "V4")
+    assert v.status == "fail"
+    assert v.witness == {"error": "ZeroDivisionError: boom"}
+    assert run_all(e1).verdicts[3] == v
