@@ -203,7 +203,6 @@ class _CocycleSpace:
             for g in self.group.elements()
         }
         self._sub = self._solve()
-        self._order_cache: Optional[int] = None
 
     def _var(self, pair, i) -> int:
         return self.pair_index[pair] * self.t + i
@@ -263,17 +262,10 @@ class _CocycleSpace:
         return tuple(x % o for x, o in zip(vec, self.orders))
 
     def count(self) -> int:
-        if self._order_cache is None:
-            torsion = Submodule.from_generators(
-                self.ring,
-                self.nvars,
-                [
-                    _scaled_unit(self.nvars, k, self.d[k % self.t])
-                    for k in range(self.nvars)
-                ],
-            )
-            self._order_cache = self._sub.order() // torsion.order()
-        return self._order_cache
+        torsion = Submodule.from_generators(
+            self.ring, self.nvars, [_scaled_unit(self.nvars, k, o) for k, o in enumerate(self.orders)]
+        )
+        return self._sub.order() // torsion.order()
 
     def tables(self) -> List[Vec]:
         """All factor-set vectors, sorted."""

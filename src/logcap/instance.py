@@ -254,7 +254,10 @@ def log_ceil(e: int, prime: int) -> int:
 def precision_terms(prime: int, atilde_orders: Sequence[int], g_orders: Sequence[int]):
     """(m_A, m_G), the least exponents with l^m_A >= exp(A~) and
     l^m_G >= exp(G); the precision rule asks for n >= m_A + m_G + 1."""
-    return log_ceil(max(atilde_orders, default=1), prime), log_ceil(max(g_orders, default=1), prime)
+    return (
+        log_ceil(max(atilde_orders, default=1), prime),
+        log_ceil(max(g_orders, default=1), prime),
+    )
 
 
 @dataclass(frozen=True)

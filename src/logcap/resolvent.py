@@ -268,7 +268,8 @@ class Frame:
         inst = self.inst
         d = inst.dim_a
         units = [ResolventElt.from_a(inst, tuple(int(i == j) for j in range(d))) for i in range(d)]
-        return tuple(units) + tuple(ResolventElt.basis_tau(inst, tau) for tau in inst.group.nonidentity())
+        taus = [ResolventElt.basis_tau(inst, tau) for tau in inst.group.nonidentity()]
+        return tuple(units + taus)
 
     @cached_property
     def bt_basis(self) -> Tuple[ResolventElt, ...]:
@@ -294,9 +295,11 @@ class Frame:
         return inst.span_a([inst.a_tau(tau) for tau in inst.group.elements()])
 
     @cached_property
-    def relations(self) -> Tuple[Optional["RelationCertificate"], Optional[GroupRingElt], Optional[str]]:
+    def relations(self) -> tuple:
         """(certificate, delta, error): the relation certificate and the
-        operator delta, with the error that stopped either as text."""
+        operator delta, or None for each that could not be found, with the
+        error that stopped it as text.  Other errors, such as a refused
+        determinant size, propagate."""
         cert = None
         try:
             cert = relation_matrices(self.inst)
@@ -575,7 +578,7 @@ def _solve_form(inst: "Instance", b_elts: List[ResolventElt], use_gamma_form: bo
     group = inst.group
     s = group.rank
     if s == 0:
-        return []
+        return [], []
     for constrained in range(s - 1, -1, -1):
         mu_rows: List[Optional[List[GroupRingElt]]] = [None] * s
         ok = True
@@ -602,7 +605,7 @@ def _solve_form(inst: "Instance", b_elts: List[ResolventElt], use_gamma_form: bo
         if mu is None:
             continue
         mu_rows[constrained] = mu
-        return mu_rows
+        return mu_rows, [constrained]
     raise InfeasibleRelationError(
         "no relation certificate with det M = Tr exists for any constrained row"
     )
@@ -619,7 +622,7 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
         )
     b_elts = [ResolventElt.basis_tau(inst, tau) for tau in group.generators()]
 
-    mu_rows = _solve_form(inst, b_elts, use_gamma_form=False)
+    mu_rows, _ = _solve_form(inst, b_elts, use_gamma_form=False)
     nu_rows = []
     for i in range(s):
         nu = _solve_nu_row(inst, i, b_elts, mu_rows[i])
@@ -627,7 +630,7 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
         nu_rows.append(nu)
 
-    lam_full = _solve_form(inst, b_elts, use_gamma_form=True)
+    lam_full, _ = _solve_form(inst, b_elts, use_gamma_form=True)
     lam_rows = [row[:s] for row in lam_full]
     mu_vec = [row[s] for row in lam_full]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import extension
-from .groupring import GroupRingElt, RingSizeError, trace_element
+from .groupring import GroupRingElt, trace_element
 from .instance import Instance, ValidationReport, validate
 from .lattice import preimage, quotient_order
 from .resolvent import (
@@ -73,11 +73,6 @@ def _fmt_vec(v) -> list:
 
 def _fmt_ring(x: GroupRingElt) -> dict:
     return {",".join(map(str, g)): int(c) for g, c in sorted(x.coeffs.items())}
-
-
-def _cert_hash(inst: Instance) -> Optional[str]:
-    cert = inst.frame.relations[0]
-    return cert.content_hash() if cert else None
 
 
 def _ambiguous(inst: Instance):
@@ -223,7 +218,7 @@ def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
 
 def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
-    _, delta_op, error = frame.relations
+    cert, delta_op, error = frame.relations
     if delta_op is None:
         return Verdict("V6", "fail", {"error": error})
     bad = []
@@ -242,7 +237,7 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
         "delta": _fmt_ring(delta_op),
         "trace_image_order": trace_image.order() // inst.zero_a().order(),
         "images_equal": images_equal,
-        "certificate": _cert_hash(inst),
+        "certificate": cert.content_hash(),
     }
     if bad:
         witness["mismatches"] = bad[:4]
@@ -359,17 +354,16 @@ _CHECKS = {
 def _verdict(
     inst: Instance, check_id: str, report: ValidationReport, oracle_bound: int, force: bool
 ) -> Verdict:
-    """One check, gated on validation.  A check crashing on forced bad data
-    is a failure; a refused determinant size is not, and propagates."""
+    """One check, gated on validation; a check crashing on forced bad data
+    is a failure.  The shared certificate is computed first, outside the
+    crash guard, so that a refused determinant size reaches the caller."""
     if not report.ok and not force:
         return Verdict(
             check_id, "hypothesis-failed", {"failed_validation": list(report.failed_names())}
         )
-    inst.frame.relations  # the shared certificate comes first, outside the crash guard
+    inst.frame.relations
     try:
         return _CHECKS[check_id](inst, oracle_bound)
-    except RingSizeError:
-        raise
     except Exception as e:
         return Verdict(check_id, "fail", {"error": f"{type(e).__name__}: {e}"})
 
@@ -416,10 +410,10 @@ def run_all(
     verdicts = tuple(_verdict(inst, cid, report, oracle_bound, force) for cid in CHECK_IDS)
     if not report.ok and not force:
         return InstanceReport(report, verdicts, None, None)
-    delta_op = inst.frame.relations[1]
+    cert, delta_op, _ = inst.frame.relations
     return InstanceReport(
         report,
         verdicts,
-        _cert_hash(inst),
+        cert.content_hash() if cert else None,
         _fmt_ring(delta_op) if delta_op is not None else None,
     )

@@ -135,3 +135,22 @@ def test_run_check_reports_a_crashing_check_as_fail(e1, monkeypatch):
     assert v.status == "fail"
     assert v.witness == {"error": "ZeroDivisionError: boom"}
     assert run_all(e1).verdicts[3] == v
+
+
+def test_checks_share_the_instance_certificate(monkeypatch):
+    from logcap import resolvent
+    from logcap.instance import build_instance
+
+    calls = []
+    solve_relations = resolvent.relation_matrices
+
+    def counted(inst):
+        calls.append(inst)
+        return solve_relations(inst)
+
+    monkeypatch.setattr(resolvent, "relation_matrices", counted)
+    fresh_e1 = build_instance(2, 3, [2], [2], [[[1, 0], [1, 1]]], {})
+    assert run_check(fresh_e1, "V3").status == "pass"
+    assert run_check(fresh_e1, "V6").status == "pass"
+    assert run_all(fresh_e1).ok
+    assert len(calls) == 1
