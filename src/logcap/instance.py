@@ -251,7 +251,9 @@ def log_ceil(e: int, prime: int) -> int:
     return m
 
 
-def precision_terms(prime: int, atilde_orders: Sequence[int], g_orders: Sequence[int]):
+def precision_terms(
+    prime: int, atilde_orders: Sequence[int], g_orders: Sequence[int]
+) -> Tuple[int, int]:
     """(m_A, m_G), the least exponents with l^m_A >= exp(A~) and
     l^m_G >= exp(G); the precision rule asks for n >= m_A + m_G + 1."""
     return (
