@@ -3,9 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 malformed input, 2 a
 mathematical check failed (validation failure or a fail/hypothesis-failed
 verdict), 3 a resource refusal (search space above the ceiling, oracle
-bound exceeded, relation matrix above the determinant bound).  All
-configuration comes from flags; reports are byte stable for fixed inputs
-and seeds.
+bound exceeded, group order above its limit, relation matrix above the
+determinant bound).  ``main`` maps the errors to codes, so no traceback
+reaches the user.  All configuration comes from flags; reports are byte
+stable for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import forge, verifier
-from .groupring import RingSizeError
+from .groupring import GroupSizeError, RingSizeError
 from .instance import SchemaError, load_instance, validate
 
 EXIT_OK = 0
@@ -48,12 +49,7 @@ def _collect_paths(paths):
 
 
 def cmd_validate(args) -> int:
-    try:
-        inst = load_instance(args.path)
-    except (SchemaError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    report = validate(inst)
+    report = validate(load_instance(args.path))
     for c in report.checks:
         line = f"{'pass' if c.passed else 'FAIL'}  {c.name}"
         if c.detail and not c.passed:
@@ -73,23 +69,17 @@ def cmd_verify(args) -> int:
     if not paths:
         print("error: no instance files found", file=sys.stderr)
         return EXIT_INPUT
-    results = []
-    try:
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                futures = [
-                    pool.submit(_verify_one, str(p), args.oracle_bound, args.force)
-                    for p in paths
-                ]
-                results = [f.result() for f in futures]  # merged in input order
-        else:
-            results = [_verify_one(str(p), args.oracle_bound, args.force) for p in paths]
-    except (SchemaError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except RingSizeError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    for p in paths:  # a malformed file ends the run before any verification
+        load_instance(p)
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            futures = [
+                pool.submit(_verify_one, str(p), args.oracle_bound, args.force)
+                for p in paths
+            ]
+            results = [f.result() for f in futures]  # merged in input order
+    else:
+        results = [_verify_one(str(p), args.oracle_bound, args.force) for p in paths]
     payload = {
         "instances": results,
         "summary": _summary(results),
@@ -180,27 +170,14 @@ def cmd_search(args) -> int:
         for g in params.g_orders_list
         for a in params.atilde_orders_list
     ]
-    try:
-        manifest = forge.build_corpus(params, components, args.out)
-    except forge.CeilingExceededError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    manifest = forge.build_corpus(params, components, args.out)
     total = sum(c["count"] for c in manifest["components"])
     print(f"wrote {total} instance(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    try:
-        inst = load_instance(args.path)
-    except (SchemaError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        facts = forge.oracle_group(inst, bound=args.bound)
-    except forge.OracleBoundError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
+    facts = forge.oracle_group(load_instance(args.path), bound=args.bound)
     print(f"|U| = {facts.u_order}")
     print(f"|U~| = {facts.u_tilde_order}")
     print(f"|U'| = {len(facts.derived)}")
@@ -211,11 +188,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or "instances" not in payload:
         print("error: not a verification report", file=sys.stderr)
         return EXIT_INPUT
@@ -286,7 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SchemaError, OSError, json.JSONDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except (
+        GroupSizeError,
+        RingSizeError,
+        forge.CeilingExceededError,
+        forge.OracleBoundError,
+    ) as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

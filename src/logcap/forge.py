@@ -9,8 +9,9 @@ directly from the torsion structure (entry steps forced by well-definedness,
 powers and commutators checked on the nose).
 
 The oracle at the bottom knows nothing about any of that: it materializes
-the extension group, takes commutators of all pairs, computes transfers by
-the coset-product definition, and counts.  Its only shared ingredient is
+the extension group, finds its own generating set by greedy closure, takes
+the commutators of every element with those generators, computes transfers
+by the coset-product definition, and counts.  Its only shared ingredient is
 the group law itself.
 """
 
@@ -34,7 +35,7 @@ from .instance import (
     precision_terms,
     validate,
 )
-from .lattice import Submodule, ZModRing, preimage
+from .lattice import InternalInvariantError, Submodule, ZModRing, preimage
 from .resolvent import boundary_module
 
 Vec = Tuple[int, ...]
@@ -542,9 +543,13 @@ class OracleFacts:
 def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     """Materialize the extension group and compute everything by counting.
 
-    Commutator subgroups come from all-pairs commutators closed under
-    addition; transfers use the coset-product definition against the
-    standard transversal.  No resolvent machinery is involved.
+    A commutator subgroup is the additive span of the commutators [x, s],
+    x over the whole pool and s over a generating set that the oracle finds
+    itself, by greedy closure under its own multiplication.  The span is
+    normal (x[y,s]x^-1 = [xy,s][x,s]^-1) and makes every s central, so the
+    quotient is abelian and the span is the whole derived subgroup.
+    Transfers use the coset-product definition against the standard
+    transversal.  No resolvent machinery is involved.
     """
     from .extension import u_order
 
@@ -580,16 +585,39 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
         b = tuple((-x) % o for x, o in zip(add(act[si][a], act[si][coc[s, si]]), orders))
         cand = (b, si)
         if mul(u, cand) != identity:
-            raise AssertionError("oracle inverse failed verification")
+            raise InternalInvariantError("oracle inverse failed verification")
         inv[u] = cand
+
+    def generating_set(pool):
+        """Walk the pool in order, keeping each element that the ones kept
+        so far do not generate; the closure grows incrementally (old
+        elements times the new generator, new elements times every one)."""
+        gens, span = [], {identity}
+        for u in pool:
+            if u in span:
+                continue
+            gens.append(u)
+            frontier = [mul(x, u) for x in span]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    if y not in span:
+                        span.add(y)
+                        nxt.extend(mul(y, s) for s in gens)
+                frontier = nxt
+        if len(span) != len(pool):
+            raise InternalInvariantError("oracle pool is not a subgroup")
+        return gens
 
     def commutator_span(pool):
         vals = set()
-        for u in pool:
-            for v in pool:
-                c = mul(mul(u, v), inv[mul(v, u)])
+        for s in generating_set(pool):
+            for x in pool:
+                c = mul(mul(x, s), inv[mul(s, x)])
                 if c[1] != group.identity():
-                    raise AssertionError("commutator left the abelian normal subgroup")
+                    raise InternalInvariantError(
+                        "commutator left the abelian normal subgroup"
+                    )
                 vals.add(c[0])
         return _closure(vals, orders)
 
@@ -606,7 +634,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
             rep = transversal[w[1]]
             acc = mul(acc, mul(inv[rep], w))
         if acc[1] != group.identity():
-            raise AssertionError("transfer product left the module")
+            raise InternalInvariantError("transfer product left the module")
         transfer[u] = acc[0]
 
     gamma_lift = (inst.gamma(), group.identity())

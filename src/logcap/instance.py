@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
-from .groupring import AbelianLGroup, GElt, GroupRingElt, _is_l_power
+from .groupring import AbelianLGroup, GElt, GroupRingElt, GroupSizeError, _is_l_power
 from .lattice import Submodule, ZModRing
 
 if TYPE_CHECKING:
@@ -583,8 +583,8 @@ def load_instance(path) -> Instance:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
     try:
         return instance_from_dict(data)
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from None
+    except (SchemaError, GroupSizeError) as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -35,14 +35,36 @@ class InternalInvariantError(RuntimeError):
     or an unvalidated instance."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the first thirteen primes as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 2017).
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality; ValueError where the test is not exact."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot certify {p} as prime: the test is exact only below {_MR_EXACT_BELOW}"
+        )
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,7 +1,11 @@
 import json
+import shutil
 import subprocess
 import sys
 
+import pytest
+
+from logcap import cli
 from logcap.cli import main
 from tests.conftest import FIXTURES
 
@@ -184,8 +188,6 @@ def test_module_entrypoint_runs():
 
 
 def test_verify_directory_input(tmp_path, capsys):
-    import shutil
-
     shutil.copy(FIXTURES / "e1.json", tmp_path / "e1.json")
     code, out, _ = run_cli(["verify", tmp_path], capsys)
     assert code == 0
@@ -231,3 +233,44 @@ def test_relation_matrix_above_determinant_bound_is_refused(tmp_path, capsys):
     code, _, err = run_cli(["verify", _write(tmp_path, payload), "--oracle-bound", "0"], capsys)
     assert code == 3
     assert err.startswith("refused:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_directory_with_a_malformed_file_aborts_before_verifying(
+    tmp_path, capsys, monkeypatch, workers
+):
+    def started(*args):
+        raise RuntimeError("verification started")
+
+    monkeypatch.setattr(cli, "_verify_one", started)
+    shutil.copy(FIXTURES / "e1.json", tmp_path / "a.json")
+    (tmp_path / "b.json").write_text(json.dumps({"prime": 2}))
+    code, out, err = run_cli(["verify", tmp_path, "--workers", workers], capsys)
+    assert code == 1 and out == ""
+    assert "b.json" in err and "Traceback" not in err
+
+
+def test_mersenne_prime_loads_at_once(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would stall
+    payload = _c2_payload(
+        prime=2**61 - 1, precision=1, G={"orders": []}, A={"atilde_orders": [], "action": {}}
+    )
+    code, out, err = run_cli(["validate", _write(tmp_path, payload)], capsys)
+    assert code == 0 and "pass  H1" in out and "Traceback" not in err
+
+
+def test_prime_beyond_the_exact_primality_test_is_an_input_error(tmp_path, capsys):
+    payload = _c2_payload(
+        prime=2**89 - 1, precision=1, G={"orders": []}, A={"atilde_orders": [], "action": {}}
+    )
+    code, _, err = run_cli(["validate", _write(tmp_path, payload)], capsys)
+    assert code == 1
+    assert "certify" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prime,order", [(2, 2**40), (2**61 - 1, 2**61 - 1)])
+def test_group_order_above_the_limit_is_refused(tmp_path, capsys, prime, order):
+    payload = _c2_payload(prime=prime, G={"orders": [order]})
+    code, _, err = run_cli(["validate", _write(tmp_path, payload)], capsys)
+    assert code == 3
+    assert err.startswith("refused:") and "group order" in err and "Traceback" not in err

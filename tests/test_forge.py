@@ -22,8 +22,10 @@ from logcap.instance import (
     build_instance,
     coboundary_shift,
     instance_to_dict,
+    load_instance,
     validate,
 )
+from tests.conftest import corpus_paths
 
 
 def test_enumerate_unique_instance_for_trivial_torsion():
@@ -174,6 +176,47 @@ def test_oracle_derived_matches_formula_on_samples():
         facts = oracle_group(inst)
         formula = {inst.a_reduce(v) for v in derived_subgroup(inst).elements()}
         assert formula == set(facts.derived)
+
+
+def _all_pairs_derived(inst, degree_zero):
+    """The derived subgroup by definition: the additive span of [u, v] over
+    all pairs of the pool.  uv and vu share their G part and A x {1} acts on
+    the left by translation, so [u, v] = uv(vu)^-1 is the difference of the
+    A parts of uv and vu."""
+    orders = inst.coordinate_orders()
+    gelts = inst.group.elements()
+    a_elts = list(itertools.product(*(range(o) for o in orders)))
+    act = {(g, a): inst.act(g, a) for g in gelts for a in a_elts}
+    coc = {(s, t): inst.cocycle_in_a(s, t) for s in gelts for t in gelts}
+    pool = [(a, g) for a in a_elts for g in gelts if not degree_zero or inst.deg(a) == 0]
+
+    def a_part(u, v):
+        (a, s), (b, t) = u, v
+        return tuple(x + y + z for x, y, z in zip(a, act[s, b], coc[s, t]))
+
+    gens = {
+        tuple((x - y) % o for x, y, o in zip(a_part(u, v), a_part(v, u), orders))
+        for u in pool
+        for v in pool
+    }
+    span = {inst.a_zero()}
+    frontier = list(span)
+    while frontier:
+        fresh = {
+            tuple((x + y) % o for x, y, o in zip(h, g, orders)) for h in frontier for g in gens
+        }
+        frontier = list(fresh - span)
+        span |= fresh
+    return span
+
+
+def test_oracle_derived_equals_all_pairs_span():
+    small = [inst for inst in map(load_instance, corpus_paths()) if u_order(inst) <= 128]
+    assert len(small) >= 11
+    for inst in small:
+        facts = oracle_group(inst)
+        assert facts.derived == _all_pairs_derived(inst, degree_zero=False)
+        assert facts.derived_degree_zero == _all_pairs_derived(inst, degree_zero=True)
 
 
 # -- corpus building -------------------------------------------------------------

@@ -7,6 +7,7 @@ from logcap.lattice import (
     ContainmentError,
     Submodule,
     ZModRing,
+    _is_prime,
     kernel,
     preimage,
     quotient_order,
@@ -216,3 +217,18 @@ def test_preimage_matches_brute_force():
         for x in itertools.product(range(8), repeat=2):
             img = tuple(sum(c * w[i][j] for i, c in enumerate(x)) % 8 for j in range(2))
             assert (x in pre) == (img in sub)
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-2, 5000) if _is_prime(n)] == [
+        n for n in range(-2, 5000) if trial(n)
+    ]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37 in turn
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(2**31 - 1)
+    with pytest.raises(ValueError):
+        _is_prime(2**89 - 1)

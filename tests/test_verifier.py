@@ -1,5 +1,7 @@
 import pytest
 
+from logcap.extension import u_order
+from logcap.forge import SearchParams, random_instance
 from logcap.instance import coboundary_shift
 from logcap.verifier import CHECK_IDS, run_all, run_check
 
@@ -28,6 +30,22 @@ def test_inst33_all_checks_pass(inst33):
     by_id = {v.check_id: v for v in rep.verdicts}
     assert by_id["V8"].witness["boundary_order"] == 3
     assert by_id["V9"].witness["index"] == 9
+
+
+def test_rank_three_group_passes_every_check():
+    params = SearchParams(
+        prime=2,
+        precision=4,
+        g_orders_list=((2, 2, 2),),
+        atilde_orders_list=((2,),),
+        seed=0,
+    )
+    inst = random_instance(params, (2, 2, 2), (2,))
+    assert u_order(inst) == 256
+    rep = run_all(inst, oracle_bound=4096)
+    assert {v.check_id: v.status for v in rep.verdicts} == dict.fromkeys(CHECK_IDS, "pass")
+    m_matrix = inst.frame.relations[0].m_matrix
+    assert len(m_matrix) == 3 and all(len(row) == 3 for row in m_matrix)
 
 
 def test_trivial_torsion_everything_vacuous(trivial_atilde):
