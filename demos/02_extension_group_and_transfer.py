@@ -44,6 +44,6 @@ print("Ver(u_tau)      =", transfer(inst, v))
 # the logarithm sends (a, tau) to a + (tau - 1) in the resolvent module;
 # the trace of the logarithm recovers the transfer, element by element
 mismatches = sum(
-    1 for w in u_elements(inst) if transfer(inst, w) != trace(inst, log_iso(inst, w))
+    1 for w in u_elements(inst) if transfer(inst, w) != trace(inst, log_iso(inst, w).to_vec())
 )
 print("transfer vs trace-of-logarithm mismatches over all of U:", mismatches)

@@ -16,7 +16,6 @@ delta change with the arithmetic of the instance.
 from logcap.forge import SearchParams, enumerate_instances
 from logcap.groupring import trace_element
 from logcap.resolvent import (
-    ResolventElt,
     certificate_determinants,
     delta,
     omega_act,
@@ -34,17 +33,20 @@ for k, inst in enumerate(instances):
     det_m, _ = certificate_determinants(inst, cert)
     tr = trace_element(inst.group, inst.ring)
     d = delta(inst, cert)
-    image = inst.span_a([trace(inst, b) for b in inst.frame.bt_basis])
+    image = inst.span_a([trace(inst, inst.frame.unit(k)) for k in inst.frame.bt_index])
     order = image.order() // inst.zero_a().order()
     print(f"instance {k}: det M = Tr: {det_m == tr},  delta = {d},  capitulation image order = {order}")
 
 # On the last instance, check the operator identity Tr = w delta on the
-# degree-zero generators, coordinate by coordinate.  The instance's frame
-# holds its certificate and delta, computed once on first use.
+# degree-zero generators, coordinate by coordinate.  Vectors of B are
+# tuples in the coordinates of the instance's frame, which also holds the
+# certificate and delta, computed once on first use.
 inst = instances[-1]
-_, d, _ = inst.frame.relations
+frame = inst.frame
+_, d, _ = frame.relations
 print("\noperator identity on the degree-zero part of the last instance:")
-for b in inst.frame.bt_basis:
+for k in frame.bt_index:
+    b = frame.unit(k)
     lhs = trace(inst, b)
-    rhs = omega_act(inst, star_act(inst, d, b))
-    print(f"  Tr({b.to_vec()}) = {lhs} = w(delta * .) -> {rhs.a}: {lhs == rhs.a}")
+    rhs = omega_act(inst, star_act(inst, d, b))[: inst.dim_a]
+    print(f"  Tr({b}) = {lhs} = w(delta * .) -> {rhs}: {lhs == rhs}")

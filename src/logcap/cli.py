@@ -3,10 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 malformed input, 2 a
 mathematical check failed (validation failure or a fail/hypothesis-failed
 verdict), 3 a resource refusal (search space above the ceiling, oracle
-bound exceeded, group order above its limit, relation matrix above the
-determinant bound).  ``main`` maps the errors to codes, so no traceback
-reaches the user.  All configuration comes from flags; reports are byte
-stable for fixed inputs and seeds.
+bound exceeded, group order or coefficient modulus above its limit,
+relation matrix above the determinant bound).  ``main`` maps the errors to
+codes, so no traceback reaches the user.  All configuration comes from
+flags; reports are byte stable for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 from . import forge, verifier
 from .groupring import GroupSizeError, RingSizeError
 from .instance import SchemaError, load_instance, validate
+from .lattice import ModulusSizeError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -170,7 +171,11 @@ def cmd_search(args) -> int:
         for g in params.g_orders_list
         for a in params.atilde_orders_list
     ]
-    manifest = forge.build_corpus(params, components, args.out)
+    try:
+        manifest = forge.build_corpus(params, components, args.out)
+    except ValueError as e:  # a --prime, --precision or order that forge rejects
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     total = sum(c["count"] for c in manifest["components"])
     print(f"wrote {total} instance(s) to {args.out}")
     return EXIT_OK
@@ -266,6 +271,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (
         GroupSizeError,
+        ModulusSizeError,
         RingSizeError,
         forge.CeilingExceededError,
         forge.OracleBoundError,

@@ -68,10 +68,6 @@ class UElement:
         return self.instance.deg(self.a)
 
 
-def u_identity(inst: "Instance") -> UElement:
-    return UElement(inst, inst.a_zero(), inst.group.identity())
-
-
 def u_elements(inst: "Instance"):
     """All of U in a deterministic order (A coordinates outer, G inner)."""
     import itertools

@@ -101,20 +101,15 @@ def _t_mat_pow(p, k, d):
     return out
 
 
-def _t_identity(d):
-    t = len(d)
-    return tuple(tuple(1 if i == j else 0 for j in range(t)) for i in range(t))
-
-
 def _generator_candidates(d: Tuple[int, ...], order: int):
     """(P, q) with P^order = 1 on the torsion and q * (1 + P + ... + P^(o-1)) = 0."""
     t = len(d)
     out = []
     for p in _torsion_endomorphisms(d):
-        if _t_mat_pow(p, order, d) != _t_identity(d):
+        acc = _t_mat_pow(p, 0, d)  # the identity
+        if _t_mat_pow(p, order, d) != acc:
             continue
         # norm matrix 1 + P + ... + P^(order-1)
-        acc = _t_identity(d)
         total = [[0] * t for _ in range(t)]
         for _ in range(order):
             for i in range(t):
@@ -244,27 +239,25 @@ class _CocycleSpace:
             for j in range(self.t):
                 col = new_col(self.d[j])
                 col[self._var((g, gi), j)] += 1
+        return self._kernel_mod_orders(cols, orders, self.nvars)
 
+    def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
+        """The x in (Z/exp T)^nvars with x . cols[c] = 0 mod orders[c] for
+        every condition column c; all of the module if there is none."""
         if not cols:
-            return Submodule.from_generators(
-                self.ring, self.nvars, [_unit(self.nvars, k) for k in range(self.nvars)]
-            )
+            return Submodule.from_generators(self.ring, nvars, [_unit(nvars, k) for k in range(nvars)])
+        N = self.ring.modulus
         width = len(cols)
-        rows = [[cols[c][v] % self.ring.modulus for c in range(width)] for v in range(self.nvars)]
-        rel_rows = []
-        for c in range(width):
-            row = [0] * width
-            row[c] = orders[c] % self.ring.modulus
-            rel_rows.append(row)
-        target_rel = Submodule.from_generators(self.ring, width, rel_rows)
-        return preimage(rows, target_rel, self.ring)
+        rows = [[cols[c][v] % N for c in range(width)] for v in range(nvars)]
+        rel_rows = [_unit(width, c, orders[c] % N) for c in range(width)]
+        return preimage(rows, Submodule.from_generators(self.ring, width, rel_rows), self.ring)
 
     def _reduce_table(self, vec: Sequence[int]) -> Vec:
         return tuple(x % o for x, o in zip(vec, self.orders))
 
     def count(self) -> int:
         torsion = Submodule.from_generators(
-            self.ring, self.nvars, [_scaled_unit(self.nvars, k, o) for k, o in enumerate(self.orders)]
+            self.ring, self.nvars, [_unit(self.nvars, k, o) for k, o in enumerate(self.orders)]
         )
         return self._sub.order() // torsion.order()
 
@@ -291,23 +284,7 @@ class _CocycleSpace:
                         col[self.nonid.index(ti) * self.t + i] += c
                 cols.append(col)
                 orders.append(self.d[j])
-        if cols:
-            width = len(cols)
-            rows = [
-                [cols[c][v] % self.ring.modulus for c in range(width)]
-                for v in range(nshift)
-            ]
-            rel_rows = []
-            for c in range(width):
-                row = [0] * width
-                row[c] = orders[c] % self.ring.modulus
-                rel_rows.append(row)
-            target_rel = Submodule.from_generators(self.ring, width, rel_rows)
-            admissible = preimage(rows, target_rel, self.ring)
-        else:
-            admissible = Submodule.from_generators(
-                self.ring, nshift, [_unit(nshift, k) for k in range(nshift)]
-            )
+        admissible = self._kernel_mod_orders(cols, orders, nshift)
         gens = []
         one = self.group.identity()
         for c_row in admissible.basis:
@@ -348,13 +325,7 @@ class _CocycleSpace:
         }
 
 
-def _unit(n, k):
-    row = [0] * n
-    row[k] = 1
-    return row
-
-
-def _scaled_unit(n, k, c):
+def _unit(n, k, c=1):
     row = [0] * n
     row[k] = c
     return row

@@ -10,7 +10,6 @@ report output), so results are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, Sequence, Tuple
 
 from .lattice import ModulusMismatchError, ZModRing, _is_prime
@@ -75,9 +74,6 @@ class AbelianLGroup:
             out *= o
         return out
 
-    def exponent(self) -> int:
-        return max(self.orders, default=1)
-
     def identity(self) -> GElt:
         return (0,) * len(self.orders)
 
@@ -98,18 +94,6 @@ class AbelianLGroup:
 
     def inv(self, a: GElt) -> GElt:
         return tuple((-x) % o for x, o in zip(a, self.orders))
-
-    def power(self, a: GElt, k: int) -> GElt:
-        return tuple((x * k) % o for x, o in zip(a, self.orders))
-
-    def element_order(self, a: GElt) -> int:
-        # order of x in Z/o is o / gcd(o, x); the group order is their lcm,
-        # which for l-powers is just the maximum
-        out = 1
-        for x, o in zip(a, self.orders):
-            if x % o:
-                out = max(out, o // math.gcd(x, o))
-        return out
 
     def contains(self, a) -> bool:
         return (
@@ -159,10 +143,6 @@ class GroupRingElt:
     @classmethod
     def scalar(cls, group: AbelianLGroup, ring: ZModRing, c: int) -> "GroupRingElt":
         return cls(group, ring, {group.identity(): c})
-
-    @classmethod
-    def of(cls, group: AbelianLGroup, ring: ZModRing, g: GElt) -> "GroupRingElt":
-        return cls(group, ring, {g: 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -221,9 +201,6 @@ class GroupRingElt:
         """Sum of coefficients: the degree map of the group algebra."""
         return sum(self.coeffs.values()) % self.ring.modulus
 
-    def in_augmentation_ideal(self) -> bool:
-        return self.augmentation() == 0
-
     def items(self):
         """Coefficients in the canonical element order (zero entries skipped)."""
         for g in self.group.elements():
@@ -250,14 +227,6 @@ def trace_element(group: AbelianLGroup, ring: ZModRing) -> GroupRingElt:
     return GroupRingElt(group, ring, {g: 1 for g in group.elements()})
 
 
-def augmentation_ideal_basis(group: AbelianLGroup, ring: ZModRing):
-    """The canonical module basis {g - 1 : g != 1} of the augmentation ideal."""
-    one = group.identity()
-    return tuple(
-        GroupRingElt(group, ring, {g: 1, one: -1}) for g in group.nonidentity()
-    )
-
-
 class OmegaRingElt:
     """r0 + w*r1 in (Z/l^n)[G][w]/(w^2)."""
 
@@ -269,21 +238,8 @@ class OmegaRingElt:
         self.r1 = r1
 
     @classmethod
-    def from_parts(cls, r0: GroupRingElt, r1: GroupRingElt | None = None) -> "OmegaRingElt":
-        return cls(r0, r1 if r1 is not None else GroupRingElt.zero(r0.group, r0.ring))
-
-    @classmethod
     def omega(cls, group: AbelianLGroup, ring: ZModRing) -> "OmegaRingElt":
         return cls(GroupRingElt.zero(group, ring), GroupRingElt.one(group, ring))
-
-    @classmethod
-    def zero(cls, group: AbelianLGroup, ring: ZModRing) -> "OmegaRingElt":
-        z = GroupRingElt.zero(group, ring)
-        return cls(z, z)
-
-    @classmethod
-    def one(cls, group: AbelianLGroup, ring: ZModRing) -> "OmegaRingElt":
-        return cls(GroupRingElt.one(group, ring), GroupRingElt.zero(group, ring))
 
     def __add__(self, other: "OmegaRingElt") -> "OmegaRingElt":
         return OmegaRingElt(self.r0 + other.r0, self.r1 + other.r1)

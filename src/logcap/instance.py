@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .groupring import AbelianLGroup, GElt, GroupRingElt, GroupSizeError, _is_l_power
-from .lattice import Submodule, ZModRing
+from .lattice import ModulusSizeError, Submodule, ZModRing
 
 if TYPE_CHECKING:
     from .resolvent import Frame
@@ -583,7 +583,7 @@ def load_instance(path) -> Instance:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
     try:
         return instance_from_dict(data)
-    except (SchemaError, GroupSizeError) as e:
+    except (SchemaError, GroupSizeError, ModulusSizeError) as e:
         raise type(e)(f"{path}: {e}") from None
 
 

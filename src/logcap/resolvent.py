@@ -2,15 +2,19 @@
 
 Coordinates of B are fixed once per instance, by its ``Frame``: the
 torsion generators of A, then gamma, then the augmentation-ideal basis
-(tau - 1) for tau != 1 in the canonical element order.  The G-action is
-the linearized twist
+(tau - 1) for tau != 1 in the canonical element order.  A vector of B is a
+tuple in these coordinates, reduced by ``Frame.b_reduce``; ``ResolventElt``
+is only the named view of one such tuple that ``extension.log_iso``
+returns.  The G-action is the linearized twist
 
     sigma * a = a^sigma,     sigma * (tau - 1) = f(sigma, tau) + sigma(tau - 1),
 
 and the Gamma-operator w = gamma - 1 kills A and sends (tau - 1) to
-(1 - tau) * gamma.  Everything here is a module computation over Z/l^n; the
-relation solver produces certificates (M, N) with e_i b_i = sum mu_ij * b_j
-+ w * sum nu_ij * b_j, normalized so that det M is exactly the trace.
+(1 - tau) * gamma.  The star action of each sigma, w and Tr are frame
+matrices acting on row vectors.  Everything here is a module computation
+over Z/l^n; the relation solver produces certificates (M, N) with
+e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j, normalized so that det M
+is exactly the trace.
 """
 
 from __future__ import annotations
@@ -21,14 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .groupring import (
-    GElt,
-    GroupRingElt,
-    OmegaRingElt,
-    det_ring,
-    trace_element,
-)
-from .lattice import InternalInvariantError, Submodule, ZModRing, solve
+from .groupring import GElt, GroupRingElt, OmegaRingElt, det_ring, trace_element
+from .lattice import InternalInvariantError, Submodule, ZModRing, preimage, solve
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -51,7 +49,7 @@ class PrecisionModelError(CertificateError):
 
 @dataclass(frozen=True)
 class ResolventElt:
-    """An element a + sum lam_tau (tau - 1) of B, coordinates canonical."""
+    """The element a + sum lam_tau (tau - 1) of B, coordinates canonical."""
 
     instance: "Instance"
     a: Vec
@@ -61,12 +59,9 @@ class ResolventElt:
         inst = self.instance
         if len(self.a) != inst.dim_a or len(self.lam) != inst.group.size() - 1:
             raise ValueError("coordinates do not fit the instance")
-        N = inst.ring.modulus
-        object.__setattr__(self, "a", inst.a_reduce(self.a))
-        object.__setattr__(self, "lam", tuple(x % N for x in self.lam))
-
-    def deg(self) -> int:
-        return self.instance.deg(self.a)
+        vec = inst.frame.b_reduce(tuple(self.a) + tuple(self.lam))
+        object.__setattr__(self, "a", vec[: inst.dim_a])
+        object.__setattr__(self, "lam", vec[inst.dim_a :])
 
     def to_vec(self) -> Vec:
         return self.a + self.lam
@@ -76,48 +71,6 @@ class ResolventElt:
         d = inst.dim_a
         return cls(inst, tuple(vec[:d]), tuple(vec[d:]))
 
-    @classmethod
-    def from_a(cls, inst: "Instance", a: Sequence[int]) -> "ResolventElt":
-        return cls(inst, tuple(a), (0,) * (inst.group.size() - 1))
-
-    @classmethod
-    def basis_tau(cls, inst: "Instance", tau: GElt) -> "ResolventElt":
-        """The element tau - 1 for tau != 1."""
-        lam = [0] * (inst.group.size() - 1)
-        lam[inst.group.nonidentity().index(tau)] = 1
-        return cls(inst, inst.a_zero(), tuple(lam))
-
-    def __add__(self, other: "ResolventElt") -> "ResolventElt":
-        inst = self.instance
-        return ResolventElt(
-            inst,
-            inst.a_add(self.a, other.a),
-            tuple(x + y for x, y in zip(self.lam, other.lam)),
-        )
-
-    def __sub__(self, other: "ResolventElt") -> "ResolventElt":
-        inst = self.instance
-        return ResolventElt(
-            inst,
-            inst.a_sub(self.a, other.a),
-            tuple(x - y for x, y in zip(self.lam, other.lam)),
-        )
-
-    def __neg__(self) -> "ResolventElt":
-        return ResolventElt(
-            self.instance, self.instance.a_neg(self.a), tuple(-x for x in self.lam)
-        )
-
-    def scale(self, c: int) -> "ResolventElt":
-        return ResolventElt(
-            self.instance,
-            self.instance.a_scale(c, self.a),
-            tuple(c * x for x in self.lam),
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.a) and not any(self.lam)
-
 
 # -- the per-instance frame ----------------------------------------------------
 
@@ -126,12 +79,13 @@ class Frame:
     """The derived state of one instance, each member computed on first use.
 
     Holds the coefficient ring, the coordinate orders and the G-action of
-    A, the star and omega matrices of B, the bases of B and B-tilde, and
-    the relation certificate with delta.  Every instance owns one, as
-    ``inst.frame``; the data it is derived from is immutable, so nothing
-    here is ever invalidated.  Coordinates of B: the torsion generators of
-    A, then gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes
-    first in all three, so ``span`` serves each of them.
+    A, the star, omega and trace matrices of B, I_G * B-tilde and the
+    ambiguous classes, and the relation certificate with delta.  Every
+    instance owns one, as ``inst.frame``; the data it is derived from is
+    immutable, so nothing here is ever invalidated.  Coordinates of B: the
+    torsion generators of A, then gamma, then the (tau - 1); B-tilde drops
+    gamma.  Torsion comes first in all three, so ``span`` serves each of
+    them.
     """
 
     def __init__(self, inst: "Instance"):
@@ -181,6 +135,45 @@ class Frame:
 
     # coordinates ---------------------------------------------------------
 
+    @cached_property
+    def b_orders(self) -> Vec:
+        """Coordinate orders of B: those of A, then l^n for each (tau - 1)."""
+        return self.orders + (self.ring.modulus,) * len(self.nonid_index)
+
+    def b_reduce(self, vec: Sequence[int]) -> Vec:
+        """The canonical coordinates of a vector of B."""
+        return tuple(x % o for x, o in zip(vec, self.b_orders))
+
+    def unit(self, k: int) -> Vec:
+        """The k-th coordinate basis vector of B."""
+        return tuple(int(i == k) for i in range(self.dim_b))
+
+    def tau_coord(self, tau: GElt) -> int:
+        """The B coordinate of tau - 1, for tau != 1."""
+        return self.inst.dim_a + self.nonid_index[tau]
+
+    @cached_property
+    def bt_index(self) -> Tuple[int, ...]:
+        """The B coordinates that B-tilde keeps: all but gamma."""
+        t = self.inst.torsion_rank
+        return tuple(k for k in range(self.dim_b) if k != t)
+
+    def bt_rows(self, mat: Sequence[Sequence[int]]) -> list:
+        """The rows of a matrix on B at the basis vectors of B-tilde."""
+        return [mat[k] for k in self.bt_index]
+
+    def bt_vec(self, vec: Sequence[int]) -> Vec:
+        """A degree-zero vector of B in B-tilde coordinates."""
+        t = self.inst.torsion_rank
+        if vec[t] % self.ring.modulus:
+            raise InternalInvariantError("element has nonzero degree")
+        return tuple(vec[:t]) + tuple(vec[t + 1 :])
+
+    def bt_embed(self, vec: Sequence[int]) -> Vec:
+        """A vector in B-tilde coordinates as a vector of B."""
+        t = self.inst.torsion_rank
+        return self.b_reduce(tuple(vec[:t]) + (0,) + tuple(vec[t:]))
+
     def relation_rows(self, width: int) -> List[list]:
         """The coordinate torsion d_i * e_i, in the coordinates of A, B or
         B-tilde (told apart by the width)."""
@@ -193,15 +186,6 @@ class Frame:
 
     def span(self, gens: Sequence[Sequence[int]], width: int) -> Submodule:
         return Submodule.from_generators(self.ring, width, list(gens) + self.relation_rows(width))
-
-    def bt_vec(self, elt: ResolventElt) -> Vec:
-        if elt.a[-1] % self.ring.modulus:
-            raise InternalInvariantError("element has nonzero degree")
-        return elt.a[: self.inst.torsion_rank] + elt.lam
-
-    def elt_from_bt(self, vec: Sequence[int]) -> ResolventElt:
-        t = self.inst.torsion_rank
-        return ResolventElt(self.inst, tuple(vec[:t]) + (0,), tuple(vec[t:]))
 
     def lam_vec(self, coeffs: Dict[GElt, int]) -> Vec:
         out = [0] * len(self.nonid_index)
@@ -220,10 +204,7 @@ class Frame:
                     out[j] = (out[j] + c * x) % N
         return out
 
-    # the actions on B ----------------------------------------------------
-
-    def star_elt(self, sigma: GElt, b: ResolventElt) -> ResolventElt:
-        return ResolventElt.from_vec(self.inst, self.apply(b.to_vec(), self.star[sigma]))
+    # the operators on B ----------------------------------------------------
 
     @cached_property
     def star(self) -> Dict[GElt, tuple]:
@@ -248,6 +229,12 @@ class Frame:
             out[sigma] = tuple(tuple(x % N for x in r) for r in rows)
         return out
 
+    def ig_unit(self, tau: GElt, k: int) -> Vec:
+        """(tau - 1) * e_k: the k-th row of the star matrix of tau, minus e_k."""
+        row = list(self.star[tau][k])
+        row[k] -= 1
+        return self.b_reduce(row)
+
     @cached_property
     def omega(self) -> tuple:
         """The matrix of w: zero on A, (tau - 1) -> (1 - tau) * gamma."""
@@ -260,33 +247,38 @@ class Frame:
             rows.append(a_tau + (0,) * len(self.nonid_index))
         return tuple(rows)
 
-    # bases and shared submodules -------------------------------------------
-
     @cached_property
-    def b_basis(self) -> Tuple[ResolventElt, ...]:
-        """The coordinate basis of B: unit vectors of A, then the (tau - 1)."""
+    def trace_matrix(self) -> tuple:
+        """The matrix of Tr, the sum of the star matrices, as a map B -> A:
+        its (tau - 1) columns cancel, which is checked here, once."""
         inst = self.inst
         d = inst.dim_a
-        units = [ResolventElt.from_a(inst, tuple(int(i == j) for j in range(d))) for i in range(d)]
-        taus = [ResolventElt.basis_tau(inst, tau) for tau in inst.group.nonidentity()]
-        return tuple(units + taus)
+        N = self.ring.modulus
+        rows = []
+        for k in range(self.dim_b):
+            row = [sum(m[k][j] for m in self.star.values()) % N for j in range(self.dim_b)]
+            if any(row[d:]):
+                raise InternalInvariantError("trace left a nonzero I_G component")
+            rows.append(inst.a_reduce(row[:d]))
+        return tuple(rows)
 
-    @cached_property
-    def bt_basis(self) -> Tuple[ResolventElt, ...]:
-        """The basis of B-tilde: the B basis without gamma."""
-        t = self.inst.torsion_rank
-        return self.b_basis[:t] + self.b_basis[t + 1 :]
+    # shared submodules -------------------------------------------------------
 
     @cached_property
     def ig_bt(self) -> Submodule:
         """I_G * B-tilde in B-tilde coordinates."""
-        inst = self.inst
-        gens = []
-        for tau in inst.group.generators():
-            x = _ig_elt(inst, tau)
-            for b in self.bt_basis:
-                gens.append(self.bt_vec(star_act(inst, x, b)))
+        gens = [
+            self.bt_vec(self.ig_unit(tau, k))
+            for tau in self.inst.group.generators()
+            for k in self.bt_index
+        ]
         return self.span(gens, self.dim_bt)
+
+    @cached_property
+    def ambiguous(self) -> Submodule:
+        """The classes of B-tilde that w sends into I_G * B-tilde."""
+        rows = [self.bt_vec(r) for r in self.bt_rows(self.omega)]
+        return preimage(rows, self.ig_bt, self.ring)
 
     @cached_property
     def ig_gamma(self) -> Submodule:
@@ -311,40 +303,32 @@ class Frame:
 # -- public operations ---------------------------------------------------------
 
 
-def star_act(inst: "Instance", x: GroupRingElt, b: ResolventElt) -> ResolventElt:
+def star_act(inst: "Instance", x: GroupRingElt, v: Sequence[int]) -> Vec:
     """The linearized twisted action of a group-ring element on B."""
     frame = inst.frame
-    vec = b.to_vec()
     out = [0] * frame.dim_b
     for g, c in x.coeffs.items():
-        for j, y in enumerate(frame.apply(vec, frame.star[g])):
+        for j, y in enumerate(frame.apply(v, frame.star[g])):
             out[j] += c * y
-    return ResolventElt.from_vec(inst, out)
+    return frame.b_reduce(out)
 
 
-def omega_act(inst: "Instance", b: ResolventElt) -> ResolventElt:
-    """w * b for w = gamma - 1: zero on A, (tau - 1) -> (1 - tau) * gamma."""
+def omega_act(inst: "Instance", v: Sequence[int]) -> Vec:
+    """w * v for w = gamma - 1: zero on A, (tau - 1) -> (1 - tau) * gamma."""
     frame = inst.frame
-    return ResolventElt.from_vec(inst, frame.apply(b.to_vec(), frame.omega))
+    return frame.b_reduce(frame.apply(v, frame.omega))
 
 
-def trace(inst: "Instance", b: ResolventElt) -> Vec:
-    """Tr * b; the augmentation-ideal component must cancel, leaving an
-    element of A."""
-    out = star_act(inst, trace_element(inst.group, inst.ring), b)
-    if any(out.lam):
-        raise InternalInvariantError("trace left a nonzero I_G component")
-    return out.a
+def trace(inst: "Instance", v: Sequence[int]) -> Vec:
+    """Tr * v, an element of A."""
+    frame = inst.frame
+    return inst.a_reduce(frame.apply(v, frame.trace_matrix))
 
 
 def ig_star_b(inst: "Instance") -> Submodule:
     """The submodule I_G * B in B coordinates."""
     frame = inst.frame
-    gens = []
-    for tau in inst.group.generators():
-        x = _ig_elt(inst, tau)
-        for b in frame.b_basis:
-            gens.append(star_act(inst, x, b).to_vec())
+    gens = [frame.ig_unit(tau, k) for tau in inst.group.generators() for k in range(frame.dim_b)]
     return frame.span(gens, frame.dim_b)
 
 
@@ -422,9 +406,25 @@ def _ring_vec(inst: "Instance", x: GroupRingElt) -> Vec:
     return tuple(x.coefficient(g) % inst.ring.modulus for g in inst.group.elements())
 
 
-def _ig_elt(inst: "Instance", tau: GElt, c: int = 1) -> GroupRingElt:
-    """c * (tau - 1) in the group ring."""
-    return GroupRingElt(inst.group, inst.ring, {tau: c, inst.group.identity(): -c})
+def _ig_elt(inst: "Instance", tau: GElt) -> GroupRingElt:
+    """tau - 1 in the group ring."""
+    return GroupRingElt(inst.group, inst.ring, {tau: 1, inst.group.identity(): -1})
+
+
+def _ig_combination(inst: "Instance", coeffs: Sequence[int]) -> GroupRingElt:
+    """sum c_tau (tau - 1) over the tau != 1, in the canonical order."""
+    group = inst.group
+    out = dict(zip(group.nonidentity(), coeffs))
+    out[group.identity()] = -sum(coeffs)
+    return GroupRingElt(group, inst.ring, out)
+
+
+def _residual(inst: "Instance", o: int, k: int, terms: Sequence[Sequence[int]]) -> Vec:
+    """o * e_k minus the sum of the terms, a vector of B."""
+    out = [o * x for x in inst.frame.unit(k)]
+    for term in terms:
+        out = [x - y for x, y in zip(out, term)]
+    return inst.frame.b_reduce(out)
 
 
 def lambda_generation_holds(inst: "Instance") -> bool:
@@ -433,23 +433,24 @@ def lambda_generation_holds(inst: "Instance") -> bool:
     frame = inst.frame
     gens = []
     for tau_i in inst.group.generators():
-        b_i = ResolventElt.basis_tau(inst, tau_i)
+        k = frame.tau_coord(tau_i)
         for g in inst.group.elements():
-            moved = frame.star_elt(g, b_i)
+            moved = frame.b_reduce(frame.star[g][k])
             gens.append(frame.bt_vec(moved))
             gens.append(frame.bt_vec(omega_act(inst, moved)))
     span = frame.span(gens, frame.dim_bt)
-    return span == frame.span([frame.bt_vec(e) for e in frame.bt_basis], frame.dim_bt)
+    return span == frame.span([frame.bt_vec(frame.unit(k)) for k in frame.bt_index], frame.dim_bt)
 
 
 def _solve_mu_row(
     inst: "Instance",
     i: int,
-    b_elts: List[ResolventElt],
+    b: List[int],
     cofactors: Optional[List[GroupRingElt]],
     use_gamma_form: bool,
 ) -> Optional[List[GroupRingElt]]:
-    """Solve for the I_G entries of relation row i.
+    """Solve for the I_G entries of relation row i; b holds the B
+    coordinates of the b_j.
 
     Without cofactors, solves modulo (w * B-tilde + torsion); with them,
     appends the group-ring coordinates of the determinant constraint
@@ -467,28 +468,24 @@ def _solve_mu_row(
     rows = []
     for j in range(s):
         for tau in nonid:
-            contrib = list(frame.bt_vec(star_act(inst, _ig_elt(inst, tau), b_elts[j])))
+            contrib = list(frame.bt_vec(frame.ig_unit(tau, b[j])))
             if cofactors is not None:
                 contrib += list(_ring_vec(inst, _ig_elt(inst, tau) * cofactors[j]))
             rows.append(contrib)
     mu_block = len(rows)
 
-    complement = []
+    t = inst.torsion_rank
     if use_gamma_form:
         # gamma-form complement: coefficients of mu_i over the I_G basis
-        gamma_elt = ResolventElt.from_a(inst, inst.gamma())
-        for tau in nonid:
-            complement.append(frame.bt_vec(star_act(inst, _ig_elt(inst, tau), gamma_elt)))
+        complement = [frame.bt_vec(frame.ig_unit(tau, t)) for tau in nonid]
     else:
         # omega terms are solved afterwards; quotient them out here:
         # generators of w * B-tilde in degree-zero coordinates
-        t = inst.torsion_rank
-        for tau in group.elements():
-            complement.append(inst.a_tau(tau)[:t] + (0,) * len(nonid))
+        complement = [inst.a_tau(tau)[:t] + (0,) * len(nonid) for tau in group.elements()]
     for r in complement + frame.relation_rows(frame.dim_bt):
         rows.append(list(r) + [0] * det_cols)
 
-    target = list(frame.bt_vec(b_elts[i].scale(o_i)))
+    target = list(frame.bt_vec(_residual(inst, o_i, b[i], [])))
     if cofactors is not None:
         rhs = cofactors[i].scale(o_i) - trace_element(group, inst.ring)
         target += list(_ring_vec(inst, rhs))
@@ -496,55 +493,35 @@ def _solve_mu_row(
     sol = solve(rows, target, inst.ring)
     if sol is None:
         return None
-    out = []
-    k = 0
-    for j in range(s):
-        coeffs = GroupRingElt.zero(group, inst.ring)
-        for tau in nonid:
-            c = sol[k]
-            k += 1
-            if c:
-                coeffs = coeffs + _ig_elt(inst, tau, c)
-        out.append(coeffs)
+    m = len(nonid)
+    out = [_ig_combination(inst, sol[j * m : (j + 1) * m]) for j in range(s)]
     if use_gamma_form:
-        mu_i = GroupRingElt.zero(group, inst.ring)
-        for tau in nonid:
-            c = sol[mu_block + frame.nonid_index[tau]]
-            if c:
-                mu_i = mu_i + _ig_elt(inst, tau, c)
-        out.append(mu_i)
+        out.append(_ig_combination(inst, sol[mu_block : mu_block + m]))
     return out
 
 
 def _solve_nu_row(
-    inst: "Instance", i: int, b_elts: List[ResolventElt], mu_row: List[GroupRingElt]
+    inst: "Instance", i: int, b: List[int], mu_row: List[GroupRingElt]
 ) -> Optional[List[GroupRingElt]]:
     frame = inst.frame
     group = inst.group
     s = group.rank
-    residual = b_elts[i].scale(group.orders[i])
-    for j in range(s):
-        residual = residual - star_act(inst, mu_row[j], b_elts[j])
-    rows = []
-    for j in range(s):
-        for g in group.elements():
-            moved = frame.star_elt(g, b_elts[j])
-            rows.append(list(frame.bt_vec(omega_act(inst, moved))))
+    moved = [star_act(inst, mu_row[j], frame.unit(b[j])) for j in range(s)]
+    residual = _residual(inst, group.orders[i], b[i], moved)
+    rows = [
+        list(frame.bt_vec(omega_act(inst, frame.star[g][b[j]])))
+        for j in range(s)
+        for g in group.elements()
+    ]
     rows += frame.relation_rows(frame.dim_bt)
     sol = solve(rows, list(frame.bt_vec(residual)), inst.ring)
     if sol is None:
         return None
-    out = []
-    k = 0
-    for j in range(s):
-        coeffs = {}
-        for g in group.elements():
-            c = sol[k]
-            k += 1
-            if c:
-                coeffs[g] = c
-        out.append(GroupRingElt(group, inst.ring, coeffs))
-    return out
+    n = group.size()
+    return [
+        GroupRingElt(group, inst.ring, dict(zip(group.elements(), sol[j * n : (j + 1) * n])))
+        for j in range(s)
+    ]
 
 
 def _cofactor_row(inst: "Instance", m_rows: List[List[GroupRingElt]], i: int, s: int):
@@ -567,7 +544,7 @@ def _diag_entry(inst: "Instance", i: int, j: int, o_i: int, mu: GroupRingElt) ->
     return base - mu
 
 
-def _solve_form(inst: "Instance", b_elts: List[ResolventElt], use_gamma_form: bool):
+def _solve_form(inst: "Instance", b: List[int], use_gamma_form: bool):
     """All relation rows, with the determinant constraint imposed on one row.
 
     Rows other than the constrained one are solved first (deterministic
@@ -585,7 +562,7 @@ def _solve_form(inst: "Instance", b_elts: List[ResolventElt], use_gamma_form: bo
         for i in range(s):
             if i == constrained:
                 continue
-            mu = _solve_mu_row(inst, i, b_elts, None, use_gamma_form)
+            mu = _solve_mu_row(inst, i, b, None, use_gamma_form)
             if mu is None:
                 ok = False
                 break
@@ -601,7 +578,7 @@ def _solve_form(inst: "Instance", b_elts: List[ResolventElt], use_gamma_form: bo
                     [_diag_entry(inst, i, j, group.orders[i], mu_rows[i][j]) for j in range(s)]
                 )
         cof = _cofactor_row(inst, m_rows, constrained, s)
-        mu = _solve_mu_row(inst, constrained, b_elts, cof, use_gamma_form)
+        mu = _solve_mu_row(inst, constrained, b, cof, use_gamma_form)
         if mu is None:
             continue
         mu_rows[constrained] = mu
@@ -620,17 +597,17 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
         raise InfeasibleRelationError(
             "the b_i do not generate the degree-zero part; relations cannot close"
         )
-    b_elts = [ResolventElt.basis_tau(inst, tau) for tau in group.generators()]
+    b = [inst.frame.tau_coord(tau) for tau in group.generators()]
 
-    mu_rows, _ = _solve_form(inst, b_elts, use_gamma_form=False)
+    mu_rows, _ = _solve_form(inst, b, use_gamma_form=False)
     nu_rows = []
     for i in range(s):
-        nu = _solve_nu_row(inst, i, b_elts, mu_rows[i])
+        nu = _solve_nu_row(inst, i, b, mu_rows[i])
         if nu is None:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
         nu_rows.append(nu)
 
-    lam_full, _ = _solve_form(inst, b_elts, use_gamma_form=True)
+    lam_full, _ = _solve_form(inst, b, use_gamma_form=True)
     lam_rows = [row[:s] for row in lam_full]
     mu_vec = [row[s] for row in lam_full]
 
@@ -648,26 +625,23 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
         lam_matrix=lam_matrix,
         mu_vector=tuple(mu_vec),
     )
-    _verify_certificate(inst, cert, b_elts, mu_rows, lam_rows)
+    _verify_certificate(inst, cert, b, mu_rows, lam_rows)
     return cert
 
 
-def _verify_certificate(inst, cert, b_elts, mu_rows, lam_rows):
+def _verify_certificate(inst, cert, b, mu_rows, lam_rows):
     group = inst.group
-    s = group.rank
-    for i in range(s):
-        resid = b_elts[i].scale(group.orders[i])
-        for j in range(s):
-            resid = resid - star_act(inst, mu_rows[i][j], b_elts[j])
-            resid = resid - omega_act(inst, star_act(inst, cert.n_matrix[i][j], b_elts[j]))
-        if not resid.is_zero():
+    unit = inst.frame.unit
+    for i in range(group.rank):
+        terms = []
+        for j, k in enumerate(b):
+            terms.append(star_act(inst, mu_rows[i][j], unit(k)))
+            terms.append(omega_act(inst, star_act(inst, cert.n_matrix[i][j], unit(k))))
+        if any(_residual(inst, group.orders[i], b[i], terms)):
             raise CertificateError(f"nonzero residual in omega-form row {i}")
-        resid = b_elts[i].scale(group.orders[i])
-        for j in range(s):
-            resid = resid - star_act(inst, lam_rows[i][j], b_elts[j])
-        gamma_elt = ResolventElt.from_a(inst, inst.gamma())
-        resid = resid - star_act(inst, cert.mu_vector[i], gamma_elt)
-        if not resid.is_zero():
+        terms = [star_act(inst, lam_rows[i][j], unit(k)) for j, k in enumerate(b)]
+        terms.append(star_act(inst, cert.mu_vector[i], unit(inst.torsion_rank)))
+        if any(_residual(inst, group.orders[i], b[i], terms)):
             raise CertificateError(f"nonzero residual in gamma-form row {i}")
 
 

@@ -75,13 +75,6 @@ def _fmt_ring(x: GroupRingElt) -> dict:
     return {",".join(map(str, g)): int(c) for g, c in sorted(x.coeffs.items())}
 
 
-def _ambiguous(inst: Instance):
-    """The classes of B-tilde that w sends into I_G * B-tilde."""
-    frame = inst.frame
-    omega_rows = [list(frame.bt_vec(omega_act(inst, b))) for b in frame.bt_basis]
-    return preimage(omega_rows, frame.ig_bt, inst.ring)
-
-
 # -- individual checks ---------------------------------------------------------
 
 
@@ -99,7 +92,7 @@ def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
     checked = 0
     for u in elements:
         via_transfer = extension.transfer(inst, u)
-        via_trace = trace(inst, extension.log_iso(inst, u))
+        via_trace = trace(inst, extension.log_iso(inst, u).to_vec())
         if via_transfer != via_trace:
             return Verdict(
                 "V1",
@@ -117,7 +110,7 @@ def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
 def _v2_denominator(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
     lhs = ig_star_b(inst)
-    atilde = [e.to_vec() for e in frame.b_basis[: inst.torsion_rank]]
+    atilde = [frame.unit(k) for k in range(inst.torsion_rank)]
     rhs = frame.span(atilde, frame.dim_b) + ig_squared_in_b(inst)
     ok = lhs == rhs
     witness = {"order": lhs.order() // frame.span([], frame.dim_b).order()}
@@ -142,11 +135,7 @@ def _v3_determinant(inst: Instance, oracle_bound: int) -> Verdict:
         "group_order": inst.group.size() % inst.ring.modulus,
         "certificate": cert.content_hash(),
     }
-    outside = []
-    for b in frame.bt_basis:
-        tv = trace(inst, b)
-        if tv not in frame.ig_gamma:
-            outside.append(_fmt_vec(tv))
+    outside = [_fmt_vec(tv) for tv in frame.bt_rows(frame.trace_matrix) if tv not in frame.ig_gamma]
     if outside:
         ok = False
         witness["trace_values_outside_ig_gamma"] = outside
@@ -178,7 +167,7 @@ def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
     witness: dict = {}
     # route 1: the omega operator applied to the degree-zero part
-    gens = [omega_act(inst, b).a for b in frame.bt_basis]
+    gens = [row[: inst.dim_a] for row in frame.bt_rows(frame.omega)]
     s_omega = inst.span_a(gens)
     # route 2: the ideal acting on gamma through the module action
     s_gamma = frame.ig_gamma
@@ -201,11 +190,8 @@ def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
             "commutators": [list(r) for r in s_comm.basis],
         }
     # omega squared kills everything
-    square_bad = []
-    for b in frame.b_basis:
-        twice = omega_act(inst, omega_act(inst, b))
-        if not twice.is_zero():
-            square_bad.append(_fmt_vec(twice.to_vec()))
+    twice = [omega_act(inst, row) for row in frame.omega]
+    square_bad = [_fmt_vec(v) for v in twice if any(v)]
     if square_bad:
         ok = False
         witness["omega_square_nonzero"] = square_bad
@@ -221,15 +207,15 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
     cert, delta_op, error = frame.relations
     if delta_op is None:
         return Verdict("V6", "fail", {"error": error})
+    d = inst.dim_a
     bad = []
-    for b in frame.bt_basis:
-        lhs = trace(inst, b)
-        rhs = omega_act(inst, star_act(inst, delta_op, b))
-        if any(rhs.lam) or lhs != rhs.a:
-            bad.append(
-                {"element": _fmt_vec(b.to_vec()), "trace": _fmt_vec(lhs), "omega_delta": _fmt_vec(rhs.a)}
-            )
-    trace_image = inst.span_a([trace(inst, b) for b in frame.bt_basis])
+    for k in frame.bt_index:
+        e_k = frame.unit(k)
+        lhs = frame.trace_matrix[k]
+        rhs = omega_act(inst, star_act(inst, delta_op, e_k))
+        if any(rhs[d:]) or lhs != rhs[:d]:
+            bad.append({"element": _fmt_vec(e_k), "trace": _fmt_vec(lhs), "omega_delta": _fmt_vec(rhs[:d])})
+    trace_image = inst.span_a(frame.bt_rows(frame.trace_matrix))
     delta_image = inst.span_a([inst.act_ring(delta_op, r) for r in frame.ig_gamma.basis])
     images_equal = trace_image == delta_image
     ok = not bad and images_equal
@@ -246,16 +232,15 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
 
 def _v7_main_theorem(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
-    amb = _ambiguous(inst)
+    amb = frame.ambiguous
     zero = inst.zero_a()
     bad = []
     for row in amb.basis:
-        tv = trace(inst, frame.elt_from_bt(row))
+        tv = trace(inst, frame.bt_embed(row))
         if tv not in zero:
             bad.append({"element": list(row), "trace": _fmt_vec(tv)})
     # reported as data: the order of the full trace kernel in the quotient
-    trace_rows = [list(trace(inst, b)) for b in frame.bt_basis]
-    tr_kernel = preimage(trace_rows, zero, inst.ring)
+    tr_kernel = preimage(frame.bt_rows(frame.trace_matrix), zero, inst.ring)
     ig_bt = frame.ig_bt
     kernel_index = quotient_order(tr_kernel, ig_bt) if tr_kernel.contains_submodule(ig_bt) else None
     witness = {
@@ -288,7 +273,7 @@ def _v8_delta_kills_boundary(inst: Instance, oracle_bound: int) -> Verdict:
 
 
 def _v9_index(inst: Instance, oracle_bound: int) -> Verdict:
-    idx = quotient_order(_ambiguous(inst), inst.frame.ig_bt)
+    idx = quotient_order(inst.frame.ambiguous, inst.frame.ig_bt)
     ok = idx == inst.group.size()
     return Verdict(
         "V9",

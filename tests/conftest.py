@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from logcap.forge import SearchParams, random_instance
 from logcap.instance import build_instance, load_instance
 
 REPO = Path(__file__).resolve().parent.parent
@@ -35,6 +36,19 @@ def inst33():
 def trivial_atilde():
     """G = Z/2 with trivial torsion: everything degenerates to zero."""
     return build_instance(2, 3, [2], [], [[[1]]], {})
+
+
+@pytest.fixture(scope="session")
+def rank3():
+    """A sampled l=2, n=4, G=(Z/2)^3, torsion Z/2 instance: |U| = 256."""
+    params = SearchParams(
+        prime=2,
+        precision=4,
+        g_orders_list=((2, 2, 2),),
+        atilde_orders_list=((2,),),
+        seed=0,
+    )
+    return random_instance(params, (2, 2, 2), (2,))
 
 
 @pytest.fixture(scope="session")

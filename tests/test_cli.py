@@ -1,7 +1,9 @@
+import copy
 import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -274,3 +276,73 @@ def test_group_order_above_the_limit_is_refused(tmp_path, capsys, prime, order):
     code, _, err = run_cli(["validate", _write(tmp_path, payload)], capsys)
     assert code == 3
     assert err.startswith("refused:") and "group order" in err and "Traceback" not in err
+
+
+def test_search_with_a_composite_prime_is_an_input_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["search", "--prime", "4", "--precision", "3", "--G", "2", "--Atilde", "2",
+         "--out", tmp_path / "c"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:") and "not prime" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("precision", [30000, 10**6])
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_coefficient_modulus_above_the_limit_is_refused_at_once(
+    tmp_path, capsys, command, precision
+):
+    start = time.perf_counter()
+    code, _, err = run_cli([command, _write(tmp_path, _c2_payload(precision=precision))], capsys)
+    assert code == 3
+    assert err.startswith("refused:") and "modulus" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 2.0
+
+
+# -- schema fuzzing: every field of e1.json, mutated ---------------------------
+
+E1 = json.loads((FIXTURES / "e1.json").read_text(encoding="utf-8"))
+
+
+def _field_paths(node, path=()):
+    """The path of every key and list entry below node, parents first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+def _mutations(path):
+    """Copies of e1 with the field at path dropped, retyped or resized, and
+    with an extra key next to it."""
+    replacements = ["x", True, False, None, -1, -(2**64), 10**30, 2**64, [], {}, 2.5]
+    out = []
+    for value in ["DROP", "EXTRA"] + replacements:
+        data = copy.deepcopy(E1)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == "DROP":
+            del parent[path[-1]]
+        elif value == "EXTRA":
+            if not isinstance(parent, dict):
+                continue
+            parent["extra"] = 1
+        else:
+            parent[path[-1]] = value
+        out.append(data)
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", list(_field_paths(E1)), ids=lambda p: ".".join(map(str, p))
+)
+def test_mutated_fields_of_e1_end_in_a_contract_exit_code(tmp_path, capsys, path):
+    for data in _mutations(path):
+        file = _write(tmp_path, data)
+        for command in ("validate", "verify"):
+            code, _, err = run_cli([command, file], capsys)
+            assert code in (0, 1, 2, 3), (command, data)
+            assert "Traceback" not in err

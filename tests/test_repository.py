@@ -1,7 +1,9 @@
 """Repository-wide checks: the library's invariants survive ``python -O``,
-and every demo script runs to completion."""
+every demo script runs to completion, and every name the benchmark's tracer
+wraps exists."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +33,30 @@ def test_demo_runs(path):
         [sys.executable, str(path)], cwd=REPO, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _tracer_tables() -> dict:
+    """The SPAN_* and COUNT_* tables of perfbench/spans.py, read from its
+    source without importing it."""
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.startswith(("SPAN_", "COUNT_"))
+    }
+
+
+def test_every_traced_name_resolves_in_logcap():
+    tables = _tracer_tables()
+    assert set(tables) == {"SPAN_FUNCTIONS", "SPAN_METHODS", "COUNT_FUNCTIONS", "COUNT_METHODS"}
+    missing = []
+    for mod, attr, _ in tables["SPAN_FUNCTIONS"] + tables["COUNT_FUNCTIONS"]:
+        if not callable(getattr(importlib.import_module(f"logcap.{mod}"), attr, None)):
+            missing.append(f"{mod}.{attr}")
+    for mod, cls, attr, _ in tables["SPAN_METHODS"] + tables["COUNT_METHODS"]:
+        owner = getattr(importlib.import_module(f"logcap.{mod}"), cls, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{mod}.{cls}.{attr}")
+    assert missing == []

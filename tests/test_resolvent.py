@@ -8,7 +8,6 @@ from logcap.lattice import Submodule, quotient_order
 from logcap.resolvent import (
     CertificateError,
     RelationCertificate,
-    ResolventElt,
     boundary_module,
     certificate_determinants,
     delta,
@@ -32,26 +31,29 @@ def random_ring_elt(inst, rnd):
 
 
 def random_b_elt(inst, rnd):
-    a = tuple(rnd.randrange(o) for o in inst.coordinate_orders())
-    lam = tuple(rnd.randrange(inst.ring.modulus) for _ in range(inst.group.size() - 1))
-    return ResolventElt(inst, a, lam)
+    return tuple(rnd.randrange(o) for o in inst.frame.b_orders)
+
+
+def tau_minus_one(inst, tau):
+    return inst.frame.unit(inst.frame.tau_coord(tau))
+
+
+def add(inst, *vecs):
+    return inst.frame.b_reduce([sum(xs) for xs in zip(*vecs)])
 
 
 # -- the star action -----------------------------------------------------------
 
 
 def test_star_on_module_part_is_module_action(e1):
-    alpha_gamma = ResolventElt.from_a(e1, (1, 1))
-    out = star_act(e1, ring_elt(e1, {(1,): 1}), alpha_gamma)
-    assert out.a == e1.act((1,), (1, 1)) and not any(out.lam)
+    out = star_act(e1, ring_elt(e1, {(1,): 1}), (1, 1, 0))
+    assert out[:2] == e1.act((1,), (1, 1)) and out[2:] == (0,)
 
 
 def test_star_e1_tau_on_tau_minus_one(e1):
-    b = ResolventElt.basis_tau(e1, (1,))
-    out = star_act(e1, ring_elt(e1, {(1,): 1}), b)
+    out = star_act(e1, ring_elt(e1, {(1,): 1}), tau_minus_one(e1, (1,)))
     # tau * (tau - 1) = a_{tau,tau} + (1 - 1) - (tau - 1) = -(tau - 1)
-    assert out.a == (0, 0)
-    assert out.lam == (7,)
+    assert out == (0, 0, 7)
 
 
 def test_star_identity_fixes_everything(e1, rng):
@@ -77,13 +79,11 @@ def test_star_action_is_associative(fixture, rng, request):
 def test_omega_kills_module_part(e1, rng):
     for _ in range(5):
         a = tuple(rng.randrange(o) for o in e1.coordinate_orders())
-        out = omega_act(e1, ResolventElt.from_a(e1, a))
-        assert out.is_zero()
+        assert not any(omega_act(e1, a + (0,)))
 
 
 def test_omega_e1_on_tau_minus_one(e1):
-    out = omega_act(e1, ResolventElt.basis_tau(e1, (1,)))
-    assert out.a == (1, 0) and not any(out.lam)
+    assert omega_act(e1, tau_minus_one(e1, (1,))) == (1, 0, 0)
 
 
 @pytest.mark.parametrize("fixture", ["e1", "inst33", "trivial_atilde"])
@@ -91,7 +91,7 @@ def test_omega_squared_is_zero(fixture, rng, request):
     inst = request.getfixturevalue(fixture)
     for _ in range(10):
         b = random_b_elt(inst, rng)
-        assert omega_act(inst, omega_act(inst, b)).is_zero()
+        assert not any(omega_act(inst, omega_act(inst, b)))
 
 
 def test_omega_commutes_with_star(e1, inst33, rng):
@@ -106,27 +106,39 @@ def test_omega_commutes_with_star(e1, inst33, rng):
 
 def test_omega_ring_action(e1, rng):
     def act(x, b):  # r0 + w*r1 acts as r0 * b + w(r1 * b)
-        return star_act(e1, x.r0, b) + omega_act(e1, star_act(e1, x.r1, b))
+        return add(e1, star_act(e1, x.r0, b), omega_act(e1, star_act(e1, x.r1, b)))
 
     w = OmegaRingElt.omega(e1.group, e1.ring)
     for _ in range(5):
         b = random_b_elt(e1, rng)
         assert act(w, b) == omega_act(e1, b)
-        assert act(w * w, b).is_zero()
+        assert not any(act(w * w, b))
 
 
 # -- the trace ---------------------------------------------------------------------
 
 
 def test_trace_e1_examples(e1):
-    assert trace(e1, ResolventElt.basis_tau(e1, (1,))) == (0, 0)
-    assert trace(e1, ResolventElt.from_a(e1, (0, 1))) == (1, 2)
+    assert trace(e1, tau_minus_one(e1, (1,))) == (0, 0)
+    assert trace(e1, (0, 1, 0)) == (1, 2)
 
 
 def test_trace_is_norm_on_torsion_with_trivial_action(inst33):
     # the (3,3) fixture acts trivially on its torsion: Tr(a) = |G| a = 0
-    alpha = ResolventElt.from_a(inst33, inst33.atilde_embed((1,)))
-    assert trace(inst33, alpha) == inst33.a_scale(inst33.group.size(), inst33.atilde_embed((1,)))
+    alpha = inst33.atilde_embed((1,))
+    assert trace(inst33, alpha + (0,) * 8) == inst33.a_scale(inst33.group.size(), alpha)
+
+
+@pytest.mark.parametrize("fixture", ["e1", "inst33", "rank3"])
+def test_trace_matrix_is_the_star_action_of_the_trace(fixture, request):
+    inst = request.getfixturevalue(fixture)
+    frame = inst.frame
+    tr = trace_element(inst.group, inst.ring)
+    for k in range(frame.dim_b):
+        e_k = frame.unit(k)
+        via_star = star_act(inst, tr, e_k)
+        assert tuple(frame.apply(e_k, frame.trace_matrix)) == via_star[: inst.dim_a]
+        assert not any(via_star[inst.dim_a :])
 
 
 # -- distinguished submodules --------------------------------------------------------
@@ -147,7 +159,7 @@ def test_ig_star_b_e1_explicit(e1):
 def test_index_of_ig_b_in_degree_zero_is_group_order(fixture, request):
     inst = request.getfixturevalue(fixture)
     frame = inst.frame
-    b_tilde = frame.span([e.to_vec() for e in frame.bt_basis], frame.dim_b)
+    b_tilde = frame.span([frame.unit(k) for k in frame.bt_index], frame.dim_b)
     assert quotient_order(b_tilde, ig_star_b(inst)) == inst.group.size()
 
 
@@ -167,14 +179,15 @@ def test_ig_b_decomposes_through_degree_zero_part(e1, inst33):
 def test_index_modulo_ig_bt_plus_omega_bt_is_group_order(fixture, request):
     inst = request.getfixturevalue(fixture)
     frame = inst.frame
-    omega_rows = [omega_act(inst, b).to_vec() for b in frame.bt_basis]
+    bt_units = [frame.unit(k) for k in frame.bt_index]
+    omega_rows = [omega_act(inst, b) for b in bt_units]
     ig_bt_gens = []
     for tau in inst.group.generators():
         x = ring_elt(inst, {tau: 1, inst.group.identity(): -1})
-        for b in frame.bt_basis:
-            ig_bt_gens.append(star_act(inst, x, b).to_vec())
-    denom = frame.span(list(omega_rows) + ig_bt_gens, frame.dim_b)
-    b_tilde = frame.span([e.to_vec() for e in frame.bt_basis], frame.dim_b)
+        for b in bt_units:
+            ig_bt_gens.append(star_act(inst, x, b))
+    denom = frame.span(omega_rows + ig_bt_gens, frame.dim_b)
+    b_tilde = frame.span(bt_units, frame.dim_b)
     assert quotient_order(b_tilde, denom) == inst.group.size()
 
 
@@ -216,28 +229,30 @@ def test_certificate_augmentation_pattern(inst33):
 def test_certificate_residuals_verify_by_substitution(inst33):
     cert = relation_matrices(inst33)
     gens = inst33.group.generators()
-    b = [ResolventElt.basis_tau(inst33, t) for t in gens]
+    b = [tau_minus_one(inst33, t) for t in gens]
     zero = GroupRingElt.zero(inst33.group, inst33.ring)
+
+    def minus(v):
+        return tuple(-x for x in v)
+
     for i in range(cert.size()):
         o_i = inst33.group.orders[i]
-        resid = b[i].scale(o_i)
+        terms = [tuple(o_i * x for x in b[i])]
         for j in range(cert.size()):
             diag = GroupRingElt.scalar(inst33.group, inst33.ring, o_i) if i == j else zero
             mu_ij = diag - cert.m_matrix[i][j]
-            resid = resid - star_act(inst33, mu_ij, b[j])
-            resid = resid - omega_act(
-                inst33, star_act(inst33, cert.n_matrix[i][j], b[j])
-            )
-        assert resid.is_zero()
+            terms.append(minus(star_act(inst33, mu_ij, b[j])))
+            terms.append(minus(omega_act(inst33, star_act(inst33, cert.n_matrix[i][j], b[j]))))
+        assert not any(add(inst33, *terms))
         # gamma form: o_i b_i = sum lam_ij * b_j + mu_i * gamma
-        resid = b[i].scale(o_i)
+        terms = [tuple(o_i * x for x in b[i])]
         for j in range(cert.size()):
             diag = GroupRingElt.scalar(inst33.group, inst33.ring, o_i) if i == j else zero
             lam_ij = diag - cert.lam_matrix[i][j]
-            resid = resid - star_act(inst33, lam_ij, b[j])
-        gamma_elt = ResolventElt.from_a(inst33, inst33.gamma())
-        resid = resid - star_act(inst33, cert.mu_vector[i], gamma_elt)
-        assert resid.is_zero()
+            terms.append(minus(star_act(inst33, lam_ij, b[j])))
+        gamma = inst33.gamma() + (0,) * 8
+        terms.append(minus(star_act(inst33, cert.mu_vector[i], gamma)))
+        assert not any(add(inst33, *terms))
 
 
 def test_certificate_dets_equal_trace(e1, inst33):
@@ -284,9 +299,10 @@ def test_delta_rejects_non_trace_multiple(e1):
 def test_trace_equals_omega_delta_on_generators(inst33):
     cert = relation_matrices(inst33)
     d = delta(inst33, cert)
-    for b in inst33.frame.bt_basis:
-        got = omega_act(inst33, star_act(inst33, d, b))
-        assert trace(inst33, b) == got.a and not any(got.lam)
+    frame = inst33.frame
+    for k in frame.bt_index:
+        got = omega_act(inst33, star_act(inst33, d, frame.unit(k)))
+        assert trace(inst33, frame.unit(k)) == got[: inst33.dim_a] and not any(got[inst33.dim_a :])
 
 
 def test_trivial_group_certificate():

@@ -1,7 +1,6 @@
 import pytest
 
 from logcap.extension import u_order
-from logcap.forge import SearchParams, random_instance
 from logcap.instance import coboundary_shift
 from logcap.verifier import CHECK_IDS, run_all, run_check
 
@@ -32,19 +31,11 @@ def test_inst33_all_checks_pass(inst33):
     assert by_id["V9"].witness["index"] == 9
 
 
-def test_rank_three_group_passes_every_check():
-    params = SearchParams(
-        prime=2,
-        precision=4,
-        g_orders_list=((2, 2, 2),),
-        atilde_orders_list=((2,),),
-        seed=0,
-    )
-    inst = random_instance(params, (2, 2, 2), (2,))
-    assert u_order(inst) == 256
-    rep = run_all(inst, oracle_bound=4096)
+def test_rank_three_group_passes_every_check(rank3):
+    assert u_order(rank3) == 256
+    rep = run_all(rank3, oracle_bound=4096)
     assert {v.check_id: v.status for v in rep.verdicts} == dict.fromkeys(CHECK_IDS, "pass")
-    m_matrix = inst.frame.relations[0].m_matrix
+    m_matrix = rank3.frame.relations[0].m_matrix
     assert len(m_matrix) == 3 and all(len(row) == 3 for row in m_matrix)
 
 
