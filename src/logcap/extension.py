@@ -6,11 +6,22 @@ validated instances only (the verifier exercises them on broken data too,
 where failures are the point).
 
 The transfer is computed against the fixed transversal u_t = (0, t); other
-transversals are reachable through coboundary shifts of the instance.
+transversals are reachable through coboundary shifts of the instance.  Into
+the abelian normal subgroup A it is an affine map, a norm plus a factor-set
+correction (Neukirch, Schmidt & Wingberg, *Cohomology of Number Fields*):
+
+    transfer(a, tau) = N * a + c(tau),   N = sum_h h,
+    c(tau) = sum_g (tau g)^-1 * f(tau, g).
+
+The instance's frame holds N and the offsets c(tau).  The map equals the
+coset sum sum_g (tau g)^-1 * (a + f(tau, g)) taken on reduced coordinates
+exactly when the action respects the torsion orders (validation's
+``action-well-defined``); only then is either side a function on A.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Tuple, TYPE_CHECKING
 
@@ -70,8 +81,6 @@ class UElement:
 
 def u_elements(inst: "Instance"):
     """All of U in a deterministic order (A coordinates outer, G inner)."""
-    import itertools
-
     orders = inst.coordinate_orders()
     for a in itertools.product(*(range(o) for o in orders)):
         for g in inst.group.elements():
@@ -110,21 +119,16 @@ def derived_subgroup(inst: "Instance", degree_zero: bool = False) -> Submodule:
 
 
 def transfer(inst: "Instance", u: UElement) -> Vec:
-    """The transfer of u into A against the transversal u_t = (0, t).
+    """The transfer of u = (a, tau) into A against the transversal u_t = (0, t).
 
-    u * u_t = u_{st} * (x_t, 1) forces x_t = (st)^-1 * (a + f(s, t)); the
-    transfer is the sum of the x_t, constant on cosets of the derived
-    subgroup and a homomorphism there.
+    u * u_t = u_{tau t} * (x_t, 1) forces x_t = (tau t)^-1 * (a + f(tau, t));
+    the sum of the x_t is N * a + c(tau), read off the frame's affine map.
+    It is constant on cosets of the derived subgroup and a homomorphism
+    there, on instances whose action is well defined on A.
     """
     if u.instance != inst:
         raise InstanceMismatchError("element does not belong to this instance")
-    group = inst.group
-    out = inst.a_zero()
-    for g in group.elements():
-        prod_g_inv = group.inv(group.mul(u.tau, g))
-        term = inst.act(prod_g_inv, inst.a_add(u.a, inst.cocycle_in_a(u.tau, g)))
-        out = inst.a_add(out, term)
-    return out
+    return inst.frame.transfer_map(u.a, u.tau)
 
 
 def log_iso(inst: "Instance", u: UElement) -> ResolventElt:
@@ -135,7 +139,8 @@ def log_iso(inst: "Instance", u: UElement) -> ResolventElt:
     """
     if u.instance != inst:
         raise InstanceMismatchError("element does not belong to this instance")
-    lam = [0] * (inst.group.size() - 1)
-    if u.tau != inst.group.identity():
-        lam[inst.group.nonidentity().index(u.tau)] = 1
+    nonid_index = inst.frame.nonid_index
+    lam = [0] * len(nonid_index)
+    if u.tau in nonid_index:
+        lam[nonid_index[u.tau]] = 1
     return ResolventElt(inst, u.a, tuple(lam))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groupring import AbelianLGroup, GElt
+from .groupring import AbelianLGroup, GElt, _is_l_power
 from .instance import (
     Instance,
     build_instance,
@@ -539,21 +539,26 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     }
     coc = {(s, g): inst.cocycle_in_a(s, g) for s in gelts for g in gelts}
 
-    def add(x, y):
-        return tuple((p + q) % o for p, q, o in zip(x, y, orders))
-
     def mul(u, v):
+        """(a, s) * (b, t) = (a + s*b + f(s, t), st), one pass over the coordinates."""
         a, s = u
         b, t = v
-        return (add(add(a, act[s][b]), coc[s, t]), gmul[s, t])
+        return (
+            tuple((x + y + z) % o for x, y, z, o in zip(a, act[s][b], coc[s, t], orders)),
+            gmul[s, t],
+        )
 
     elements = [(a, g) for a in a_elts for g in gelts]
-    identity = (tuple(0 for _ in orders), group.identity())
+    one = group.identity()
+    zero = tuple(0 for _ in orders)
+    identity = (zero, one)
     inv = {}
     for u in elements:
         a, s = u
         si = ginv[s]
-        b = tuple((-x) % o for x, o in zip(add(act[si][a], act[si][coc[s, si]]), orders))
+        b = tuple(
+            (-x - y) % o for x, y, o in zip(act[si][a], act[si][coc[s, si]], orders)
+        )
         cand = (b, si)
         if mul(u, cand) != identity:
             raise InternalInvariantError("oracle inverse failed verification")
@@ -585,7 +590,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
         for s in generating_set(pool):
             for x in pool:
                 c = mul(mul(x, s), inv[mul(s, x)])
-                if c[1] != group.identity():
+                if c[1] != one:
                     raise InternalInvariantError(
                         "commutator left the abelian normal subgroup"
                     )
@@ -596,7 +601,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     degree_zero = [u for u in elements if u[0][-1] % inst.ring.modulus == 0]
     derived_dz = commutator_span(degree_zero)
 
-    transversal = {g: (tuple(0 for _ in orders), g) for g in gelts}
+    transversal = {g: (zero, g) for g in gelts}
     transfer = {}
     for u in elements:
         acc = identity
@@ -604,11 +609,11 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
             w = mul(u, transversal[g])
             rep = transversal[w[1]]
             acc = mul(acc, mul(inv[rep], w))
-        if acc[1] != group.identity():
+        if acc[1] != one:
             raise InternalInvariantError("transfer product left the module")
         transfer[u] = acc[0]
 
-    gamma_lift = (inst.gamma(), group.identity())
+    gamma_lift = (inst.gamma(), one)
     gamma_comms = set()
     for g in gelts:
         c = mul(mul(gamma_lift, transversal[g]), inv[mul(transversal[g], gamma_lift)])
@@ -644,7 +649,18 @@ def _instance_name(inst: Instance, index: int) -> str:
 
 def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_dir) -> dict:
     """Write instance files plus a manifest recording how each component of
-    the search space was covered (exhausted, sampled, or excluded)."""
+    the search space was covered (exhausted, sampled, or excluded).
+
+    Malformed parameters raise before anything is written: a composite
+    prime, precision 0 or an order that is not a power of the prime is an
+    error, while a valid shape below the precision floor is recorded as
+    excluded."""
+    ZModRing(params.prime, params.precision)
+    for comp in components:
+        AbelianLGroup(params.prime, comp.g_orders)
+        for o in comp.atilde_orders:
+            if o < params.prime or not _is_l_power(o, params.prime):
+                raise ValueError(f"torsion order {o} is not a positive power of {params.prime}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {

@@ -79,17 +79,18 @@ class Frame:
     """The derived state of one instance, each member computed on first use.
 
     Holds the coefficient ring, the coordinate orders and the G-action of
-    A, the star, omega and trace matrices of B, I_G * B-tilde and the
-    ambiguous classes, and the relation certificate with delta.  Every
-    instance owns one, as ``inst.frame``; the data it is derived from is
-    immutable, so nothing here is ever invalidated.  Coordinates of B: the
-    torsion generators of A, then gamma, then the (tau - 1); B-tilde drops
-    gamma.  Torsion comes first in all three, so ``span`` serves each of
-    them.
+    A, the star, omega and trace matrices of B, the transfer as an affine
+    map of A, I_G * B-tilde and the ambiguous classes, and the relation
+    certificate with delta.  Every instance owns one, as ``inst.frame``;
+    the data it is derived from is immutable, so nothing here is ever
+    invalidated.  Coordinates of B: the torsion generators of A, then
+    gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes first
+    in all three, so ``span`` serves each of them.
     """
 
     def __init__(self, inst: "Instance"):
         self.inst = inst
+        self._offsets: Dict[GElt, Vec] = {}
 
     @cached_property
     def ring(self) -> ZModRing:
@@ -261,6 +262,34 @@ class Frame:
                 raise InternalInvariantError("trace left a nonzero I_G component")
             rows.append(inst.a_reduce(row[:d]))
         return tuple(rows)
+
+    # the transfer into A -------------------------------------------------------
+
+    @cached_property
+    def norm_matrix(self) -> tuple:
+        """N, the sum of the action matrices of all h in G."""
+        N = self.ring.modulus
+        d = self.inst.dim_a
+        mats = self.action.values()
+        return tuple(tuple(sum(m[i][j] for m in mats) % N for j in range(d)) for i in range(d))
+
+    def transfer_map(self, a: Sequence[int], tau: GElt) -> Vec:
+        """The transfer of (a, tau) into A: N * a + c(tau).
+
+        The offset c(tau) = sum_g (tau g)^-1 * f(tau, g) is computed on
+        first use: a check that touches only the generators never pays
+        for the other offsets.
+        """
+        inst = self.inst
+        c = self._offsets.get(tau)
+        if c is None:
+            group = inst.group
+            c = inst.a_zero()
+            for g in group.elements():
+                tg_inv = group.inv(group.mul(tau, g))
+                c = inst.a_add(c, inst.act(tg_inv, inst.cocycle_in_a(tau, g)))
+            self._offsets[tau] = c
+        return inst.a_add(self.apply(a, self.norm_matrix), c)
 
     # shared submodules -------------------------------------------------------
 

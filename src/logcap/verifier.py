@@ -88,7 +88,7 @@ def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
         elements.append(extension.UElement(inst, inst.a_zero(), tau))
     exhaustive = extension.u_order(inst) <= oracle_bound
     if exhaustive:
-        elements = list(extension.u_elements(inst))
+        elements = extension.u_elements(inst)
     checked = 0
     for u in elements:
         via_transfer = extension.transfer(inst, u)

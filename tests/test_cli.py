@@ -288,6 +288,35 @@ def test_search_with_a_composite_prime_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "not prime" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--precision", "3", "--G", "3", "--Atilde", "2"], "cyclic factor order 3"),
+        (["--precision", "1", "--G", "2", "--Atilde", "3"], "torsion order 3"),
+        (["--precision", "0", "--G", "2", "--Atilde", "2"], "precision must be >= 1"),
+    ],
+)
+def test_search_with_malformed_orders_or_precision_is_an_input_error(
+    tmp_path, capsys, args, message
+):
+    # each shape is below the precision floor, so none may pass as excluded
+    code, out, err = run_cli(["search", "--prime", "2", *args, "--out", tmp_path / "c"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert "wrote" not in out and not (tmp_path / "c").exists()
+
+
+def test_search_below_the_precision_floor_records_the_exclusion(tmp_path, capsys):
+    code, out, _ = run_cli(
+        ["search", "--prime", "2", "--precision", "2", "--G", "4", "--Atilde", "4",
+         "--out", tmp_path / "c"],
+        capsys,
+    )
+    assert code == 0 and "wrote 0 instance(s)" in out
+    (comp,) = json.loads((tmp_path / "c" / "manifest.json").read_text())["components"]
+    assert comp["mode"] == "excluded" and "below the floor" in comp["skip_reason"]
+
+
 @pytest.mark.parametrize("precision", [30000, 10**6])
 @pytest.mark.parametrize("command", ["validate", "verify"])
 def test_coefficient_modulus_above_the_limit_is_refused_at_once(

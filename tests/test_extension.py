@@ -11,8 +11,9 @@ from logcap.extension import (
     u_elements,
     u_order,
 )
-from logcap.instance import build_instance, coboundary_shift
+from logcap.instance import build_instance, coboundary_shift, load_instance, validate
 from logcap.resolvent import ig_star_b, trace
+from tests.conftest import FIXTURES, corpus_paths
 
 
 def test_identity_component_adds(e1):
@@ -85,6 +86,30 @@ def test_transfer_e1_worked_examples(e1):
     assert transfer(e1, UElement(e1, (0, 0), (1,))) == (0, 0)
     # Ver((gamma, 1)) = 2 gamma + alpha
     assert transfer(e1, UElement(e1, (0, 1), (0,))) == (1, 2)
+
+
+def coset_loop_transfer(inst, u):
+    """The transfer by its definition: sum_g (tau g)^-1 * (a + f(tau, g))."""
+    group = inst.group
+    out = inst.a_zero()
+    for g in group.elements():
+        tg_inv = group.inv(group.mul(u.tau, g))
+        out = inst.a_add(out, inst.act(tg_inv, inst.a_add(u.a, inst.cocycle_in_a(u.tau, g))))
+    return out
+
+
+def test_transfer_matches_coset_loop_definition():
+    paths = [p for p in corpus_paths() if u_order(load_instance(p)) <= 4096]
+    paths += [FIXTURES / f"{name}.json" for name in ("e1", "corrupted_cocycle", "h1_violating")]
+    checked = 0
+    for path in paths:
+        inst = load_instance(path)
+        # the affine form is exact where the action respects the torsion orders
+        assert "action-well-defined" not in validate(inst).failed_names()
+        for u in u_elements(inst):
+            assert transfer(inst, u) == coset_loop_transfer(inst, u), (path.name, u.a, u.tau)
+            checked += 1
+    assert checked == 17285
 
 
 def test_transfer_is_homomorphism_killing_derived(e1):

@@ -25,7 +25,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from tests.conftest import corpus_paths
+from tests.conftest import CORPUS, FIXTURES, corpus_paths
 
 
 def test_enumerate_unique_instance_for_trivial_torsion():
@@ -217,6 +217,26 @@ def test_oracle_derived_equals_all_pairs_span():
         facts = oracle_group(inst)
         assert facts.derived == _all_pairs_derived(inst, degree_zero=False)
         assert facts.derived_degree_zero == _all_pairs_derived(inst, degree_zero=True)
+
+
+def test_oracle_independent_of_formula_code(monkeypatch):
+    from logcap import extension, resolvent
+
+    paths = [FIXTURES / "e1.json", CORPUS / "l2" / "p2_n4_G2x2_A2x2_000.json"]
+    want = [oracle_group(load_instance(p)) for p in paths]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called into the formula code")
+
+    monkeypatch.setattr(extension, "transfer", refuse)
+    monkeypatch.setattr(extension, "derived_subgroup", refuse)
+    monkeypatch.setattr(resolvent.Frame, "transfer_map", refuse)
+    monkeypatch.setattr(resolvent.Frame, "norm_matrix", property(refuse))
+    monkeypatch.setattr(resolvent.Frame, "trace_matrix", property(refuse))
+    for path, facts in zip(paths, want):
+        inst = load_instance(path)
+        assert oracle_group(inst) == facts
+    assert [facts.u_order for facts in want] == [32, 256]
 
 
 # -- corpus building -------------------------------------------------------------

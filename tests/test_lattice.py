@@ -17,6 +17,7 @@ from logcap.lattice import (
 Z8 = ZModRing(2, 3)
 Z4 = ZModRing(2, 2)
 Z9 = ZModRing(3, 2)
+Z27 = ZModRing(3, 3)
 
 
 def span_brute(rows, ring):
@@ -121,7 +122,7 @@ def test_solve_unit_target_unreachable():
     assert solve([[2]], [1], Z8) is None
 
 
-@pytest.mark.parametrize("ring", [Z8, Z9])
+@pytest.mark.parametrize("ring", [Z8, Z9, Z4, Z27])
 def test_solve_agrees_with_exhaustive_scan(ring):
     rnd = random.Random(99)
     for _ in range(30):
@@ -217,6 +218,87 @@ def test_preimage_matches_brute_force():
         for x in itertools.product(range(8), repeat=2):
             img = tuple(sum(c * w[i][j] for i, c in enumerate(x)) % 8 for j in range(2))
             assert (x in pre) == (img in sub)
+
+
+# -- Howell form, kernel and preimage pinned to enumeration over Z/4 .. Z/27 -----
+
+ENUMERATED = pytest.mark.parametrize("ring", [Z4, Z8, Z9, Z27], ids=lambda r: f"Z{r.modulus}")
+
+
+def random_rows(rnd, ring, nrows, width):
+    return [[rnd.randrange(ring.modulus) for _ in range(width)] for _ in range(nrows)]
+
+
+def times(x, rows, ring):
+    """The row vector x * rows over the ring."""
+    return tuple(
+        sum(c * r[j] for c, r in zip(x, rows)) % ring.modulus for j in range(len(rows[0]))
+    )
+
+
+@ENUMERATED
+def test_howell_form_is_canonical_by_enumeration(ring):
+    rnd = random.Random(400 + ring.modulus)
+    N, width = ring.modulus, 3
+    for trial in range(30):
+        rows = random_rows(rnd, ring, rnd.randint(1, 2), width)
+        if trial % 2:  # the same span: unit multiples plus a multiple of the other row
+            units = [rnd.choice([1, N - 1, 1 + ring.prime]) for _ in rows]
+            other = [[(u * x) % N for x in r] for u, r in zip(units, rows)]
+            if len(other) == 2:
+                c = rnd.randrange(N)
+                other[0] = [(x + c * y) % N for x, y in zip(other[0], other[1])]
+            rnd.shuffle(other)
+        else:
+            other = random_rows(rnd, ring, rnd.randint(1, 2), width)
+        spanned = span_brute(rows, ring)
+        sub = Submodule.from_generators(ring, width, rows)
+        assert (sub.basis == Submodule.from_generators(ring, width, other).basis) == (
+            spanned == span_brute(other, ring)
+        )
+        assert set(sub.elements()) == spanned and sub.order() == len(spanned)
+        # Howell shape: l-power pivots, zeros before them, entries above them reduced
+        assert list(sub.pivots) == sorted(set(sub.pivots))
+        for k, (row, col) in enumerate(zip(sub.basis, sub.pivots)):
+            assert not any(row[:col]) and row[col] == ring.prime ** ring.val(row[col])
+            assert all(sub.basis[i][col] < row[col] for i in range(k))
+        # Howell property: the members vanishing on the first k coordinates
+        # are spanned by the basis rows with pivots at k or later
+        for k in range(width + 1):
+            tail = [r for r, col in zip(sub.basis, sub.pivots) if col >= k]
+            expect = span_brute(tail, ring) if tail else {(0,) * width}
+            assert {v for v in spanned if not any(v[:k])} == expect
+
+
+@ENUMERATED
+def test_kernel_matches_enumeration(ring):
+    rnd = random.Random(600 + ring.modulus)
+    for _ in range(20):
+        nrows = rnd.randint(1, 3 if ring.modulus < 27 else 2)
+        rows = random_rows(rnd, ring, nrows, 2)
+        ker = kernel(rows, 2, ring)
+        brute = {
+            x
+            for x in itertools.product(range(ring.modulus), repeat=nrows)
+            if not any(times(x, rows, ring))
+        }
+        assert set(ker.elements()) == brute
+
+
+@ENUMERATED
+def test_preimage_matches_enumeration(ring):
+    rnd = random.Random(700 + ring.modulus)
+    for _ in range(20):
+        rows = random_rows(rnd, ring, 2, 2)
+        sub_rows = random_rows(rnd, ring, rnd.randint(0, 1), 2)
+        sub = Submodule.from_generators(ring, 2, sub_rows)
+        members = span_brute(sub_rows, ring) if sub_rows else {(0, 0)}
+        brute = {
+            x
+            for x in itertools.product(range(ring.modulus), repeat=2)
+            if times(x, rows, ring) in members
+        }
+        assert set(preimage(rows, sub, ring).elements()) == brute
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
