@@ -193,11 +193,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "instances" not in payload:
+    try:
+        payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        print(f"error: {args.path}: not UTF-8 text (byte {e.start}: {e.reason})", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        if not isinstance(payload, dict) or "instances" not in payload:
+            raise TypeError("no instance list")
+        text = _render(payload, args.format)
+    except (KeyError, TypeError, AttributeError):  # a field missing or of the wrong type
         print("error: not a verification report", file=sys.stderr)
         return EXIT_INPUT
-    text = _render(payload, args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

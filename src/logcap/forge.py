@@ -1,12 +1,15 @@
 """Construction of valid instances, and the enumeration oracle.
 
-Enumeration is exact rather than rejection-based: for a fixed action
-configuration the admissible factor sets form a finite module (the
-associativity identity, normalization and the inverse convention are all
-linear), so we solve for that module once, walk its elements, and keep one
-canonical representative per coboundary class.  Actions are enumerated
-directly from the torsion structure (entry steps forced by well-definedness,
-powers and commutators checked on the nose).
+A search covers the (G, A~) shapes at or above the precision floor.  For a
+fixed action configuration the admissible factor sets form a finite module
+(the associativity identity, normalization and the inverse convention are
+all linear), so enumeration solves for that module once, walks its
+elements and keeps one canonical representative per coboundary class;
+``estimate_space`` counts them, ``enumerate_instances`` refuses through
+that count, and ``random_instance`` samples the same module.  Actions come
+directly from the torsion structure: entry steps forced by
+well-definedness, then powers, norms and commutators checked with one
+matrix product that reduces each column by its own order.
 
 The oracle at the bottom knows nothing about any of that: it materializes
 the extension group, finds its own generating set by greedy closure, takes
@@ -22,11 +25,11 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .groupring import AbelianLGroup, GElt, _is_l_power
+from .groupring import AbelianLGroup, GElt, check_l_powers
 from .instance import (
     Instance,
     build_instance,
@@ -42,14 +45,12 @@ Vec = Tuple[int, ...]
 
 
 class CeilingExceededError(RuntimeError):
-    def __init__(self, estimate: int, ceiling: int, exact: bool = True):
-        bound = "" if exact else "at least "
+    def __init__(self, estimate: int, ceiling: int):
         super().__init__(
-            f"estimated search space of {bound}{estimate} factor sets exceeds ceiling {ceiling}"
+            f"estimated search space of at least {estimate} factor sets exceeds ceiling {ceiling}"
         )
         self.estimate = estimate
         self.ceiling = ceiling
-        self.exact = exact
 
 
 class OracleBoundError(RuntimeError):
@@ -85,85 +86,59 @@ def _torsion_endomorphisms(d: Tuple[int, ...]):
         yield tuple(tuple(flat[i * t + j] for j in range(t)) for i in range(t))
 
 
-def _t_mat_mul(a, b, d):
-    t = len(d)
+def _mat_mul(a, b, orders):
+    """The product of two square matrices, column j reduced mod orders[j]."""
+    n = len(orders)
     return tuple(
-        tuple(sum(a[i][r] * b[r][j] for r in range(t)) % d[j] for j in range(t))
-        for i in range(t)
+        tuple(sum(a[i][r] * b[r][j] for r in range(n)) % orders[j] for j in range(n))
+        for i in range(n)
     )
-
-
-def _t_mat_pow(p, k, d):
-    t = len(d)
-    out = tuple(tuple(1 if i == j else 0 for j in range(t)) for i in range(t))
-    for _ in range(k):
-        out = _t_mat_mul(out, p, d)
-    return out
 
 
 def _generator_candidates(d: Tuple[int, ...], order: int):
     """(P, q) with P^order = 1 on the torsion and q * (1 + P + ... + P^(o-1)) = 0."""
     t = len(d)
+    one = tuple(tuple(int(i == j) for j in range(t)) for i in range(t))
     out = []
     for p in _torsion_endomorphisms(d):
-        acc = _t_mat_pow(p, 0, d)  # the identity
-        if _t_mat_pow(p, order, d) != acc:
-            continue
-        # norm matrix 1 + P + ... + P^(order-1)
-        total = [[0] * t for _ in range(t)]
+        # the norm 1 + P + ... + P^(order-1); the loop ends on P^order
+        norm = [[0] * t for _ in range(t)]
+        power = one
         for _ in range(order):
             for i in range(t):
                 for j in range(t):
-                    total[i][j] = (total[i][j] + acc[i][j]) % d[j]
-            acc = _t_mat_mul(acc, p, d)
+                    norm[i][j] += power[i][j]
+            power = _mat_mul(power, p, d)
+        if power != one:
+            continue
         for q in itertools.product(*(range(o) for o in d)):
             if all(
-                sum(q[i] * total[i][j] for i in range(t)) % d[j] == 0 for j in range(t)
+                sum(q[i] * norm[i][j] for i in range(t)) % d[j] == 0 for j in range(t)
             ):
                 out.append((p, q))
     return out
 
 
-def _full_matrix(p, q, t: int, modulus: int):
-    rows = []
-    for i in range(t):
-        rows.append([p[i][j] % modulus for j in range(t)] + [0])
-    rows.append([q[j] % modulus for j in range(t)] + [1])
-    return rows
-
-
-def _actions_commute(mats, d, modulus) -> bool:
-    t = len(d)
-    dim = t + 1
-    orders = list(d) + [modulus]
-
-    def mul(a, b):
-        return [
-            [sum(a[i][r] * b[r][j] for r in range(dim)) % modulus for j in range(dim)]
-            for i in range(dim)
-        ]
-
-    for x in range(len(mats)):
-        for y in range(x + 1, len(mats)):
-            ab = mul(mats[x], mats[y])
-            ba = mul(mats[y], mats[x])
-            for i in range(dim):
-                for j in range(dim):
-                    if (ab[i][j] - ba[i][j]) % orders[j]:
-                        return False
-    return True
+def _full_matrix(p, q, modulus: int):
+    """The action on A = T + Z/l^n * gamma: P on the torsion, gamma -> gamma + q."""
+    rows = tuple(tuple(x % modulus for x in row) + (0,) for row in p)
+    return rows + (tuple(x % modulus for x in q) + (1,),)
 
 
 def action_configurations(prime: int, precision: int, g_orders, atilde_orders):
     """All commuting tuples of admissible generator actions, in a fixed order."""
     d = tuple(atilde_orders)
     modulus = prime**precision
+    orders = d + (modulus,)
     per_gen = [_generator_candidates(d, o) for o in g_orders]
     configs = []
     for combo in itertools.product(*per_gen):
-        mats = [_full_matrix(p, q, len(d), modulus) for (p, q) in combo]
-        if _actions_commute(mats, d, modulus):
-            configs.append(tuple(tuple(tuple(r) for r in m) for m in mats))
+        mats = tuple(_full_matrix(p, q, modulus) for p, q in combo)
+        if all(
+            _mat_mul(x, y, orders) == _mat_mul(y, x, orders)
+            for x, y in itertools.combinations(mats, 2)
+        ):
+            configs.append(mats)
     return configs
 
 
@@ -224,11 +199,7 @@ class _CocycleSpace:
                         col = new_col(self.d[j])
                         # s * a_{g,r}: value coordinate i feeds target j via P_s
                         for i in range(self.t):
-                            c = p_s[i][j]
-                            if c:
-                                col[self._var((g, r), i)] = (
-                                    col[self._var((g, r), i)] + c
-                                )
+                            col[self._var((g, r), i)] += p_s[i][j]
                         if sg != one:
                             col[self._var((sg, r), j)] -= 1
                         if gr != one:
@@ -243,9 +214,8 @@ class _CocycleSpace:
 
     def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
         """The x in (Z/exp T)^nvars with x . cols[c] = 0 mod orders[c] for
-        every condition column c; all of the module if there is none."""
-        if not cols:
-            return Submodule.from_generators(self.ring, nvars, [_unit(nvars, k) for k in range(nvars)])
+        every condition column c.  There are no conditions only when there
+        are no variables."""
         N = self.ring.modulus
         width = len(cols)
         rows = [[cols[c][v] % N for c in range(width)] for v in range(nvars)]
@@ -256,10 +226,18 @@ class _CocycleSpace:
         return tuple(x % o for x, o in zip(vec, self.orders))
 
     def count(self) -> int:
-        torsion = Submodule.from_generators(
-            self.ring, self.nvars, [_unit(self.nvars, k, o) for k, o in enumerate(self.orders)]
-        )
-        return self._sub.order() // torsion.order()
+        # the solution module holds every torsion multiple o_k e_k, which
+        # spans N / o_k values in coordinate k and reduces to the zero table
+        return self._sub.order() // math.prod(self.ring.modulus // o for o in self.orders)
+
+    def sample(self, rng: random.Random) -> Vec:
+        """A random factor-set vector: one coefficient mod exp(T) drawn per
+        basis row of the solution module, in basis order."""
+        vec = [0] * self.nvars
+        for row in self._sub.basis:
+            c = rng.randrange(self.ring.modulus)
+            vec = [x + c * y for x, y in zip(vec, row)]
+        return self._reduce_table(vec)
 
     def tables(self) -> List[Vec]:
         """All factor-set vectors, sorted."""
@@ -279,9 +257,7 @@ class _CocycleSpace:
                 col = [0] * nshift
                 col[self.nonid.index(tau) * self.t + j] += 1
                 for i in range(self.t):
-                    c = p_t[i][j]
-                    if c:
-                        col[self.nonid.index(ti) * self.t + i] += c
+                    col[self.nonid.index(ti) * self.t + i] += p_t[i][j]
                 cols.append(col)
                 orders.append(self.d[j])
         admissible = self._kernel_mod_orders(cols, orders, nshift)
@@ -325,7 +301,7 @@ class _CocycleSpace:
         }
 
 
-def _unit(n, k, c=1):
+def _unit(n, k, c):
     row = [0] * n
     row[k] = c
     return row
@@ -356,63 +332,62 @@ def _precision_floor(prime, atilde_orders, g_orders) -> int:
     return sum(precision_terms(prime, atilde_orders, g_orders)) + 1
 
 
-def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=None):
-    """The number of factor sets the enumeration must walk.
+def _shapes(params: SearchParams, g_orders=None, atilde_orders=None):
+    """The (G, A~) shapes a search covers, the given one or every pair of
+    the params' lists, less those below the precision floor."""
+    shapes = (
+        [(tuple(g_orders), tuple(atilde_orders))]
+        if g_orders is not None
+        else [(g, a) for g in params.g_orders_list for a in params.atilde_orders_list]
+    )
+    return [
+        (g, a) for g, a in shapes if params.precision >= _precision_floor(params.prime, a, g)
+    ]
 
-    With ``abort_above`` set, stops counting once the running total passes
-    it and returns (total_so_far, False); the flag reports exactness.
+
+def _spaces(params: SearchParams, g_orders, atilde_orders):
+    """(action, factor-set space) for each action configuration of a shape,
+    each space built when the caller reaches it."""
+    for action in action_configurations(params.prime, params.precision, g_orders, atilde_orders):
+        yield action, _CocycleSpace(params.prime, params.precision, g_orders, atilde_orders, action)
+
+
+def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=None) -> int:
+    """The number of factor sets the enumeration must walk, 0 below the
+    precision floor.
+
+    With ``abort_above`` set, counting stops once the running total passes
+    it, so a result above ``abort_above`` is a lower bound and one at or
+    below it is exact.
     """
-    if params.precision < _precision_floor(params.prime, atilde_orders, g_orders):
-        return 0 if abort_above is None else (0, True)
     total = 0
-    for action in action_configurations(
-        params.prime, params.precision, g_orders, atilde_orders
-    ):
-        space = _CocycleSpace(
-            params.prime, params.precision, g_orders, atilde_orders, action
-        )
-        total += space.count()
-        if abort_above is not None and total > abort_above:
-            return total, False
-    return total if abort_above is None else (total, True)
+    for g, a in _shapes(params, g_orders, atilde_orders):
+        for _, space in _spaces(params, g, a):
+            total += space.count()
+            if abort_above is not None and total > abort_above:
+                return total
+    return total
 
 
 def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None):
     """All validate-passing instances, one per coboundary class, in a
     deterministic order.  Refuses up front when the space is too large."""
-    combos = (
-        [(tuple(g_orders), tuple(atilde_orders))]
-        if g_orders is not None
-        else [
-            (g, a)
-            for g in params.g_orders_list
-            for a in params.atilde_orders_list
-        ]
-    )
-    estimate = 0
-    work = []
-    for g, a in combos:
-        if params.precision < _precision_floor(params.prime, a, g):
-            continue
-        configs = action_configurations(params.prime, params.precision, g, a)
-        spaces = []
-        for cfg in configs:
-            space = _CocycleSpace(params.prime, params.precision, g, a, cfg)
-            estimate += space.count()
-            if estimate > params.ceiling:
-                raise CeilingExceededError(estimate, params.ceiling, exact=False)
-            spaces.append(space)
-        work.append((g, a, configs, spaces))
-    for g, a, configs, spaces in work:
-        for cfg, space in zip(configs, spaces):
+    shapes = _shapes(params, g_orders, atilde_orders)
+    total = 0
+    for g, a in shapes:
+        total += estimate_space(params, g, a, abort_above=params.ceiling - total)
+        if total > params.ceiling:
+            raise CeilingExceededError(total, params.ceiling)
+    yield from _instances(params, shapes)
+
+
+def _instances(params: SearchParams, shapes):
+    """The enumeration behind enumerate_instances, with no count first."""
+    for g, a in shapes:
+        for action, space in _spaces(params, g, a):
             for table_vec in space.canonical_tables():
                 inst = build_instance(
-                    params.prime,
-                    params.precision,
-                    g,
-                    a,
-                    cfg,
-                    space.table_to_dict(table_vec),
+                    params.prime, params.precision, g, a, action, space.table_to_dict(table_vec)
                 )
                 if validate(inst).ok:
                     yield inst
@@ -422,79 +397,27 @@ def random_instance(params: SearchParams, g_orders=None, atilde_orders=None) -> 
     """Seed-reproducible rejection sampling over action configurations and
     factor-set modules; returns the first validate-passing instance."""
     rng = random.Random(params.seed)
-    combos = (
-        [(tuple(g_orders), tuple(atilde_orders))]
-        if g_orders is not None
-        else [(g, a) for g in params.g_orders_list for a in params.atilde_orders_list]
-    )
-    combos = [
-        (g, a)
-        for g, a in combos
-        if params.precision >= _precision_floor(params.prime, a, g)
-    ]
-    if not combos:
+    shapes = _shapes(params, g_orders, atilde_orders)
+    if not shapes:
         return None
     cache: Dict[tuple, tuple] = {}
     for _ in range(params.attempt_budget):
-        g, a = combos[rng.randrange(len(combos))]
-        key = (g, a)
-        if key not in cache:
-            configs = action_configurations(params.prime, params.precision, g, a)
-            cache[key] = (configs, {})
-        configs, spaces = cache[key]
+        g, a = shapes[rng.randrange(len(shapes))]
+        if (g, a) not in cache:
+            cache[g, a] = (action_configurations(params.prime, params.precision, g, a), {})
+        configs, spaces = cache[g, a]
         if not configs:
             continue
         ci = rng.randrange(len(configs))
         if ci not in spaces:
-            spaces[ci] = _CocycleSpace(
-                params.prime, params.precision, g, a, configs[ci]
-            )
-        space = spaces[ci]
-        basis = space._sub.basis
-        vec = [0] * space.nvars
-        for row in basis:
-            c = rng.randrange(space.ring.modulus)
-            for k in range(space.nvars):
-                vec[k] += c * row[k]
-        table_vec = space._reduce_table(vec)
+            spaces[ci] = _CocycleSpace(params.prime, params.precision, g, a, configs[ci])
+        table_vec = spaces[ci].sample(rng)
         inst = build_instance(
-            params.prime, params.precision, g, a, configs[ci], space.table_to_dict(table_vec)
+            params.prime, params.precision, g, a, configs[ci], spaces[ci].table_to_dict(table_vec)
         )
         if validate(inst).ok:
             return inst
     return None
-
-
-def random_admissible_shift(inst: Instance, rng: random.Random) -> Dict[GElt, Vec]:
-    """A random transversal move c (c_1 = 0, c_tau = -tau * c_{tau^-1}),
-    suitable for coboundary_shift without rejection."""
-    group = inst.group
-    shift: Dict[GElt, Vec] = {}
-    done = set()
-    for tau in group.nonidentity():
-        if tau in done:
-            continue
-        ti = group.inv(tau)
-        if tau == ti:
-            # (1 + tau) c = 0: sample from the kernel by scanning candidates
-            candidates = []
-            for v in itertools.product(*(range(o) for o in inst.module.atilde_orders)):
-                s = inst.atilde_act(tau, v)
-                if all((x + y) % o == 0 for x, y, o in zip(v, s, inst.module.atilde_orders)):
-                    candidates.append(v)
-            shift[tau] = candidates[rng.randrange(len(candidates))]
-            done.add(tau)
-        else:
-            v = tuple(rng.randrange(o) for o in inst.module.atilde_orders)
-            shift[tau] = v
-            minus_tv = tuple(
-                (-x) % o
-                for x, o in zip(inst.atilde_act(group.inv(tau), v), inst.module.atilde_orders)
-            )
-            shift[ti] = minus_tv
-            done.add(tau)
-            done.add(ti)
-    return shift
 
 
 # -- the enumeration oracle ---------------------------------------------------------
@@ -658,9 +581,7 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
     ZModRing(params.prime, params.precision)
     for comp in components:
         AbelianLGroup(params.prime, comp.g_orders)
-        for o in comp.atilde_orders:
-            if o < params.prime or not _is_l_power(o, params.prime):
-                raise ValueError(f"torsion order {o} is not a positive power of {params.prime}")
+        check_l_powers(params.prime, comp.atilde_orders, "torsion")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -680,8 +601,8 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
             "count": 0,
             "nonzero_boundary": 0,
         }
-        floor = _precision_floor(params.prime, comp.atilde_orders, comp.g_orders)
-        if params.precision < floor:
+        if not _shapes(params, comp.g_orders, comp.atilde_orders):
+            floor = _precision_floor(params.prime, comp.atilde_orders, comp.g_orders)
             entry["mode"] = "excluded"
             entry["exhausted"] = False
             entry["skip_reason"] = (
@@ -689,37 +610,31 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
             )
             manifest["components"].append(entry)
             continue
-        estimate, exact = estimate_space(
+        estimate = estimate_space(
             params, comp.g_orders, comp.atilde_orders, abort_above=params.ceiling
         )
         entry["estimate"] = estimate
-        entry["estimate_exact"] = exact
+        entry["estimate_exact"] = estimate <= params.ceiling
         mode = comp.mode
         if mode == "auto":
-            mode = "exhaustive" if exact and estimate <= params.ceiling else "sample"
+            mode = "exhaustive" if estimate <= params.ceiling else "sample"
         entry["mode"] = mode
+        entry["exhausted"] = mode == "exhaustive"
         instances: List[Instance] = []
         if mode == "exhaustive":
-            instances = list(
-                enumerate_instances(params, comp.g_orders, comp.atilde_orders)
-            )
-            entry["exhausted"] = True
+            if estimate > params.ceiling:
+                raise CeilingExceededError(estimate, params.ceiling)
+            # enumerate_instances would count again, building every space a third time
+            instances = list(_instances(params, [(comp.g_orders, comp.atilde_orders)]))
         else:
-            entry["exhausted"] = False
             seen = set()
             n_samples = comp.samples if comp.samples is not None else params.samples
             for k in range(n_samples):
-                p_k = SearchParams(
-                    prime=params.prime,
-                    precision=params.precision,
-                    g_orders_list=(comp.g_orders,),
-                    atilde_orders_list=(comp.atilde_orders,),
-                    oracle_bound=params.oracle_bound,
-                    seed=params.seed + 7919 * k,
-                    ceiling=params.ceiling,
-                    attempt_budget=params.attempt_budget,
+                inst = random_instance(
+                    replace(params, seed=params.seed + 7919 * k),
+                    comp.g_orders,
+                    comp.atilde_orders,
                 )
-                inst = random_instance(p_k, comp.g_orders, comp.atilde_orders)
                 if inst is None:
                     continue
                 key = json.dumps(instance_to_dict(inst), sort_keys=True)

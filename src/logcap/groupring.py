@@ -40,9 +40,7 @@ class AbelianLGroup:
     def __init__(self, prime: int, orders: Sequence[int]):
         if not _is_prime(prime):
             raise ValueError(f"{prime} is not prime")
-        for o in orders:
-            if o < prime or not _is_l_power(o, prime):
-                raise ValueError(f"cyclic factor order {o} is not a positive power of {prime}")
+        check_l_powers(prime, orders, "cyclic factor")
         self.prime = prime
         self.orders = tuple(int(o) for o in orders)
         if self.size() > MAX_GROUP_ORDER:
@@ -103,12 +101,15 @@ class AbelianLGroup:
         )
 
 
-def _is_l_power(o: int, l: int) -> bool:
-    if o < 1:
-        return False
-    while o % l == 0:
-        o //= l
-    return o == 1
+def check_l_powers(prime: int, orders: Sequence[int], what: str) -> None:
+    """Raise ValueError naming ``what`` unless every order is a positive
+    power of ``prime``."""
+    for o in orders:
+        k = o
+        while k > 1 and k % prime == 0:
+            k //= prime
+        if o < prime or k != 1:
+            raise ValueError(f"{what} order {o} is not a positive power of {prime}")
 
 
 class GroupRingElt:
@@ -236,10 +237,6 @@ class OmegaRingElt:
         r0._check(r1)
         self.r0 = r0
         self.r1 = r1
-
-    @classmethod
-    def omega(cls, group: AbelianLGroup, ring: ZModRing) -> "OmegaRingElt":
-        return cls(GroupRingElt.zero(group, ring), GroupRingElt.one(group, ring))
 
     def __add__(self, other: "OmegaRingElt") -> "OmegaRingElt":
         return OmegaRingElt(self.r0 + other.r0, self.r1 + other.r1)

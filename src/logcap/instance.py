@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
-from .groupring import AbelianLGroup, GElt, GroupRingElt, GroupSizeError, _is_l_power
+from .groupring import AbelianLGroup, GElt, GroupRingElt, GroupSizeError, check_l_powers
 from .lattice import ModulusSizeError, Submodule, ZModRing
 
 if TYPE_CHECKING:
@@ -204,12 +204,11 @@ def build_instance(
     try:
         group = AbelianLGroup(prime, g_orders)
         ring = ZModRing(prime, precision)
+        check_l_powers(prime, atilde_orders, "torsion")
     except ValueError as e:
         raise SchemaError(str(e)) from None
     t = len(atilde_orders)
     for o in atilde_orders:
-        if not _is_l_power(o, prime) or o < prime:
-            raise SchemaError(f"torsion order {o} is not a positive power of {prime}")
         if o > ring.modulus:
             raise SchemaError(f"torsion order {o} exceeds the coefficient modulus {ring.modulus}")
     d = t + 1
@@ -581,6 +580,8 @@ def load_instance(path) -> Instance:
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     try:
         return instance_from_dict(data)
     except (SchemaError, GroupSizeError, ModulusSizeError) as e:

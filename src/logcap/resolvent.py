@@ -66,11 +66,6 @@ class ResolventElt:
     def to_vec(self) -> Vec:
         return self.a + self.lam
 
-    @classmethod
-    def from_vec(cls, inst: "Instance", vec: Sequence[int]) -> "ResolventElt":
-        d = inst.dim_a
-        return cls(inst, tuple(vec[:d]), tuple(vec[d:]))
-
 
 # -- the per-instance frame ----------------------------------------------------
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -74,3 +75,32 @@ def corpus_paths():
         if sub.is_dir():
             out.extend(sorted(p for p in sub.glob("*.json") if p.name != "manifest.json"))
     return out
+
+
+def random_admissible_shift(inst, rng):
+    """A random transversal move c (c_1 = 0, c_tau = -tau * c_{tau^-1}),
+    suitable for coboundary_shift without rejection."""
+    group = inst.group
+    orders = inst.module.atilde_orders
+    shift = {}
+    done = set()
+    for tau in group.nonidentity():
+        if tau in done:
+            continue
+        ti = group.inv(tau)
+        if tau == ti:
+            # (1 + tau) c = 0: sample from the kernel by scanning candidates
+            candidates = []
+            for v in itertools.product(*(range(o) for o in orders)):
+                s = inst.atilde_act(tau, v)
+                if all((x + y) % o == 0 for x, y, o in zip(v, s, orders)):
+                    candidates.append(v)
+            shift[tau] = candidates[rng.randrange(len(candidates))]
+            done.add(tau)
+        else:
+            v = tuple(rng.randrange(o) for o in orders)
+            shift[tau] = v
+            shift[ti] = tuple((-x) % o for x, o in zip(inst.atilde_act(ti, v), orders))
+            done.add(tau)
+            done.add(ti)
+    return shift

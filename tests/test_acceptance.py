@@ -14,12 +14,11 @@ import sys
 
 import pytest
 
-from logcap.forge import random_admissible_shift
 from logcap.instance import coboundary_shift, load_instance, validate
 from logcap.resolvent import boundary_module
 from logcap.extension import u_order
 from logcap.verifier import run_all
-from tests.conftest import CORPUS, FIXTURES, corpus_paths
+from tests.conftest import CORPUS, FIXTURES, corpus_paths, random_admissible_shift
 
 ORACLE_BOUND = 2**12
 

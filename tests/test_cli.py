@@ -179,6 +179,26 @@ def test_report_rejects_non_report(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "payload", [{"instances": [{"file": "x"}]}, {"instances": [], "summary": {}}]
+)
+def test_report_with_missing_keys_is_an_input_error(tmp_path, capsys, payload):
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(payload))
+    code, _, err = run_cli(["report", p], capsys)
+    assert code == 1
+    assert err == "error: not a verification report\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "oracle", "report"])
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    p = tmp_path / "x.json"
+    p.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli([command, p], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "not UTF-8" in err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "logcap.cli", "validate", str(FIXTURES / "e1.json")],

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import itertools
 import json
 import random
@@ -14,7 +16,6 @@ from logcap.forge import (
     enumerate_instances,
     estimate_space,
     oracle_group,
-    random_admissible_shift,
     random_instance,
 )
 from logcap.instance import (
@@ -25,7 +26,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from tests.conftest import CORPUS, FIXTURES, corpus_paths
+from tests.conftest import CORPUS, FIXTURES, REPO, corpus_paths, random_admissible_shift
 
 
 def test_enumerate_unique_instance_for_trivial_torsion():
@@ -279,3 +280,37 @@ def test_build_corpus_sampled_mode(tmp_path):
 def test_estimate_space_zero_for_precision_starved():
     params = SearchParams(2, 4, (), ())
     assert estimate_space(params, (2,), (8,)) == 0
+
+
+def _pinned_components():
+    """The SearchParams and ComponentSpec lists of tools/build_corpus.py."""
+    spec = importlib.util.spec_from_file_location("build_corpus", REPO / "tools" / "build_corpus.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return {"l2": (tool.L2, tool.L2_COMPONENTS), "l3": (tool.L3, tool.L3_COMPONENTS)}
+
+
+@pytest.mark.parametrize(
+    "label,shape",
+    [
+        ("l2", ((2,), (2, 2, 2))),  # exhaustive
+        ("l2", ((2,), (8,))),  # excluded by the precision floor
+        ("l3", ((3,), (3, 3))),  # sampled
+    ],
+)
+def test_rebuilt_component_matches_the_shipped_corpus(tmp_path, label, shape):
+    params, components = _pinned_components()[label]
+    (comp,) = [c for c in components if (c.g_orders, c.atilde_orders) == shape]
+    shipped = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
+    (shipped_entry,) = [
+        e for e in shipped["components"] if (tuple(e["G"]), tuple(e["Atilde"])) == shape
+    ]
+    manifest = build_corpus(params, [comp], tmp_path)
+    assert {k: v for k, v in manifest.items() if k != "components"} == {
+        k: v for k, v in shipped.items() if k != "components"
+    }
+    assert manifest["components"] == [shipped_entry]
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+    assert written == sorted(f["name"] for f in shipped_entry["files"])
+    for f in shipped_entry["files"]:
+        assert hashlib.sha256((tmp_path / f["name"]).read_bytes()).hexdigest() == f["sha256"]

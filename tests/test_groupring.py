@@ -37,7 +37,7 @@ def test_one_plus_tau_times_tau_minus_one():
 
 
 def test_omega_squared_is_zero():
-    w = OmegaRingElt.omega(C2, Z8)
+    w = OmegaRingElt(GroupRingElt.zero(C2, Z8), GroupRingElt.one(C2, Z8))
     assert (w * w).is_zero()
 
 

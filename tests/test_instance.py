@@ -12,7 +12,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, random_admissible_shift
 
 
 def test_e1_validates(e1):
@@ -99,8 +99,6 @@ def test_e1_shift_by_alpha_is_invisible(e1):
 
 
 def test_shift_preserves_validation_verdicts(inst33, rng):
-    from logcap.forge import random_admissible_shift
-
     base = validate(inst33)
     for _ in range(5):
         c = random_admissible_shift(inst33, rng)

@@ -1,6 +1,6 @@
 """Repository-wide checks: the library's invariants survive ``python -O``,
-every demo script runs to completion, and every name the benchmark's tracer
-wraps exists."""
+every demo script runs to completion, every name the benchmark's tracer
+wraps exists, and no public library name is there for its tests alone."""
 
 import ast
 import importlib
@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+
+import logcap
 
 from tests.conftest import REPO
 
@@ -60,3 +62,34 @@ def test_every_traced_name_resolves_in_logcap():
         if owner is None or attr not in vars(owner):
             missing.append(f"{mod}.{cls}.{attr}")
     assert missing == []
+
+
+def test_every_public_library_name_has_a_user_outside_the_tests():
+    """A public module-level function or class of src/logcap is referenced
+    from src/, demos/ or tools/ (outside its own definition), or exported
+    through logcap.__all__."""
+    files = sorted((REPO / "src").rglob("*.py")) + DEMOS + sorted((REPO / "tools").glob("*.py"))
+    defined, used = {}, []  # used: (path, index of the top-level statement, name)
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for i, node in enumerate(tree.body):
+            if (
+                path.parent.name == "logcap"
+                and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+            ):
+                defined[path, i] = node.name
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    used.append((path, i, sub.id))
+                elif isinstance(sub, ast.Attribute):
+                    used.append((path, i, sub.attr))
+                elif isinstance(sub, ast.alias):
+                    used.append((path, i, sub.name))
+    unused = [
+        f"{path.name}:{name}"
+        for (path, i), name in defined.items()
+        if name not in logcap.__all__
+        and not any(n == name and (p, j) != (path, i) for p, j, n in used)
+    ]
+    assert defined and unused == []

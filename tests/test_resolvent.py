@@ -108,7 +108,7 @@ def test_omega_ring_action(e1, rng):
     def act(x, b):  # r0 + w*r1 acts as r0 * b + w(r1 * b)
         return add(e1, star_act(e1, x.r0, b), omega_act(e1, star_act(e1, x.r1, b)))
 
-    w = OmegaRingElt.omega(e1.group, e1.ring)
+    w = OmegaRingElt(GroupRingElt.zero(e1.group, e1.ring), GroupRingElt.one(e1.group, e1.ring))
     for _ in range(5):
         b = random_b_elt(e1, rng)
         assert act(w, b) == omega_act(e1, b)

@@ -3,6 +3,7 @@ import pytest
 from logcap.extension import u_order
 from logcap.instance import coboundary_shift
 from logcap.verifier import CHECK_IDS, run_all, run_check
+from tests.conftest import random_admissible_shift
 
 
 def test_e1_all_checks_pass(e1):
@@ -84,8 +85,6 @@ def test_forced_run_on_corrupted_cocycle_emits_witness(corrupted):
 
 
 def test_verdicts_invariant_under_coboundary_shift(inst33, rng):
-    from logcap.forge import random_admissible_shift
-
     base = run_all(inst33)
     base_statuses = [(v.check_id, v.status) for v in base.verdicts]
     for _ in range(3):
