@@ -182,7 +182,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    facts = forge.oracle_group(load_instance(args.path), bound=args.bound)
+    inst = load_instance(args.path)
+    report = validate(inst)
+    if not report.ok:  # the oracle's facts mean nothing without a group law
+        print(f"validation failed: {', '.join(report.failed_names())}", file=sys.stderr)
+        return EXIT_MATH
+    facts = forge.oracle_group(inst, bound=args.bound)
     print(f"|U| = {facts.u_order}")
     print(f"|U~| = {facts.u_tilde_order}")
     print(f"|U'| = {len(facts.derived)}")
@@ -199,12 +204,14 @@ def cmd_report(args) -> int:
         print(f"error: {args.path}: not UTF-8 text (byte {e.start}: {e.reason})", file=sys.stderr)
         return EXIT_INPUT
     try:
-        if not isinstance(payload, dict) or "instances" not in payload:
-            raise TypeError("no instance list")
-        text = _render(payload, args.format)
+        # The markdown render reads every field of a report, so it is the
+        # shape check for both formats.
+        text = _render(payload, "markdown")
     except (KeyError, TypeError, AttributeError):  # a field missing or of the wrong type
         print("error: not a verification report", file=sys.stderr)
         return EXIT_INPUT
+    if args.format == "json":
+        text = _render(payload, "json")
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

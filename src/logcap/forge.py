@@ -437,6 +437,18 @@ class OracleFacts:
 def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     """Materialize the extension group and compute everything by counting.
 
+    Each element (a, g) of U is one integer, code(a)*|G| + index(g).  The
+    code of a is mixed-radix over the coordinates of A, with radix 2*o - 1
+    for a coordinate of order o.  A reduced digit is at most o - 1, so the
+    sum of two reduced codes has digits at most 2*o - 2: it never carries
+    from one digit into the next, and the list ``red`` maps every such sum
+    back to the reduced code, digit by digit.  One table per (s, t) holds
+    b -> red[code(s*b) + code(f(s, t))], read from the instance's action
+    and factor set on every element, so a product
+    (a, s)(b, t) = (a + s*b + f(s, t), st) is red[a + actf[s][t][b]]*|G|
+    + gmul[s][t].  Codes become coordinate tuples only in the facts
+    returned.
+
     A commutator subgroup is the additive span of the commutators [x, s],
     x over the whole pool and s over a generating set that the oracle finds
     itself, by greedy closure under its own multiplication.  The span is
@@ -454,35 +466,46 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     orders = inst.coordinate_orders()
     group = inst.group
     gelts = group.elements()
+    n_g = len(gelts)
+    gidx = {g: i for i, g in enumerate(gelts)}
+    gmul = [[gidx[group.mul(x, y)] for y in gelts] for x in gelts]
+    ginv = [gidx[group.inv(x)] for x in gelts]
+
+    weights, red = [], [0]
+    for o in reversed(orders):  # last coordinate lowest; len(red) is the place value
+        weights.insert(0, len(red))
+        red = [(d % o) * len(red) + r for d in range(2 * o - 1) for r in red]
+
+    def code(v):
+        return sum((x % o) * w for x, o, w in zip(v, orders, weights))
+
     a_elts = list(itertools.product(*(range(o) for o in orders)))
-    gmul = {(x, y): group.mul(x, y) for x in gelts for y in gelts}
-    ginv = {x: group.inv(x) for x in gelts}
-    act = {
-        g: {a: inst.act(g, a) for a in a_elts} for g in gelts
-    }
-    coc = {(s, g): inst.cocycle_in_a(s, g) for s in gelts for g in gelts}
+    a_codes = [code(a) for a in a_elts]
+    decode = dict(zip(a_codes, a_elts))
+    size = a_codes[-1] + 1  # the codes grow with the product order
+    neg = [0] * size
+    acts = [[0] * size for _ in gelts]
+    for c, a in zip(a_codes, a_elts):
+        neg[c] = code([-x for x in a])
+        for s, g in enumerate(gelts):
+            acts[s][c] = code(inst.act(g, a))
+    coc = [[code(inst.cocycle_in_a(s, t)) for t in gelts] for s in gelts]
+    actf = [[[red[x + f] for x in acts[s]] for f in coc[s]] for s in range(n_g)]
 
     def mul(u, v):
-        """(a, s) * (b, t) = (a + s*b + f(s, t), st), one pass over the coordinates."""
-        a, s = u
-        b, t = v
-        return (
-            tuple((x + y + z) % o for x, y, z, o in zip(a, act[s][b], coc[s, t], orders)),
-            gmul[s, t],
-        )
+        """(a, s) * (b, t) = (a + s*b + f(s, t), st), with the A part from the tables."""
+        a, s = divmod(u, n_g)
+        b, t = divmod(v, n_g)
+        return red[a + actf[s][t][b]] * n_g + gmul[s][t]
 
-    elements = [(a, g) for a in a_elts for g in gelts]
-    one = group.identity()
-    zero = tuple(0 for _ in orders)
-    identity = (zero, one)
-    inv = {}
+    elements = [c * n_g + g for c in a_codes for g in range(n_g)]
+    one = gidx[group.identity()]
+    identity = one  # (0, 1), with code(0) = 0
+    inv = [0] * (size * n_g)
     for u in elements:
-        a, s = u
+        a, s = divmod(u, n_g)
         si = ginv[s]
-        b = tuple(
-            (-x - y) % o for x, y, o in zip(act[si][a], act[si][coc[s, si]], orders)
-        )
-        cand = (b, si)
+        cand = red[neg[acts[si][a]] + neg[acts[si][coc[s][si]]]] * n_g + si
         if mul(u, cand) != identity:
             raise InternalInvariantError("oracle inverse failed verification")
         inv[u] = cand
@@ -512,35 +535,36 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
         vals = set()
         for s in generating_set(pool):
             for x in pool:
-                c = mul(mul(x, s), inv[mul(s, x)])
-                if c[1] != one:
+                c, g = divmod(mul(mul(x, s), inv[mul(s, x)]), n_g)
+                if g != one:
                     raise InternalInvariantError(
                         "commutator left the abelian normal subgroup"
                     )
-                vals.add(c[0])
+                vals.add(decode[c])
         return _closure(vals, orders)
 
     derived = commutator_span(elements)
-    degree_zero = [u for u in elements if u[0][-1] % inst.ring.modulus == 0]
+    degree_zero = [u for u in elements if decode[u // n_g][-1] % inst.ring.modulus == 0]
     derived_dz = commutator_span(degree_zero)
 
-    transversal = {g: (zero, g) for g in gelts}
+    # The transversal element (0, g) is the integer index(g).
     transfer = {}
     for u in elements:
         acc = identity
-        for g in gelts:
-            w = mul(u, transversal[g])
-            rep = transversal[w[1]]
-            acc = mul(acc, mul(inv[rep], w))
-        if acc[1] != one:
+        for g in range(n_g):
+            w = mul(u, g)
+            acc = mul(acc, mul(inv[w % n_g], w))
+        c, g = divmod(acc, n_g)
+        if g != one:
             raise InternalInvariantError("transfer product left the module")
-        transfer[u] = acc[0]
+        a, s = divmod(u, n_g)
+        transfer[decode[a], gelts[s]] = decode[c]
 
-    gamma_lift = (inst.gamma(), one)
+    gamma_lift = code(inst.gamma()) * n_g + one
     gamma_comms = set()
-    for g in gelts:
-        c = mul(mul(gamma_lift, transversal[g]), inv[mul(transversal[g], gamma_lift)])
-        gamma_comms.add(c[0])
+    for g in range(n_g):
+        c = mul(mul(gamma_lift, g), inv[mul(g, gamma_lift)])
+        gamma_comms.add(decode[c // n_g])
 
     return OracleFacts(
         u_order=n_u,

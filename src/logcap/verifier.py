@@ -309,8 +309,7 @@ def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
         }
     ver_bad = 0
     for (a, g), want in facts.transfer.items():
-        got = extension.transfer(inst, extension.UElement(inst, a, g))
-        if got != want:
+        if inst.frame.transfer_map(a, g) != want:
             ver_bad += 1
     if ver_bad:
         mismatches["transfer_disagreements"] = ver_bad

@@ -155,6 +155,13 @@ def test_oracle_command(capsys):
     assert "|U'| = 2" in out
 
 
+def test_oracle_command_refuses_an_invalid_instance(capsys):
+    code, out, err = run_cli(["oracle", FIXTURES / "corrupted_cocycle.json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "cocycle-identity" in err
+
+
 def test_oracle_bound_refusal(capsys):
     code, _, err = run_cli(["oracle", FIXTURES / "e1.json", "--bound", "8"], capsys)
     assert code == 3
@@ -185,9 +192,10 @@ def test_report_rejects_non_report(tmp_path, capsys):
 def test_report_with_missing_keys_is_an_input_error(tmp_path, capsys, payload):
     p = tmp_path / "x.json"
     p.write_text(json.dumps(payload))
-    code, _, err = run_cli(["report", p], capsys)
-    assert code == 1
-    assert err == "error: not a verification report\n"
+    for fmt in ("markdown", "json"):
+        code, out, err = run_cli(["report", p, "--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: not a verification report\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "verify", "oracle", "report"])

@@ -220,6 +220,78 @@ def test_oracle_derived_equals_all_pairs_span():
         assert facts.derived_degree_zero == _all_pairs_derived(inst, degree_zero=True)
 
 
+def _tuple_law_facts(inst):
+    """Transfers, |U~|, |U'| and the span of the gamma commutators from the
+    group law written out on coordinate tuples, (a, s)(b, t) = (a + s*b +
+    f(s, t), st).  Transfers follow the coset-product definition against
+    (0, g); U' is the span of [x, s], x over U and s over the generators
+    (e_k, 1) and (0, g_i), a normal subgroup that makes U abelian."""
+    orders = inst.coordinate_orders()
+    group = inst.group
+    gelts = group.elements()
+    zero, one = inst.a_zero(), group.identity()
+    a_elts = list(itertools.product(*(range(o) for o in orders)))
+    act = {(g, a): inst.act(g, a) for g in gelts for a in a_elts}
+    coc = {(s, t): inst.cocycle_in_a(s, t) for s in gelts for t in gelts}
+
+    def mul(u, v):
+        (a, s), (b, t) = u, v
+        a_part = tuple((x + y + z) % o for x, y, z, o in zip(a, act[s, b], coc[s, t], orders))
+        return a_part, group.mul(s, t)
+
+    def inv(u):
+        a, s = u
+        si = group.inv(s)
+        out = (inst.a_neg(inst.act(si, inst.a_add(a, coc[s, si]))), si)
+        assert mul(u, out) == (zero, one)
+        return out
+
+    def commutator(x, y):
+        c = mul(mul(x, y), inv(mul(y, x)))
+        assert c[1] == one
+        return c[0]
+
+    def span(gens):
+        out, frontier = {zero}, [zero]
+        while frontier:
+            frontier = [y for y in {inst.a_add(x, c) for x in frontier for c in gens} if y not in out]
+            out.update(frontier)
+        return out
+
+    transfer = {}
+    for a in a_elts:
+        for s in gelts:
+            acc = (zero, one)
+            for g in gelts:
+                w = mul((a, s), (zero, g))
+                acc = mul(acc, mul(inv((zero, w[1])), w))
+            assert acc[1] == one
+            transfer[a, s] = acc[0]
+
+    units = [tuple(int(j == k) for j in range(len(orders))) for k in range(len(orders))]
+    gens = [(e, one) for e in units] + [(zero, g) for g in group.generators()]
+    derived = span({commutator((a, s), y) for a in a_elts for s in gelts for y in gens})
+    gamma = (inst.gamma(), one)
+    gamma_span = span({commutator(gamma, (zero, g)) for g in gelts})
+    u_tilde = sum(1 for a in a_elts if inst.deg(a) == 0) * len(gelts)
+    return transfer, u_tilde, len(derived), gamma_span
+
+
+def test_oracle_matches_the_tuple_group_law(rank3):
+    """The oracle's integer-coded group law against the law on tuples, on
+    coordinates of order 2, 4, 16 and 27 and on a rank-3 G."""
+    insts = [inst for inst in map(load_instance, corpus_paths()) if u_order(inst) <= 128]
+    insts += [load_instance(CORPUS / "l3" / "p3_n3_G3_A3_000.json"), rank3]
+    assert {27, 16, 4, 2} <= {o for inst in insts for o in inst.coordinate_orders()}
+    for inst in insts:
+        facts = oracle_group(inst)
+        transfer, u_tilde, derived_order, gamma_span = _tuple_law_facts(inst)
+        assert facts.transfer == transfer
+        assert facts.u_tilde_order == u_tilde
+        assert facts.degree_zero_index == u_tilde // derived_order
+        assert facts.gamma_commutators == gamma_span
+
+
 def test_oracle_independent_of_formula_code(monkeypatch):
     from logcap import extension, resolvent
 
