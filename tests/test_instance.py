@@ -87,6 +87,53 @@ def test_action_block_structure_check():
     assert "action-block-structure" in rep.failed_names()
 
 
+# one broken instance per check, with the exact detail that check reports
+_DETAIL_CASES = [
+    (
+        (2, 3, [2], [2], [[[1, 1], [1, 3]]], {}),
+        "action-block-structure",
+        "tau_1 row 0 has gamma component 1; tau_1 moves deg: gamma coefficient 3",
+    ),
+    (
+        (2, 4, [2], [2, 4], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]], {}),
+        "action-well-defined",
+        "tau_1[0][1] breaks torsion",
+    ),
+    (
+        # the two generators agree on e_0 and e_1, not on gamma
+        (
+            2, 3, [2, 2], [2, 2],
+            [[[1, 0, 0], [0, 1, 0], [0, 1, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]]],
+            {},
+        ),
+        "action-commutes",
+        "tau_1 and tau_2 disagree on e_2",
+    ),
+    (
+        (2, 4, [2], [4, 4], [[[1, 1, 0], [0, 1, 0], [1, 0, 1]]], {}),
+        "action-order",
+        "tau_1^2 is not the identity on e_0; tau_1^2 is not the identity on e_2",
+    ),
+    (
+        (2, 3, [2], [2], [[[1, 0], [1, 1]]], {((0,), (1,)): [1]}),
+        "cocycle-normalized",
+        "nonzero entry at identity pair with (1,)",
+    ),
+    (
+        (2, 3, [2], [2], [[[1, 0], [1, 1]]], {((1,), (1,)): [1]}),
+        "cocycle-inverse-convention",
+        "nonzero at ((1,), (1,))",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, name, detail", _DETAIL_CASES, ids=[c[1] for c in _DETAIL_CASES])
+def test_validation_failure_detail(args, name, detail):
+    checks = {c.name: c for c in validate(build_instance(*args)).checks}
+    assert not checks[name].passed
+    assert checks[name].detail == detail
+
+
 def test_zero_shift_is_identity(e1):
     shifted = coboundary_shift(e1, {})
     assert shifted == e1
