@@ -75,9 +75,6 @@ class UElement:
         )
         return UElement(inst, b, ti)
 
-    def deg(self) -> int:
-        return self.instance.deg(self.a)
-
 
 def u_elements(inst: "Instance"):
     """All of U in a deterministic order (A coordinates outer, G inner)."""

@@ -38,7 +38,7 @@ from .instance import (
     precision_terms,
     validate,
 )
-from .lattice import InternalInvariantError, Submodule, ZModRing, preimage
+from .lattice import InternalInvariantError, Submodule, ZModRing, mat_mul, preimage, vec_mat
 from .resolvent import boundary_module
 
 Vec = Tuple[int, ...]
@@ -86,15 +86,6 @@ def _torsion_endomorphisms(d: Tuple[int, ...]):
         yield tuple(tuple(flat[i * t + j] for j in range(t)) for i in range(t))
 
 
-def _mat_mul(a, b, orders):
-    """The product of two square matrices, column j reduced mod orders[j]."""
-    n = len(orders)
-    return tuple(
-        tuple(sum(a[i][r] * b[r][j] for r in range(n)) % orders[j] for j in range(n))
-        for i in range(n)
-    )
-
-
 def _generator_candidates(d: Tuple[int, ...], order: int):
     """(P, q) with P^order = 1 on the torsion and q * (1 + P + ... + P^(o-1)) = 0."""
     t = len(d)
@@ -108,13 +99,11 @@ def _generator_candidates(d: Tuple[int, ...], order: int):
             for i in range(t):
                 for j in range(t):
                     norm[i][j] += power[i][j]
-            power = _mat_mul(power, p, d)
+            power = mat_mul(power, p, d)
         if power != one:
             continue
         for q in itertools.product(*(range(o) for o in d)):
-            if all(
-                sum(q[i] * norm[i][j] for i in range(t)) % d[j] == 0 for j in range(t)
-            ):
+            if not any(vec_mat(q, norm, d)):
                 out.append((p, q))
     return out
 
@@ -135,7 +124,7 @@ def action_configurations(prime: int, precision: int, g_orders, atilde_orders):
     for combo in itertools.product(*per_gen):
         mats = tuple(_full_matrix(p, q, modulus) for p, q in combo)
         if all(
-            _mat_mul(x, y, orders) == _mat_mul(y, x, orders)
+            mat_mul(x, y, orders) == mat_mul(y, x, orders)
             for x, y in itertools.combinations(mats, 2)
         ):
             configs.append(mats)
@@ -262,22 +251,18 @@ class _CocycleSpace:
                 orders.append(self.d[j])
         admissible = self._kernel_mod_orders(cols, orders, nshift)
         gens = []
-        one = self.group.identity()
+        zero = (0,) * self.t
         for c_row in admissible.basis:
-            table = [0] * self.nvars
             cvals = {
                 tau: tuple(c_row[k * self.t : (k + 1) * self.t])
                 for k, tau in enumerate(self.nonid)
             }
-            for (s, g) in self.pairs:
-                sg = self.group.mul(s, g)
-                p_s = self._p_mats[s]
-                for j in range(self.t):
-                    v = cvals[s][j]
-                    v += sum(cvals[g][i] * p_s[i][j] for i in range(self.t))
-                    if sg != one:
-                        v -= cvals[sg][j]
-                    table[self._var((s, g), j)] = v
+            # c_s + s * c_g - c_sg, pair by pair in table order
+            table = []
+            for s, g in self.pairs:
+                moved = vec_mat(cvals[g], self._p_mats[s], self.d)
+                c_sg = cvals.get(group.mul(s, g), zero)
+                table += [x + y - z for x, y, z in zip(cvals[s], moved, c_sg)]
             gens.append(self._reduce_table(table))
         return sorted(_closure(gens, self.orders))
 

@@ -192,9 +192,6 @@ class GroupRingElt:
     def __hash__(self) -> int:
         return hash((self.group, self.ring, tuple(sorted(self.coeffs.items()))))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, g: GElt) -> int:
         return self.coeffs.get(g, 0)
 
@@ -208,6 +205,11 @@ class GroupRingElt:
             c = self.coeffs.get(g, 0)
             if c:
                 yield g, c
+
+    def to_dict(self) -> dict:
+        """The nonzero coefficients keyed by "g_1,...,g_s", sorted by element;
+        the serialization of reports and certificate hashes."""
+        return {",".join(map(str, g)): c for g, c in sorted(self.coeffs.items())}
 
     def trace_multiple(self):
         """If self = c * (sum of all group elements), return c, else None."""
@@ -256,9 +258,6 @@ class OmegaRingElt:
 
     def __hash__(self) -> int:
         return hash((self.r0, self.r1))
-
-    def is_zero(self) -> bool:
-        return self.r0.is_zero() and self.r1.is_zero()
 
     def __repr__(self) -> str:
         return f"({self.r0}) + w*({self.r1})"

@@ -15,13 +15,14 @@ structurally well formed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .groupring import AbelianLGroup, GElt, GroupRingElt, GroupSizeError, check_l_powers
-from .lattice import ModulusSizeError, Submodule, ZModRing
+from .lattice import ModulusSizeError, Submodule, ZModRing, mat_mul, vec_mat
 
 if TYPE_CHECKING:
     from .resolvent import Frame
@@ -118,17 +119,11 @@ class Instance:
     def a_neg(self, x: Sequence[int]) -> Vec:
         return self.a_reduce([-a for a in x])
 
-    def a_scale(self, c: int, x: Sequence[int]) -> Vec:
-        return self.a_reduce([c * a for a in x])
-
     def a_zero(self) -> Vec:
         return (0,) * self.dim_a
 
     def gamma(self) -> Vec:
         return (0,) * self.torsion_rank + (1,)
-
-    def deg(self, vec: Sequence[int]) -> int:
-        return vec[-1] % self.ring.modulus
 
     def atilde_embed(self, t_vec: Sequence[int]) -> Vec:
         return self.a_reduce(tuple(t_vec) + (0,))
@@ -139,15 +134,12 @@ class Instance:
     # -- the G-action ----------------------------------------------------
 
     def act(self, g: GElt, vec: Sequence[int]) -> Vec:
-        mat = self.frame.action[g]
-        d = self.dim_a
-        return self.a_reduce([sum(vec[i] * mat[i][j] for i in range(d)) for j in range(d)])
+        return vec_mat(vec, self.frame.action[g], self.frame.orders)
 
     def act_ring(self, x: GroupRingElt, vec: Sequence[int]) -> Vec:
-        out = self.a_zero()
-        for g, c in x.coeffs.items():
-            out = self.a_add(out, self.a_scale(c, self.act(g, vec)))
-        return out
+        """sum_g x_g * (g * vec), reduced once."""
+        moved = [self.act(g, vec) for g in x.coeffs]
+        return vec_mat(list(x.coeffs.values()), moved, self.frame.orders)
 
     def a_tau(self, tau: GElt) -> Vec:
         """(1 - tau) * gamma, the basic commutator of the Gamma-lift."""
@@ -328,28 +320,28 @@ def validate(inst: Instance) -> ValidationReport:
                     bad.append(f"tau_{k + 1}[{i}][{j}] breaks torsion")
     checks.append(CheckResult("action-well-defined", not bad, "; ".join(bad)))
 
-    gens = group.generators()
+    # row i of a product of these matrices is the image of e_i, reduced
+    # per coordinate as inst.act reduces it
+    a_orders = inst.frame.orders
+    one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    mats = [mat_mul(one, m, a_orders) for m in inst.module.action]
     bad = []
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            for i in range(d):
-                e_i = tuple(1 if j == i else 0 for j in range(d))
-                lhs = inst.act(gens[b], inst.act(gens[a], e_i))
-                rhs = inst.act(gens[a], inst.act(gens[b], e_i))
-                if lhs != rhs:
-                    bad.append(f"tau_{a + 1} and tau_{b + 1} disagree on e_{i}")
-                    break
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        ab = mat_mul(mats[a], mats[b], a_orders)
+        ba = mat_mul(mats[b], mats[a], a_orders)
+        i = next((i for i in range(d) if ab[i] != ba[i]), None)
+        if i is not None:
+            bad.append(f"tau_{a + 1} and tau_{b + 1} disagree on e_{i}")
     checks.append(CheckResult("action-commutes", not bad, "; ".join(bad)))
 
     bad = []
     for k, o in enumerate(group.orders):
-        for i in range(d):
-            e_i = tuple(1 if j == i else 0 for j in range(d))
-            v = e_i
-            for _ in range(o):
-                v = inst.act(gens[k], v)
-            if v != e_i:
-                bad.append(f"tau_{k + 1}^{o} is not the identity on e_{i}")
+        power = one
+        for _ in range(o):
+            power = mat_mul(power, mats[k], a_orders)
+        bad += [
+            f"tau_{k + 1}^{o} is not the identity on e_{i}" for i in range(d) if power[i] != one[i]
+        ]
     checks.append(CheckResult("action-order", not bad, "; ".join(bad)))
 
     # factor set checks
@@ -364,11 +356,13 @@ def validate(inst: Instance) -> ValidationReport:
     for s in group.elements():
         for g in group.elements():
             for r in group.elements():
-                lhs = inst.atilde_act(s, inst.cocycle_value(g, r))
-                lhs = _t_sub(inst, lhs, inst.cocycle_value(group.mul(s, g), r))
-                lhs = _t_add(inst, lhs, inst.cocycle_value(s, group.mul(g, r)))
-                lhs = _t_sub(inst, lhs, inst.cocycle_value(s, g))
-                if any(lhs):
+                terms = zip(
+                    inst.atilde_act(s, inst.cocycle_value(g, r)),
+                    inst.cocycle_value(group.mul(s, g), r),
+                    inst.cocycle_value(s, group.mul(g, r)),
+                    inst.cocycle_value(s, g),
+                )
+                if any(inst.atilde_reduce([w - x + y - z for w, x, y, z in terms])):
                     bad.append(f"triple ({s}, {g}, {r})")
         if len(bad) > 3:
             break
@@ -410,14 +404,6 @@ def validate(inst: Instance) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def _t_add(inst: Instance, x: Vec, y: Vec) -> Vec:
-    return tuple((a + b) % o for a, b, o in zip(x, y, inst.module.atilde_orders))
-
-
-def _t_sub(inst: Instance, x: Vec, y: Vec) -> Vec:
-    return tuple((a - b) % o for a, b, o in zip(x, y, inst.module.atilde_orders))
-
-
 # -- coboundary shifts -------------------------------------------------------
 
 
@@ -443,11 +429,13 @@ def coboundary_shift(inst: Instance, c: Dict[GElt, Sequence[int]]) -> Instance:
     new_table = {}
     for s in group.elements():
         for g in group.elements():
-            v = inst.cocycle_value(s, g)
-            v = _t_add(inst, v, cval(s))
-            v = _t_add(inst, v, inst.atilde_act(s, cval(g)))
-            v = _t_sub(inst, v, cval(group.mul(s, g)))
-            new_table[(s, g)] = v
+            terms = zip(
+                inst.cocycle_value(s, g),
+                cval(s),
+                inst.atilde_act(s, cval(g)),
+                cval(group.mul(s, g)),
+            )
+            new_table[(s, g)] = inst.atilde_reduce([w + x + y - z for w, x, y, z in terms])
     for g in group.elements():
         if any(new_table[(g, group.inv(g))]):
             raise RejectedShiftError(
@@ -470,17 +458,6 @@ _TOP_KEYS = {"prime", "precision", "G", "A", "cocycle"}
 def _is_int(x) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _parse_gelt(key: str, group, what: str) -> GElt:
-    # group only needs .rank and .contains; cocycle keys use a pair view
-    try:
-        parts = tuple(int(x) for x in key.split(",")) if key else ()
-    except ValueError:
-        raise SchemaError(f"{what}: cannot parse group element {key!r}") from None
-    if len(parts) != group.rank or not group.contains(parts):
-        raise SchemaError(f"{what}: {key!r} is not a valid group element")
-    return parts
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -550,28 +527,23 @@ def instance_from_dict(data: dict) -> Instance:
     for key, v in csec.items():
         if not isinstance(key, str):
             raise SchemaError("cocycle keys must be strings")
-        flat = _parse_gelt(key, _PairGroup(group), f"cocycle key {key!r}")
+        what = f"cocycle key {key!r}"
+        try:
+            flat = tuple(int(x) for x in key.split(",")) if key else ()
+        except ValueError:
+            raise SchemaError(f"{what}: cannot parse group element {key!r}") from None
+        # only the spelling instance_to_dict writes: two spellings of one
+        # pair would otherwise overwrite each other in key order
+        canonical = ",".join(map(str, flat))
+        if canonical != key:
+            raise SchemaError(f"{what}: not in canonical spelling, write {canonical!r}")
         s_elt, t_elt = flat[: group.rank], flat[group.rank :]
+        if len(flat) != 2 * group.rank or not (group.contains(s_elt) and group.contains(t_elt)):
+            raise SchemaError(f"{what}: {key!r} is not a valid group element")
         if not isinstance(v, list) or not all(_is_int(x) for x in v):
             raise SchemaError(f"cocycle value for {key!r} must be a list of integers")
         table[(s_elt, t_elt)] = v
     return build_instance(prime, precision, g_orders, at_orders, action, table)
-
-
-class _PairGroup:
-    """Helper so cocycle keys 'sigma,tau' parse as one 2s-long exponent vector."""
-
-    def __init__(self, group: AbelianLGroup):
-        self.rank = 2 * group.rank
-        self._group = group
-
-    def contains(self, flat) -> bool:
-        r = self._group.rank
-        return (
-            len(flat) == 2 * r
-            and self._group.contains(flat[:r])
-            and self._group.contains(flat[r:])
-        )
 
 
 def load_instance(path) -> Instance:

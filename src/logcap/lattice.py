@@ -9,7 +9,10 @@ pivots, re-inject the annihilator multiple of every pivot row, then reduce
 entries above each pivot below the pivot's valuation.
 
 Conventions are row-based throughout: vectors are rows, ``solve`` finds
-``x`` with ``x * M = v``, and ``kernel`` is the left kernel.
+``x`` with ``x * M = v``, and ``kernel`` is the left kernel.  The products
+``vec_mat`` and ``mat_mul`` take one order per coordinate, since a module
+such as A = T + Z/l^n has coordinates of different orders: coordinate j of
+a product is reduced mod ``orders[j]``, which divides l^n.
 """
 
 from __future__ import annotations
@@ -147,6 +150,21 @@ class ZModRing:
         return pow(x, -1, self.modulus)
 
 
+def vec_mat(vec: Sequence[int], mat: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:
+    """The row vector vec * mat, coordinate j reduced mod orders[j].  Zero
+    entries of vec are skipped, as the vectors of the checks are sparse."""
+    out = [0] * len(orders)
+    for c, row in zip(vec, mat):
+        if c:
+            out = [y + c * x for y, x in zip(out, row)]
+    return tuple(y % o for y, o in zip(out, orders))
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:
+    """The matrix product a * b, column j reduced mod orders[j]."""
+    return tuple(vec_mat(row, b, orders) for row in a)
+
+
 def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
     """Howell form of a row lattice; returns (rows, pivot_columns).
 
@@ -270,9 +288,6 @@ class Submodule:
             out *= N // row[col]
         return out
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def elements(self):
         """Iterate all span elements (coefficient ranges are exact, no dups)."""
         N = self.ring.modulus
@@ -345,9 +360,8 @@ def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) 
     if any(resid):
         return None
     # defensive: the returned solution must verify exactly
-    for j in range(width):
-        if sum(x[i] * rows[i][j] for i in range(len(rows))) % N != target[j] % N:
-            raise InternalInvariantError(f"solution fails the equations at column {j}")
+    if vec_mat(x, rows, (N,) * width) != tuple(y % N for y in target):
+        raise InternalInvariantError("solution fails the equations")
     return tuple(x)
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .groupring import GElt, GroupRingElt, OmegaRingElt, det_ring, trace_element
-from .lattice import InternalInvariantError, Submodule, ZModRing, preimage, solve
+from .lattice import InternalInvariantError, Submodule, ZModRing, mat_mul, preimage, solve, vec_mat
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -99,10 +99,11 @@ class Frame:
     @cached_property
     def action(self) -> Dict[GElt, tuple]:
         """Row-action matrix of every group element, tau_1^k_1 ... tau_s^k_s
-        multiplied in generator order."""
+        multiplied in generator order.  Reduced mod l^n, not per coordinate:
+        the two agree only on instances that pass action-well-defined."""
         inst = self.inst
-        N = self.ring.modulus
         d = inst.dim_a
+        modulus = (self.ring.modulus,) * d
         out = {}
         for g in inst.group.elements():
             k = max((i for i, x in enumerate(g) if x), default=None)
@@ -110,11 +111,7 @@ class Frame:
                 out[g] = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
                 continue
             prev = out[g[:k] + (g[k] - 1,) + g[k + 1 :]]
-            base = inst.module.action[k]
-            out[g] = tuple(
-                tuple(sum(prev[i][r] * base[r][j] for r in range(d)) % N for j in range(d))
-                for i in range(d)
-            )
+            out[g] = mat_mul(prev, inst.module.action[k], modulus)
         return out
 
     @cached_property
@@ -189,16 +186,6 @@ class Frame:
             if g in self.nonid_index:
                 out[self.nonid_index[g]] += c
         return tuple(out)
-
-    def apply(self, vec: Sequence[int], mat: Sequence[Sequence[int]]) -> list:
-        """vec * mat over Z/l^n."""
-        N = self.ring.modulus
-        out = [0] * len(mat[0])
-        for c, row in zip(vec, mat):
-            if c:
-                for j, x in enumerate(row):
-                    out[j] = (out[j] + c * x) % N
-        return out
 
     # the operators on B ----------------------------------------------------
 
@@ -284,7 +271,7 @@ class Frame:
                 tg_inv = group.inv(group.mul(tau, g))
                 c = inst.a_add(c, inst.act(tg_inv, inst.cocycle_in_a(tau, g)))
             self._offsets[tau] = c
-        return inst.a_add(self.apply(a, self.norm_matrix), c)
+        return inst.a_add(vec_mat(a, self.norm_matrix, self.orders), c)
 
     # shared submodules -------------------------------------------------------
 
@@ -330,23 +317,20 @@ class Frame:
 def star_act(inst: "Instance", x: GroupRingElt, v: Sequence[int]) -> Vec:
     """The linearized twisted action of a group-ring element on B."""
     frame = inst.frame
-    out = [0] * frame.dim_b
-    for g, c in x.coeffs.items():
-        for j, y in enumerate(frame.apply(v, frame.star[g])):
-            out[j] += c * y
-    return frame.b_reduce(out)
+    moved = [vec_mat(v, frame.star[g], frame.b_orders) for g in x.coeffs]
+    return vec_mat(list(x.coeffs.values()), moved, frame.b_orders)
 
 
 def omega_act(inst: "Instance", v: Sequence[int]) -> Vec:
     """w * v for w = gamma - 1: zero on A, (tau - 1) -> (1 - tau) * gamma."""
     frame = inst.frame
-    return frame.b_reduce(frame.apply(v, frame.omega))
+    return vec_mat(v, frame.omega, frame.b_orders)
 
 
 def trace(inst: "Instance", v: Sequence[int]) -> Vec:
     """Tr * v, an element of A."""
     frame = inst.frame
-    return inst.a_reduce(frame.apply(v, frame.trace_matrix))
+    return vec_mat(v, frame.trace_matrix, frame.orders)
 
 
 def ig_star_b(inst: "Instance") -> Submodule:
@@ -411,14 +395,11 @@ class RelationCertificate:
         return len(self.m_matrix)
 
     def to_dict(self) -> dict:
-        def ser_elt(x: GroupRingElt):
-            return {",".join(map(str, g)): c for g, c in sorted(x.coeffs.items())}
-
         return {
-            "M": [[ser_elt(x) for x in row] for row in self.m_matrix],
-            "N": [[ser_elt(x) for x in row] for row in self.n_matrix],
-            "lambda": [[ser_elt(x) for x in row] for row in self.lam_matrix],
-            "mu": [ser_elt(x) for x in self.mu_vector],
+            "M": [[x.to_dict() for x in row] for row in self.m_matrix],
+            "N": [[x.to_dict() for x in row] for row in self.n_matrix],
+            "lambda": [[x.to_dict() for x in row] for row in self.lam_matrix],
+            "mu": [x.to_dict() for x in self.mu_vector],
         }
 
     def content_hash(self) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import extension
-from .groupring import GroupRingElt, trace_element
+from .groupring import trace_element
 from .instance import Instance, ValidationReport, validate
 from .lattice import preimage, quotient_order
 from .resolvent import (
@@ -69,10 +69,6 @@ class Verdict:
 
 def _fmt_vec(v) -> list:
     return [int(x) for x in v]
-
-
-def _fmt_ring(x: GroupRingElt) -> dict:
-    return {",".join(map(str, g)): int(c) for g, c in sorted(x.coeffs.items())}
 
 
 # -- individual checks ---------------------------------------------------------
@@ -220,7 +216,7 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
     images_equal = trace_image == delta_image
     ok = not bad and images_equal
     witness = {
-        "delta": _fmt_ring(delta_op),
+        "delta": delta_op.to_dict(),
         "trace_image_order": trace_image.order() // inst.zero_a().order(),
         "images_equal": images_equal,
         "certificate": cert.content_hash(),
@@ -265,7 +261,7 @@ def _v8_delta_kills_boundary(inst: Instance, oracle_bound: int) -> Verdict:
             bad.append({"generator": list(row), "delta_image": _fmt_vec(img)})
     witness = {
         "boundary_order": boundary.order() // zero.order(),
-        "delta": _fmt_ring(delta_op),
+        "delta": delta_op.to_dict(),
     }
     if bad:
         witness["violations"] = bad
@@ -399,5 +395,5 @@ def run_all(
         report,
         verdicts,
         cert.content_hash() if cert else None,
-        _fmt_ring(delta_op) if delta_op is not None else None,
+        delta_op.to_dict() if delta_op is not None else None,
     )

@@ -189,7 +189,8 @@ def _all_pairs_derived(inst, degree_zero):
     a_elts = list(itertools.product(*(range(o) for o in orders)))
     act = {(g, a): inst.act(g, a) for g in gelts for a in a_elts}
     coc = {(s, t): inst.cocycle_in_a(s, t) for s in gelts for t in gelts}
-    pool = [(a, g) for a in a_elts for g in gelts if not degree_zero or inst.deg(a) == 0]
+    n = inst.ring.modulus
+    pool = [(a, g) for a in a_elts for g in gelts if not degree_zero or a[-1] % n == 0]
 
     def a_part(u, v):
         (a, s), (b, t) = u, v
@@ -273,7 +274,7 @@ def _tuple_law_facts(inst):
     derived = span({commutator((a, s), y) for a in a_elts for s in gelts for y in gens})
     gamma = (inst.gamma(), one)
     gamma_span = span({commutator(gamma, (zero, g)) for g in gelts})
-    u_tilde = sum(1 for a in a_elts if inst.deg(a) == 0) * len(gelts)
+    u_tilde = sum(1 for a in a_elts if a[-1] % inst.ring.modulus == 0) * len(gelts)
     return transfer, u_tilde, len(derived), gamma_span
 
 

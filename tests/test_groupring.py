@@ -33,12 +33,12 @@ def test_tau_minus_one_squared():
 def test_one_plus_tau_times_tau_minus_one():
     tau = (1,)
     one = (0,)
-    assert (elt({one: 1, tau: 1}) * elt({tau: 1, one: -1})).is_zero()
+    assert not (elt({one: 1, tau: 1}) * elt({tau: 1, one: -1})).coeffs
 
 
 def test_omega_squared_is_zero():
     w = OmegaRingElt(GroupRingElt.zero(C2, Z8), GroupRingElt.one(C2, Z8))
-    assert (w * w).is_zero()
+    assert (w * w) == OmegaRingElt(GroupRingElt.zero(C2, Z8), GroupRingElt.zero(C2, Z8))
 
 
 def test_omega_ring_multiplication_rule():
@@ -92,7 +92,7 @@ def test_trace_annihilates_augmentation_ideal():
         tr = trace_element(g, Z8)
         for sigma in g.nonidentity():
             x = GroupRingElt(g, Z8, {sigma: 1, g.identity(): -1})
-            assert (tr * x).is_zero()
+            assert not (tr * x).coeffs
 
 
 def test_mixed_group_or_ring_rejected():
@@ -123,7 +123,7 @@ def test_det_omega_matrix_with_zero_n_part():
     ]
     d = det_ring(m)
     assert d.r0 == a * a - b * b
-    assert d.r1.is_zero()
+    assert not d.r1.coeffs
 
 
 def _det_permutation_sum(m):
@@ -213,7 +213,7 @@ def test_annihilator_of_augmentation_ideal_is_trace_line(orders, precision):
     count = 0
     for coeffs in itertools.product(range(ring.modulus), repeat=g.size()):
         x = GroupRingElt(g, ring, dict(zip(g.elements(), coeffs)))
-        kills = all((x * b).is_zero() for b in basis)
+        kills = all(not (x * b).coeffs for b in basis)
         in_line = tuple(sorted(x.coeffs.items())) in trace_line
         assert kills == in_line
         count += 1

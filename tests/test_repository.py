@@ -93,3 +93,30 @@ def test_every_public_library_name_has_a_user_outside_the_tests():
         and not any(n == name and (p, j) != (path, i) for p, j, n in used)
     ]
     assert defined and unused == []
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    """A public method or property of a public class of src/logcap is read
+    as an attribute in src/, demos/ or tools/, outside its own definition."""
+    files = sorted((REPO / "src").rglob("*.py")) + DEMOS + sorted((REPO / "tools").glob("*.py"))
+    defined, used = [], []  # used: (path, line, attribute name)
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "logcap":
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                    defined += [
+                        (path, cls.name, node)
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    ]
+        used += [(path, n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    unused = [
+        f"{path.name}:{cls}.{node.name}"
+        for path, cls, node in defined
+        if not any(
+            name == node.name and not (p == path and node.lineno <= line <= node.end_lineno)
+            for p, line, name in used
+        )
+    ]
+    assert defined and unused == []

@@ -126,7 +126,8 @@ def test_trace_e1_examples(e1):
 def test_trace_is_norm_on_torsion_with_trivial_action(inst33):
     # the (3,3) fixture acts trivially on its torsion: Tr(a) = |G| a = 0
     alpha = inst33.atilde_embed((1,))
-    assert trace(inst33, alpha + (0,) * 8) == inst33.a_scale(inst33.group.size(), alpha)
+    size = inst33.group.size()
+    assert trace(inst33, alpha + (0,) * 8) == inst33.a_reduce([size * x for x in alpha])
 
 
 @pytest.mark.parametrize("fixture", ["e1", "inst33", "rank3"])
@@ -137,7 +138,7 @@ def test_trace_matrix_is_the_star_action_of_the_trace(fixture, request):
     for k in range(frame.dim_b):
         e_k = frame.unit(k)
         via_star = star_act(inst, tr, e_k)
-        assert tuple(frame.apply(e_k, frame.trace_matrix)) == via_star[: inst.dim_a]
+        assert frame.trace_matrix[k] == via_star[: inst.dim_a]
         assert not any(via_star[inst.dim_a :])
 
 
@@ -203,9 +204,9 @@ def test_e1_certificate_matches_hand_computation(e1):
     cert = relation_matrices(e1)
     tau, one = (1,), (0,)
     assert cert.m_matrix[0][0] == ring_elt(e1, {one: 1, tau: 1})
-    assert cert.n_matrix[0][0].is_zero()
+    assert not cert.n_matrix[0][0].coeffs
     assert cert.lam_matrix[0][0] == ring_elt(e1, {one: 1, tau: 1})
-    assert cert.mu_vector[0].is_zero()
+    assert not cert.mu_vector[0].coeffs
 
 
 def test_certificate_determinism(e1, inst33):
@@ -265,7 +266,7 @@ def test_certificate_dets_equal_trace(e1, inst33):
 
 def test_delta_e1_is_zero(e1):
     cert = relation_matrices(e1)
-    assert delta(e1, cert).is_zero()
+    assert not delta(e1, cert).coeffs
 
 
 def test_delta_rejects_scaled_certificate(e1):
@@ -309,7 +310,7 @@ def test_trivial_group_certificate():
     inst = build_instance(2, 2, [], [], [], {})
     cert = relation_matrices(inst)
     assert cert.size() == 0
-    assert delta(inst, cert).is_zero()
+    assert not delta(inst, cert).coeffs
 
 
 # -- the boundary module -------------------------------------------------------------
