@@ -153,11 +153,13 @@ class ZModRing:
 def vec_mat(vec: Sequence[int], mat: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:
     """The row vector vec * mat, coordinate j reduced mod orders[j].  Zero
     entries of vec are skipped, as the vectors of the checks are sparse."""
-    out = [0] * len(orders)
+    out = None
     for c, row in zip(vec, mat):
         if c:
-            out = [y + c * x for y, x in zip(out, row)]
-    return tuple(y % o for y, o in zip(out, orders))
+            out = [c * x for x in row] if out is None else [y + c * x for y, x in zip(out, row)]
+    if out is None:
+        return (0,) * len(orders)
+    return tuple([y % o for y, o in zip(out, orders)])
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:

@@ -9,9 +9,11 @@ from logcap.lattice import (
     ZModRing,
     _is_prime,
     kernel,
+    mat_mul,
     preimage,
     quotient_order,
     solve,
+    vec_mat,
 )
 
 Z8 = ZModRing(2, 3)
@@ -144,6 +146,22 @@ def test_solve_agrees_with_exhaustive_scan(ring):
             assert x is not None
             for j in range(2):
                 assert sum(c * r[j] for c, r in zip(x, rows)) % ring.modulus == target[j]
+
+
+def test_products_reduce_each_coordinate_by_its_order():
+    # sparse and zero vectors included: vec_mat skips zero coefficients
+    rng = random.Random(3)
+    for _ in range(200):
+        d = rng.randrange(1, 4)
+        orders = [rng.choice([1, 2, 4, 8]) for _ in range(d)]
+        a = [[rng.choice([0, 0, rng.randrange(-9, 9)]) for _ in range(d)] for _ in range(d)]
+        b = [[rng.randrange(-9, 9) for _ in range(d)] for _ in range(d)]
+        want = tuple(
+            tuple(sum(a[i][r] * b[r][j] for r in range(d)) % orders[j] for j in range(d))
+            for i in range(d)
+        )
+        assert mat_mul(a, b, orders) == want
+        assert all(vec_mat(row, b, orders) == w for row, w in zip(a, want))
 
 
 def test_quotient_order_equal_modules():
