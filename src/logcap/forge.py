@@ -222,11 +222,8 @@ class _CocycleSpace:
     def sample(self, rng: random.Random) -> Vec:
         """A random factor-set vector: one coefficient mod exp(T) drawn per
         basis row of the solution module, in basis order."""
-        vec = [0] * self.nvars
-        for row in self._sub.basis:
-            c = rng.randrange(self.ring.modulus)
-            vec = [x + c * y for x, y in zip(vec, row)]
-        return self._reduce_table(vec)
+        coeffs = [rng.randrange(self.ring.modulus) for _ in self._sub.basis]
+        return vec_mat(coeffs, self._sub.basis, self.orders)
 
     def tables(self) -> List[Vec]:
         """All factor-set vectors, sorted."""
