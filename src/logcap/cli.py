@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import forge, verifier
 from .groupring import GroupSizeError, RingSizeError
-from .instance import SchemaError, load_instance, validate
+from .instance import SchemaError, load_instance, read_json, validate
 from .lattice import ModulusSizeError
 
 EXIT_OK = 0
@@ -198,11 +198,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as e:
-        print(f"error: {args.path}: not UTF-8 text (byte {e.start}: {e.reason})", file=sys.stderr)
-        return EXIT_INPUT
+    payload = read_json(args.path)
     try:
         # The markdown render reads every field of a report, so it is the
         # shape check for both formats.
@@ -280,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, OSError, json.JSONDecodeError) as e:
+    except (SchemaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (

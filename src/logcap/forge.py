@@ -11,6 +11,14 @@ directly from the torsion structure: entry steps forced by
 well-definedness, then powers, norms and commutators checked with one
 matrix product that reduces each column by its own order.
 
+A factor set takes its values in the torsion part T, so its module, and
+its coboundaries, depend only on T as a G-module: on the torsion blocks of
+the generator matrices, never on how gamma moves.  Every torsion row of an
+action matrix is zero in the gamma column, so the torsion block of a
+product is the product of the torsion blocks.  Configurations that differ
+only in gamma's row therefore share one module, and a search solves it
+once per torsion action.
+
 The oracle at the bottom knows nothing about any of that: it materializes
 the extension group, finds its own generating set by greedy closure, takes
 the commutators of every element with those generators, computes transfers
@@ -26,6 +34,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -135,13 +144,15 @@ def action_configurations(prime: int, precision: int, g_orders, atilde_orders):
 
 
 class _CocycleSpace:
-    """The module of convention-compliant factor sets for one action config.
+    """The module of convention-compliant factor sets for one torsion action.
 
     Variables are the table entries on nonidentity pairs; the associativity
     identity on nonidentity triples, together with vanishing on inverse
     pairs, cuts out a submodule over Z/exp(T).  Tables are enumerated by
     closing the reduced generators under addition, so there is no blowup
-    from torsion coordinates of smaller order.
+    from torsion coordinates of smaller order.  Everything here reads the
+    action only through ``_p_mats``, its torsion blocks, so one space
+    serves every configuration with the same torsion action.
     """
 
     def __init__(self, prime, precision, g_orders, atilde_orders, action):
@@ -263,8 +274,10 @@ class _CocycleSpace:
             gens.append(self._reduce_table(table))
         return sorted(_closure(gens, self.orders))
 
+    @cached_property
     def canonical_tables(self) -> List[Vec]:
-        """One lexicographically minimal representative per coboundary class."""
+        """One lexicographically minimal representative per coboundary class,
+        computed once for all the configurations that share this space."""
         shifts = self.coboundaries()
         seen = set()
         out = []
@@ -327,11 +340,25 @@ def _shapes(params: SearchParams, g_orders=None, atilde_orders=None):
     ]
 
 
+def _shared_space(spaces: dict, params: SearchParams, g_orders, atilde_orders, action):
+    """The factor-set space of an action configuration, taken from spaces
+    when a configuration with the same torsion blocks built it before."""
+    t = len(atilde_orders)
+    key = tuple(tuple(row[:t] for row in m[:t]) for m in action)
+    if key not in spaces:
+        spaces[key] = _CocycleSpace(params.prime, params.precision, g_orders, atilde_orders, action)
+    return spaces[key]
+
+
 def _spaces(params: SearchParams, g_orders, atilde_orders):
-    """(action, factor-set space) for each action configuration of a shape,
-    each space built when the caller reaches it."""
+    """(action, factor-set space) for each action configuration of a shape.
+
+    A factor-set space depends only on the torsion action, so each is
+    built the first time the walk reaches its torsion action and shared by
+    the later configurations with the same one, until the walk ends."""
+    spaces: dict = {}
     for action in action_configurations(params.prime, params.precision, g_orders, atilde_orders):
-        yield action, _CocycleSpace(params.prime, params.precision, g_orders, atilde_orders, action)
+        yield action, _shared_space(spaces, params, g_orders, atilde_orders, action)
 
 
 def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=None) -> int:
@@ -367,7 +394,7 @@ def _instances(params: SearchParams, shapes):
     """The enumeration behind enumerate_instances, with no count first."""
     for g, a in shapes:
         for action, space in _spaces(params, g, a):
-            for table_vec in space.canonical_tables():
+            for table_vec in space.canonical_tables:
                 inst = build_instance(
                     params.prime, params.precision, g, a, action, space.table_to_dict(table_vec)
                 )
@@ -377,7 +404,11 @@ def _instances(params: SearchParams, shapes):
 
 def random_instance(params: SearchParams, g_orders=None, atilde_orders=None) -> Optional[Instance]:
     """Seed-reproducible rejection sampling over action configurations and
-    factor-set modules; returns the first validate-passing instance."""
+    factor-set modules; returns the first validate-passing instance.
+
+    A factor-set module depends only on the torsion action, so the spaces
+    built during the call are keyed by it; each instance is still built
+    from its own full configuration."""
     rng = random.Random(params.seed)
     shapes = _shapes(params, g_orders, atilde_orders)
     if not shapes:
@@ -390,12 +421,11 @@ def random_instance(params: SearchParams, g_orders=None, atilde_orders=None) -> 
         configs, spaces = cache[g, a]
         if not configs:
             continue
-        ci = rng.randrange(len(configs))
-        if ci not in spaces:
-            spaces[ci] = _CocycleSpace(params.prime, params.precision, g, a, configs[ci])
-        table_vec = spaces[ci].sample(rng)
+        action = configs[rng.randrange(len(configs))]
+        space = _shared_space(spaces, params, g, a, action)
+        table_vec = space.sample(rng)
         inst = build_instance(
-            params.prime, params.precision, g, a, configs[ci], spaces[ci].table_to_dict(table_vec)
+            params.prime, params.precision, g, a, action, space.table_to_dict(table_vec)
         )
         if validate(inst).ok:
             return inst

@@ -546,14 +546,24 @@ def instance_from_dict(data: dict) -> Instance:
     return build_instance(prime, precision, g_orders, at_orders, action, table)
 
 
-def load_instance(path) -> Instance:
+def read_json(path):
+    """The JSON value in the file at path; text that does not parse is a
+    SchemaError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}") from None
         except UnicodeDecodeError as e:
             raise SchemaError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+        except ValueError:  # the only other parse error: int()'s digit limit
+            raise SchemaError(f"{path}: an integer literal has too many digits") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
+
+
+def load_instance(path) -> Instance:
+    data = read_json(path)
     try:
         return instance_from_dict(data)
     except (SchemaError, GroupSizeError, ModulusSizeError) as e:

@@ -207,6 +207,29 @@ def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
     assert err.startswith("error:") and "not UTF-8" in err
 
 
+def _hostile_json(tmp_path, kind):
+    """A file json.load refuses with other than a JSONDecodeError: a copy of
+    e1.json whose precision has 5,000 digits, or an array nested 100,000
+    deep."""
+    p = tmp_path / f"{kind}.json"
+    if kind == "long-int":
+        text = (FIXTURES / "e1.json").read_text(encoding="utf-8")
+        p.write_text(text.replace('"precision": 3', '"precision": ' + "7" * 5000), encoding="utf-8")
+    else:
+        p.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize("kind", ["long-int", "deep"])
+@pytest.mark.parametrize("command", ["validate", "verify", "report"])
+def test_unparsable_json_is_an_input_error(tmp_path, capsys, command, kind):
+    p = _hostile_json(tmp_path, kind)
+    code, out, err = run_cli([command, p], capsys)
+    assert (code, out) == (1, "")
+    reason = {"long-int": "too many digits", "deep": "nested too deeply"}[kind]
+    assert err.startswith(f"error: {p}: ") and reason in err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "logcap.cli", "validate", str(FIXTURES / "e1.json")],

@@ -12,6 +12,8 @@ from logcap.forge import (
     ComponentSpec,
     OracleBoundError,
     SearchParams,
+    _CocycleSpace,
+    _spaces,
     build_corpus,
     enumerate_instances,
     estimate_space,
@@ -123,6 +125,37 @@ def test_random_instances_validate_in_bulk():
             assert validate(inst).ok
             ok += 1
     assert ok > 10
+
+
+@pytest.mark.parametrize(
+    "prime,precision,g_orders,atilde_orders",
+    [
+        (2, 4, (2,), (2, 4)),
+        (2, 4, (4,), (2, 2)),
+        (2, 4, (2, 2), (2, 2)),
+        (3, 3, (3,), (3, 3)),
+    ],
+    ids=["G2_A2x4", "G4_A2x2", "G2x2_A2x2", "G3_A3x3"],
+)
+def test_factor_set_space_depends_only_on_the_torsion_action(
+    prime, precision, g_orders, atilde_orders
+):
+    """The search shares one space among the configurations with the same
+    torsion action.  Built with no sharing, the configurations that share a
+    space give the same solution basis, coboundaries and count, and the
+    shared count is the sum of the unshared ones."""
+    params = SearchParams(prime, precision, (g_orders,), (atilde_orders,))
+    groups = {}
+    total = 0
+    for action, shared in _spaces(params, g_orders, atilde_orders):
+        space = _CocycleSpace(prime, precision, g_orders, atilde_orders, action)
+        facts = (space._sub.basis, space.coboundaries(), space.count())
+        total += facts[2]
+        groups.setdefault(id(shared), []).append(facts)
+    assert len(groups) < sum(map(len, groups.values()))  # some configurations share
+    for facts in groups.values():
+        assert all(f == facts[0] for f in facts)
+    assert estimate_space(params, g_orders, atilde_orders) == total
 
 
 def test_random_admissible_shift_never_rejected(inst33, e1, rng):
@@ -369,6 +402,28 @@ def _pinned_components():
         ("l2", ((2,), (2, 2, 2))),  # exhaustive
         ("l2", ((2,), (8,))),  # excluded by the precision floor
         ("l3", ((3,), (3, 3))),  # sampled
+        # the other pinned components, in the order of tools/build_corpus.py
+        ("l2", ((2,), ())),
+        ("l2", ((2,), (2,))),
+        ("l2", ((2,), (4,))),
+        ("l2", ((2,), (2, 2))),
+        ("l2", ((2,), (2, 4))),
+        ("l2", ((4,), ())),
+        ("l2", ((4,), (2,))),
+        ("l2", ((4,), (4,))),
+        ("l2", ((4,), (2, 2))),
+        ("l2", ((4,), (2, 2, 2))),
+        ("l2", ((2, 2), ())),
+        ("l2", ((2, 2), (2,))),
+        ("l2", ((2, 2), (4,))),
+        ("l2", ((2, 2), (2, 2))),
+        ("l2", ((2, 2), (2, 4))),
+        ("l2", ((2, 2), (2, 2, 2))),
+        ("l3", ((3,), ())),
+        ("l3", ((3,), (3,))),
+        ("l3", ((3,), (9,))),
+        ("l3", ((3, 3), ())),
+        ("l3", ((3, 3), (3,))),
     ],
 )
 def test_rebuilt_component_matches_the_shipped_corpus(tmp_path, label, shape):
