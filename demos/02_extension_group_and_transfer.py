@@ -12,7 +12,7 @@ T = Z/2 = <alpha>, tau fixing alpha and moving gamma to gamma + alpha.
 
 from pathlib import Path
 
-from logcap.extension import UElement, derived_subgroup, log_iso, transfer, u_elements
+from logcap.extension import UElement, log_iso, transfer, u_elements
 from logcap.instance import load_instance, validate
 from logcap.resolvent import trace
 
@@ -32,9 +32,10 @@ print("gamma-lift times u_tau:", (u * v).a, (u * v).tau)
 print("u_tau times gamma-lift:", (v * u).a, (v * u).tau, " (they do not commute)")
 
 # the derived subgroup, computed from the formula I_G A + antisymmetrized
-# factor set; hypothesis H1 demands it be the whole torsion part
-d = derived_subgroup(inst)
-print("derived subgroup basis:", d.basis, "= torsion part:", d == inst.atilde_submodule())
+# factor set; hypothesis H1 demands it be the whole torsion part.  Both are
+# submodules of A held by the instance's frame, built once on first use.
+d = inst.frame.derived
+print("derived subgroup basis:", d.basis, "= torsion part:", d == inst.frame.atilde)
 
 # transfer: sum of the transversal corrections; on the gamma lift it
 # multiplies the degree by |G| and picks up the commutator alpha

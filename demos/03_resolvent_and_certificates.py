@@ -34,7 +34,7 @@ for k, inst in enumerate(instances):
     tr = trace_element(inst.group, inst.ring)
     d = delta(inst, cert)
     image = inst.span_a([trace(inst, inst.frame.unit(k)) for k in inst.frame.bt_index])
-    order = image.order() // inst.zero_a().order()
+    order = inst.frame.size(image)
     print(f"instance {k}: det M = Tr: {det_m == tr},  delta = {d},  capitulation image order = {order}")
 
 # On the last instance, check the operator identity Tr = w delta on the

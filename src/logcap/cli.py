@@ -72,8 +72,11 @@ def cmd_verify(args) -> int:
         return EXIT_INPUT
     for p in paths:  # a malformed file ends the run before any verification
         load_instance(p)
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the fork start method launches every worker at the first submit, so
+    # the pool is never larger than the number of files
+    workers = min(args.workers, len(paths))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_verify_one, str(p), args.oracle_bound, args.force)
                 for p in paths

@@ -78,17 +78,14 @@ class UElement:
 
 def u_elements(inst: "Instance"):
     """All of U in a deterministic order (A coordinates outer, G inner)."""
-    orders = inst.coordinate_orders()
+    orders = inst.frame.orders
     for a in itertools.product(*(range(o) for o in orders)):
         for g in inst.group.elements():
             yield UElement(inst, a, g)
 
 
 def u_order(inst: "Instance") -> int:
-    out = inst.group.size() * inst.ring.modulus
-    for o in inst.module.atilde_orders:
-        out *= o
-    return out
+    return inst.group.size() * inst.ring.modulus * inst.atilde_order()
 
 
 def derived_subgroup(inst: "Instance", degree_zero: bool = False) -> Submodule:

@@ -48,7 +48,6 @@ from .instance import (
     validate,
 )
 from .lattice import InternalInvariantError, Submodule, ZModRing, mat_mul, preimage, vec_mat
-from .resolvent import boundary_module
 
 Vec = Tuple[int, ...]
 
@@ -475,7 +474,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     if n_u > bound:
         raise OracleBoundError(f"|U| = {n_u} exceeds the oracle bound {bound}")
 
-    orders = inst.coordinate_orders()
+    orders = inst.frame.orders
     group = inst.group
     gelts = group.elements()
     n_g = len(gelts)
@@ -602,7 +601,7 @@ class ComponentSpec:
 
 def _instance_name(inst: Instance, index: int) -> str:
     g = "x".join(map(str, inst.group.orders)) or "1"
-    a = "x".join(map(str, inst.module.atilde_orders)) or "0"
+    a = "x".join(map(str, inst.atilde_orders)) or "0"
     return f"p{inst.prime}_n{inst.precision}_G{g}_A{a}_{index:03d}.json"
 
 
@@ -686,7 +685,7 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
             )
             entry["count"] += 1
             if inst.group.rank >= 2:
-                if boundary_module(inst).order() > inst.zero_a().order():
+                if inst.frame.size(inst.frame.boundary) > 1:
                     entry["nonzero_boundary"] += 1
         manifest["components"].append(entry)
     (out / "manifest.json").write_text(

@@ -266,7 +266,7 @@ class OmegaRingElt:
 DET_DIMENSION_BOUND = 4
 
 
-def det_ring(m: Sequence[Sequence], bound: int = DET_DIMENSION_BOUND):
+def det_ring(m: Sequence[Sequence]):
     """Determinant by cofactor expansion over a commutative coefficient ring.
 
     Works for GroupRingElt and OmegaRingElt entries alike; fraction-free
@@ -276,8 +276,8 @@ def det_ring(m: Sequence[Sequence], bound: int = DET_DIMENSION_BOUND):
     for row in m:
         if len(row) != s:
             raise RingSizeError("determinant of a non-square matrix")
-    if s > bound:
-        raise RingSizeError(f"matrix dimension {s} exceeds determinant bound {bound}")
+    if s > DET_DIMENSION_BOUND:
+        raise RingSizeError(f"matrix dimension {s} exceeds determinant bound {DET_DIMENSION_BOUND}")
     if s == 0:
         raise RingSizeError("cannot infer the ring of an empty matrix; use a 1x1 or larger")
     return _det_rec([list(r) for r in m])

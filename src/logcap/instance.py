@@ -8,6 +8,12 @@ takes values in the torsion part and is normalized, satisfies the standard
 associativity identity, and vanishes on inverse pairs (the transversal
 convention u_{t^-1} = u_t^-1).
 
+An ``Instance`` holds that data and nothing derived from it.  Everything
+derived, from the coefficient ring and the factor-set lookup to the
+submodules the checks read, belongs to its ``Frame`` (``inst.frame``, see
+``resolvent``), each value built once on first use.  The coordinate
+helpers here read the frame.
+
 Validation failures are data, not exceptions: ``validate`` returns a named
 report and loaders accept arithmetically broken files as long as they are
 structurally well formed.
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
@@ -39,53 +46,21 @@ class RejectedShiftError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClassModule:
-    """Coordinates and G-action of the module A = T + (Z/l^n) * gamma."""
-
-    atilde_orders: Tuple[int, ...]
-    action: Tuple[Tuple[Tuple[int, ...], ...], ...]  # one (t+1)x(t+1) matrix per generator
-
-    @property
-    def torsion_rank(self) -> int:
-        return len(self.atilde_orders)
-
-    @property
-    def dim(self) -> int:
-        return len(self.atilde_orders) + 1
-
-
-@dataclass(frozen=True)
-class Cocycle:
-    """Factor set table; entries is a sorted tuple of (sigma, tau, value)."""
-
-    entries: Tuple[Tuple[GElt, GElt, Vec], ...]
-    _table: dict = field(default=None, compare=False, repr=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_table", {(s, t): v for (s, t, v) in self.entries})
-
-    @classmethod
-    def from_table(cls, table: Dict[Tuple[GElt, GElt], Vec]) -> "Cocycle":
-        entries = tuple(
-            sorted((s, t, tuple(v)) for (s, t), v in table.items() if any(v))
-        )
-        return cls(entries)
-
-    def value(self, sigma: GElt, tau: GElt, width: int) -> Vec:
-        return self._table.get((sigma, tau), (0,) * width)
-
-
-@dataclass(frozen=True)
 class Instance:
+    """The data of one instance; ``cocycle`` lists the nonzero factor-set
+    values as a sorted tuple of (sigma, tau, value)."""
+
     prime: int
     precision: int
     group: AbelianLGroup
-    module: ClassModule
-    cocycle: Cocycle
+    atilde_orders: Tuple[int, ...]
+    action: Tuple[Tuple[Tuple[int, ...], ...], ...]  # one (t+1)x(t+1) matrix per generator
+    cocycle: Tuple[Tuple[GElt, GElt, Vec], ...]
 
     @cached_property
     def frame(self) -> "Frame":
-        """The derived state of this instance (ring, actions, certificate)."""
+        """The derived state of this instance: ring, actions, submodules,
+        certificate."""
         from .resolvent import Frame
 
         return Frame(self)
@@ -98,14 +73,11 @@ class Instance:
 
     @property
     def dim_a(self) -> int:
-        return self.module.dim
+        return len(self.atilde_orders) + 1
 
     @property
     def torsion_rank(self) -> int:
-        return self.module.torsion_rank
-
-    def coordinate_orders(self) -> Tuple[int, ...]:
-        return self.frame.orders
+        return len(self.atilde_orders)
 
     def a_reduce(self, vec: Sequence[int]) -> Vec:
         return tuple(x % o for x, o in zip(vec, self.frame.orders))
@@ -129,7 +101,7 @@ class Instance:
         return self.a_reduce(tuple(t_vec) + (0,))
 
     def atilde_reduce(self, t_vec: Sequence[int]) -> Vec:
-        return tuple(x % o for x, o in zip(t_vec, self.module.atilde_orders))
+        return tuple(x % o for x, o in zip(t_vec, self.atilde_orders))
 
     # -- the G-action ----------------------------------------------------
 
@@ -152,7 +124,7 @@ class Instance:
         return full[: self.torsion_rank]
 
     def cocycle_value(self, sigma: GElt, tau: GElt) -> Vec:
-        return self.cocycle.value(sigma, tau, self.torsion_rank)
+        return self.frame.cocycle_table.get((sigma, tau), (0,) * self.torsion_rank)
 
     def cocycle_in_a(self, sigma: GElt, tau: GElt) -> Vec:
         return self.atilde_embed(self.cocycle_value(sigma, tau))
@@ -162,22 +134,8 @@ class Instance:
     def span_a(self, gens: Sequence[Sequence[int]]) -> Submodule:
         return self.frame.span(gens, self.dim_a)
 
-    def zero_a(self) -> Submodule:
-        return self.span_a([])
-
-    def atilde_submodule(self) -> Submodule:
-        gens = []
-        for i in range(self.torsion_rank):
-            row = [0] * self.dim_a
-            row[i] = 1
-            gens.append(row)
-        return self.span_a(gens)
-
     def atilde_order(self) -> int:
-        out = 1
-        for o in self.module.atilde_orders:
-            out *= o
-        return out
+        return math.prod(self.atilde_orders)
 
 
 # -- construction -----------------------------------------------------------
@@ -226,9 +184,16 @@ def build_instance(
         prime=prime,
         precision=precision,
         group=group,
-        module=ClassModule(tuple(int(o) for o in atilde_orders), tuple(mats)),
-        cocycle=Cocycle.from_table(table),
+        atilde_orders=tuple(int(o) for o in atilde_orders),
+        action=tuple(mats),
+        cocycle=_cocycle_entries(table),
     )
+
+
+def _cocycle_entries(table: Dict[Tuple[GElt, GElt], Sequence[int]]) -> Tuple:
+    """The nonzero values of a factor-set table as a sorted tuple of
+    (sigma, tau, value), the form an Instance holds."""
+    return tuple(sorted((s, t, tuple(v)) for (s, t), v in table.items() if any(v)))
 
 
 # -- validation ---------------------------------------------------------------
@@ -288,7 +253,7 @@ def validate(inst: Instance) -> ValidationReport:
     group = inst.group
     t = inst.torsion_rank
     d = inst.dim_a
-    orders = inst.module.atilde_orders
+    orders = inst.atilde_orders
 
     m_at, m_g = precision_terms(inst.prime, orders, group.orders)
     ok = inst.precision >= m_at + m_g + 1
@@ -304,7 +269,7 @@ def validate(inst: Instance) -> ValidationReport:
     # the gamma coordinate; equivalently the action preserves degrees and
     # (1 - tau) * gamma lies in the torsion part
     bad = []
-    for k, m in enumerate(inst.module.action):
+    for k, m in enumerate(inst.action):
         for i in range(t):
             if m[i][t] % N:
                 bad.append(f"tau_{k + 1} row {i} has gamma component {m[i][t]}")
@@ -313,7 +278,7 @@ def validate(inst: Instance) -> ValidationReport:
     checks.append(CheckResult("action-block-structure", not bad, "; ".join(bad)))
 
     bad = []
-    for k, m in enumerate(inst.module.action):
+    for k, m in enumerate(inst.action):
         for i in range(t):
             for j in range(t):
                 if (orders[i] * m[i][j]) % orders[j]:
@@ -324,7 +289,7 @@ def validate(inst: Instance) -> ValidationReport:
     # per coordinate as inst.act reduces it
     a_orders = inst.frame.orders
     one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    mats = [mat_mul(one, m, a_orders) for m in inst.module.action]
+    mats = [mat_mul(one, m, a_orders) for m in inst.action]
     bad = []
     for a, b in itertools.combinations(range(len(mats)), 2):
         ab = mat_mul(mats[a], mats[b], a_orders)
@@ -375,23 +340,20 @@ def validate(inst: Instance) -> ValidationReport:
     checks.append(CheckResult("cocycle-inverse-convention", not bad, "; ".join(bad)))
 
     # H1: the derived subgroup of the extension must be the whole torsion part
-    from . import extension
-
-    u_prime = extension.derived_subgroup(inst)
-    atilde = inst.atilde_submodule()
-    ok = u_prime == atilde
+    frame = inst.frame
+    u_prime_order = frame.size(frame.derived)
+    ok = frame.derived == frame.atilde
     checks.append(
         CheckResult(
             "H1",
             ok,
-            "" if ok else f"derived subgroup has order {u_prime.order() // inst.zero_a().order()}"
+            "" if ok else f"derived subgroup has order {u_prime_order}"
             f" inside torsion of order {inst.atilde_order()}",
         )
     )
 
     # consequence of H1, checked explicitly: the degree-zero quotient has order |G|
     u_t = inst.atilde_order() * group.size()
-    u_prime_order = u_prime.order() // inst.zero_a().order()
     ok = u_prime_order != 0 and u_t // u_prime_order == group.size()
     checks.append(
         CheckResult(
@@ -445,8 +407,9 @@ def coboundary_shift(inst: Instance, c: Dict[GElt, Sequence[int]]) -> Instance:
         prime=inst.prime,
         precision=inst.precision,
         group=inst.group,
-        module=inst.module,
-        cocycle=Cocycle.from_table(new_table),
+        atilde_orders=inst.atilde_orders,
+        action=inst.action,
+        cocycle=_cocycle_entries(new_table),
     )
 
 
@@ -462,17 +425,17 @@ def _is_int(x) -> bool:
 
 def instance_to_dict(inst: Instance) -> dict:
     action = {}
-    for k, m in enumerate(inst.module.action):
+    for k, m in enumerate(inst.action):
         action[f"tau_{k + 1}"] = [list(r) for r in m]
     cocycle = {}
-    for s, g, v in inst.cocycle.entries:
+    for s, g, v in inst.cocycle:
         key = ",".join(map(str, s + g))
         cocycle[key] = list(v)
     return {
         "prime": inst.prime,
         "precision": inst.precision,
         "G": {"orders": list(inst.group.orders)},
-        "A": {"atilde_orders": list(inst.module.atilde_orders), "action": action},
+        "A": {"atilde_orders": list(inst.atilde_orders), "action": action},
         "cocycle": cocycle,
     }
 

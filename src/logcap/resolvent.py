@@ -15,12 +15,18 @@ matrices acting on row vectors.  Everything here is a module computation
 over Z/l^n; the relation solver produces certificates (M, N) with
 e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j, normalized so that det M
 is exactly the trace.
+
+The ``Frame`` is the one owner of everything derived from an instance:
+besides the coordinates and matrices above, every submodule the checks
+read (the derived subgroups, the torsion part, I_G * B, the boundary
+module and the rest) is one of its members, built once per instance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -73,14 +79,14 @@ class ResolventElt:
 class Frame:
     """The derived state of one instance, each member computed on first use.
 
-    Holds the coefficient ring, the coordinate orders and the G-action of
-    A, the star, omega and trace matrices of B, the transfer as an affine
-    map of A, I_G * B-tilde and the ambiguous classes, and the relation
-    certificate with delta.  Every instance owns one, as ``inst.frame``;
-    the data it is derived from is immutable, so nothing here is ever
-    invalidated.  Coordinates of B: the torsion generators of A, then
-    gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes first
-    in all three, so ``span`` serves each of them.
+    Holds the coefficient ring, the coordinate orders, the factor-set
+    lookup and the G-action of A, the star, omega and trace matrices of B,
+    the transfer as an affine map of A, the submodules the checks read, and
+    the relation certificate with delta.  Every instance owns one, as
+    ``inst.frame``; the data it is derived from is immutable, so nothing
+    here is ever invalidated.  Coordinates of B: the torsion generators of
+    A, then gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes
+    first in all three, so ``span`` and ``size`` serve each of them.
     """
 
     def __init__(self, inst: "Instance"):
@@ -94,7 +100,7 @@ class Frame:
     @cached_property
     def orders(self) -> Vec:
         """Coordinate orders of A: the torsion orders, then l^n for gamma."""
-        return self.inst.module.atilde_orders + (self.ring.modulus,)
+        return self.inst.atilde_orders + (self.ring.modulus,)
 
     @cached_property
     def action(self) -> Dict[GElt, tuple]:
@@ -111,8 +117,14 @@ class Frame:
                 out[g] = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
                 continue
             prev = out[g[:k] + (g[k] - 1,) + g[k + 1 :]]
-            out[g] = mat_mul(prev, inst.module.action[k], modulus)
+            out[g] = mat_mul(prev, inst.action[k], modulus)
         return out
+
+    @cached_property
+    def cocycle_table(self) -> Dict[Tuple[GElt, GElt], Vec]:
+        """The factor set as a lookup (sigma, tau) -> value; a pair it does
+        not hold has value zero."""
+        return {(s, t): v for s, t, v in self.inst.cocycle}
 
     @cached_property
     def nonid_index(self) -> Dict[GElt, int]:
@@ -171,7 +183,7 @@ class Frame:
         """The coordinate torsion d_i * e_i, in the coordinates of A, B or
         B-tilde (told apart by the width)."""
         rows = []
-        for i, o in enumerate(self.inst.module.atilde_orders):
+        for i, o in enumerate(self.inst.atilde_orders):
             row = [0] * width
             row[i] = o
             rows.append(row)
@@ -179,6 +191,12 @@ class Frame:
 
     def span(self, gens: Sequence[Sequence[int]], width: int) -> Submodule:
         return Submodule.from_generators(self.ring, width, list(gens) + self.relation_rows(width))
+
+    def size(self, sub: Submodule) -> int:
+        """The group order of a span of A, B or B-tilde.  Every span holds
+        the torsion relations d_i * e_i, which make up N / d_i elements in
+        coordinate i; they are divided out here."""
+        return sub.order() // math.prod(self.ring.modulus // o for o in self.inst.atilde_orders)
 
     def lam_vec(self, coeffs: Dict[GElt, int]) -> Vec:
         out = [0] * len(self.nonid_index)
@@ -298,6 +316,88 @@ class Frame:
         return inst.span_a([inst.a_tau(tau) for tau in inst.group.elements()])
 
     @cached_property
+    def zero_a(self) -> Submodule:
+        """The zero submodule of A: the span of the torsion relations."""
+        return self.inst.span_a([])
+
+    @cached_property
+    def atilde(self) -> Submodule:
+        """The torsion part A~ inside A."""
+        d = self.inst.dim_a
+        return self.inst.span_a([self.unit(i)[:d] for i in range(self.inst.torsion_rank)])
+
+    @cached_property
+    def derived(self) -> Submodule:
+        """U', the derived subgroup of the extension group, inside A."""
+        from . import extension
+
+        return extension.derived_subgroup(self.inst)
+
+    @cached_property
+    def derived_degree_zero(self) -> Submodule:
+        """The derived subgroup of the degree-zero subgroup, inside A."""
+        from . import extension
+
+        return extension.derived_subgroup(self.inst, degree_zero=True)
+
+    @cached_property
+    def ig_b(self) -> Submodule:
+        """I_G * B in B coordinates."""
+        gens = [
+            self.ig_unit(tau, k) for tau in self.inst.group.generators() for k in range(self.dim_b)
+        ]
+        return self.span(gens, self.dim_b)
+
+    @cached_property
+    def ig_squared(self) -> Submodule:
+        """Products (g - 1)(h - 1) of the plain group ring, embedded in B."""
+        inst = self.inst
+        group = inst.group
+        one = group.identity()
+        gens = []
+        for g in group.nonidentity():
+            for h in group.nonidentity():
+                lam: Dict[GElt, int] = {}
+                gh = group.mul(g, h)
+                if gh != one:
+                    lam[gh] = lam.get(gh, 0) + 1
+                lam[g] = lam.get(g, 0) - 1
+                lam[h] = lam.get(h, 0) - 1
+                gens.append((0,) * inst.dim_a + self.lam_vec(lam))
+        return self.span(gens, self.dim_b)
+
+    @cached_property
+    def boundary(self) -> Submodule:
+        """The span of the antisymmetrized factor-set values on generator pairs."""
+        inst = self.inst
+        gens = []
+        ggens = inst.group.generators()
+        for i in range(len(ggens)):
+            for j in range(i + 1, len(ggens)):
+                gens.append(
+                    inst.a_sub(
+                        inst.cocycle_in_a(ggens[i], ggens[j]),
+                        inst.cocycle_in_a(ggens[j], ggens[i]),
+                    )
+                )
+        return inst.span_a(gens)
+
+    @cached_property
+    def generated(self) -> bool:
+        """Whether the b_i = tau_i - 1 generate the degree-zero part over the
+        omega-extended group ring."""
+        inst = self.inst
+        gens = []
+        for tau_i in inst.group.generators():
+            k = self.tau_coord(tau_i)
+            for g in inst.group.elements():
+                moved = self.b_reduce(self.star[g][k])
+                gens.append(self.bt_vec(moved))
+                gens.append(self.bt_vec(omega_act(inst, moved)))
+        span = self.span(gens, self.dim_bt)
+        return span == self.span([self.bt_vec(self.unit(k)) for k in self.bt_index], self.dim_bt)
+
+    @cached_property
     def relations(self) -> tuple:
         """(certificate, delta, error): the relation certificate and the
         operator delta, or None for each that could not be found, with the
@@ -331,46 +431,6 @@ def trace(inst: "Instance", v: Sequence[int]) -> Vec:
     """Tr * v, an element of A."""
     frame = inst.frame
     return vec_mat(v, frame.trace_matrix, frame.orders)
-
-
-def ig_star_b(inst: "Instance") -> Submodule:
-    """The submodule I_G * B in B coordinates."""
-    frame = inst.frame
-    gens = [frame.ig_unit(tau, k) for tau in inst.group.generators() for k in range(frame.dim_b)]
-    return frame.span(gens, frame.dim_b)
-
-
-def ig_squared_in_b(inst: "Instance") -> Submodule:
-    """Products (g - 1)(h - 1) of the plain group ring, embedded in B."""
-    frame = inst.frame
-    group = inst.group
-    one = group.identity()
-    gens = []
-    for g in group.nonidentity():
-        for h in group.nonidentity():
-            lam: Dict[GElt, int] = {}
-            gh = group.mul(g, h)
-            if gh != one:
-                lam[gh] = lam.get(gh, 0) + 1
-            lam[g] = lam.get(g, 0) - 1
-            lam[h] = lam.get(h, 0) - 1
-            gens.append((0,) * inst.dim_a + frame.lam_vec(lam))
-    return frame.span(gens, frame.dim_b)
-
-
-def boundary_module(inst: "Instance") -> Submodule:
-    """The span of the antisymmetrized factor-set values on generator pairs."""
-    gens = []
-    ggens = inst.group.generators()
-    for i in range(len(ggens)):
-        for j in range(i + 1, len(ggens)):
-            gens.append(
-                inst.a_sub(
-                    inst.cocycle_in_a(ggens[i], ggens[j]),
-                    inst.cocycle_in_a(ggens[j], ggens[i]),
-                )
-            )
-    return inst.span_a(gens)
 
 
 # -- relation certificates ------------------------------------------------------
@@ -430,21 +490,6 @@ def _residual(inst: "Instance", o: int, k: int, terms: Sequence[Sequence[int]]) 
     for term in terms:
         out = [x - y for x, y in zip(out, term)]
     return inst.frame.b_reduce(out)
-
-
-def lambda_generation_holds(inst: "Instance") -> bool:
-    """Whether the b_i = tau_i - 1 generate the degree-zero part over the
-    omega-extended group ring."""
-    frame = inst.frame
-    gens = []
-    for tau_i in inst.group.generators():
-        k = frame.tau_coord(tau_i)
-        for g in inst.group.elements():
-            moved = frame.b_reduce(frame.star[g][k])
-            gens.append(frame.bt_vec(moved))
-            gens.append(frame.bt_vec(omega_act(inst, moved)))
-    span = frame.span(gens, frame.dim_bt)
-    return span == frame.span([frame.bt_vec(frame.unit(k)) for k in frame.bt_index], frame.dim_bt)
 
 
 def _solve_mu_row(
@@ -598,7 +643,7 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
     return the verified certificate."""
     group = inst.group
     s = group.rank
-    if s > 0 and not lambda_generation_holds(inst):
+    if s > 0 and not inst.frame.generated:
         raise InfeasibleRelationError(
             "the b_i do not generate the degree-zero part; relations cannot close"
         )

@@ -21,16 +21,7 @@ from . import extension
 from .groupring import trace_element
 from .instance import Instance, ValidationReport, validate
 from .lattice import preimage, quotient_order
-from .resolvent import (
-    boundary_module,
-    certificate_determinants,
-    ig_squared_in_b,
-    ig_star_b,
-    lambda_generation_holds,
-    omega_act,
-    star_act,
-    trace,
-)
+from .resolvent import certificate_determinants, omega_act, star_act, trace
 
 DEFAULT_ORACLE_BOUND = 2**12
 
@@ -105,11 +96,11 @@ def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
 
 def _v2_denominator(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
-    lhs = ig_star_b(inst)
+    lhs = frame.ig_b
     atilde = [frame.unit(k) for k in range(inst.torsion_rank)]
-    rhs = frame.span(atilde, frame.dim_b) + ig_squared_in_b(inst)
+    rhs = frame.span(atilde, frame.dim_b) + frame.ig_squared
     ok = lhs == rhs
-    witness = {"order": lhs.order() // frame.span([], frame.dim_b).order()}
+    witness = {"order": frame.size(lhs)}
     if not ok:
         witness["lhs_basis"] = [list(r) for r in lhs.basis]
         witness["rhs_basis"] = [list(r) for r in rhs.basis]
@@ -141,17 +132,16 @@ def _v3_determinant(inst: Instance, oracle_bound: int) -> Verdict:
 
 
 def _v4_genus(inst: Instance, oracle_bound: int) -> Verdict:
-    u_t_prime = extension.derived_subgroup(inst, degree_zero=True)
-    u_omega = inst.frame.ig_gamma
+    frame = inst.frame
+    u_t_prime = frame.derived_degree_zero
+    u_omega = frame.ig_gamma
     total = u_t_prime + u_omega
-    atilde = inst.atilde_submodule()
-    ok = total == atilde
+    ok = total == frame.atilde
     # the full derived subgroup decomposes the same way
-    u_prime = extension.derived_subgroup(inst)
-    decomposition = u_prime == total
+    decomposition = frame.derived == total
     witness = {
-        "degree_zero_derived_order": u_t_prime.order() // inst.zero_a().order(),
-        "gamma_commutators_order": u_omega.order() // inst.zero_a().order(),
+        "degree_zero_derived_order": frame.size(u_t_prime),
+        "gamma_commutators_order": frame.size(u_omega),
         "full_derived_matches_sum": decomposition,
     }
     if not decomposition:
@@ -178,7 +168,7 @@ def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
         comm_gens.append(c.a)
     s_comm = inst.span_a(comm_gens)
     ok = s_omega == s_gamma == s_comm
-    witness["omega_image_order"] = s_omega.order() // inst.zero_a().order()
+    witness["omega_image_order"] = frame.size(s_omega)
     if not ok:
         witness["routes_disagree"] = {
             "omega": [list(r) for r in s_omega.basis],
@@ -191,7 +181,7 @@ def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
     if square_bad:
         ok = False
         witness["omega_square_nonzero"] = square_bad
-    generation = lambda_generation_holds(inst)
+    generation = frame.generated
     witness["generation"] = generation
     if not generation:
         ok = False
@@ -217,7 +207,7 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
     ok = not bad and images_equal
     witness = {
         "delta": delta_op.to_dict(),
-        "trace_image_order": trace_image.order() // inst.zero_a().order(),
+        "trace_image_order": frame.size(trace_image),
         "images_equal": images_equal,
         "certificate": cert.content_hash(),
     }
@@ -229,7 +219,7 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
 def _v7_main_theorem(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
     amb = frame.ambiguous
-    zero = inst.zero_a()
+    zero = frame.zero_a
     bad = []
     for row in amb.basis:
         tv = trace(inst, frame.bt_embed(row))
@@ -249,18 +239,17 @@ def _v7_main_theorem(inst: Instance, oracle_bound: int) -> Verdict:
 
 
 def _v8_delta_kills_boundary(inst: Instance, oracle_bound: int) -> Verdict:
-    _, delta_op, error = inst.frame.relations
+    frame = inst.frame
+    _, delta_op, error = frame.relations
     if delta_op is None:
         return Verdict("V8", "fail", {"error": error})
-    boundary = boundary_module(inst)
-    zero = inst.zero_a()
     bad = []
-    for row in boundary.basis:
+    for row in frame.boundary.basis:
         img = inst.act_ring(delta_op, row)
-        if img not in zero:
+        if img not in frame.zero_a:
             bad.append({"generator": list(row), "delta_image": _fmt_vec(img)})
     witness = {
-        "boundary_order": boundary.order() // zero.order(),
+        "boundary_order": frame.size(frame.boundary),
         "delta": delta_op.to_dict(),
     }
     if bad:
@@ -290,14 +279,13 @@ def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
     facts = forge.oracle_group(inst, bound=oracle_bound)
     mismatches = {}
 
-    formula_uprime = set(extension.derived_subgroup(inst).elements())
-    formula_uprime = {inst.a_reduce(v) for v in formula_uprime}
+    formula_uprime = {inst.a_reduce(v) for v in inst.frame.derived.elements()}
     if formula_uprime != facts.derived:
         mismatches["derived"] = {
             "formula_order": len(formula_uprime),
             "oracle_order": len(facts.derived),
         }
-    formula_ut_prime = {inst.a_reduce(v) for v in extension.derived_subgroup(inst, degree_zero=True).elements()}
+    formula_ut_prime = {inst.a_reduce(v) for v in inst.frame.derived_degree_zero.elements()}
     if formula_ut_prime != facts.derived_degree_zero:
         mismatches["derived_degree_zero"] = {
             "formula_order": len(formula_ut_prime),
@@ -366,12 +354,6 @@ class InstanceReport:
     verdicts: Tuple[Verdict, ...]
     certificate_hash: Optional[str]
     delta: Optional[dict]
-
-    @property
-    def ok(self) -> bool:
-        return self.validation.ok and all(
-            v.status in ("pass", "skipped") for v in self.verdicts
-        )
 
     def to_dict(self) -> dict:
         return {

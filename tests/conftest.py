@@ -81,7 +81,7 @@ def random_admissible_shift(inst, rng):
     """A random transversal move c (c_1 = 0, c_tau = -tau * c_{tau^-1}),
     suitable for coboundary_shift without rejection."""
     group = inst.group
-    orders = inst.module.atilde_orders
+    orders = inst.atilde_orders
     shift = {}
     done = set()
     for tau in group.nonidentity():

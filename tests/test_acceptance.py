@@ -15,7 +15,6 @@ import sys
 import pytest
 
 from logcap.instance import coboundary_shift, load_instance, validate
-from logcap.resolvent import boundary_module
 from logcap.extension import u_order
 from logcap.verifier import run_all
 from tests.conftest import CORPUS, FIXTURES, corpus_paths, random_admissible_shift
@@ -105,7 +104,7 @@ def test_criterion_5_main_theorem_and_boundary_witness(
         p.name
         for p, inst in corpus_instances
         if inst.group.rank >= 2
-        and boundary_module(inst).order() > inst.zero_a().order()
+        and inst.frame.size(inst.frame.boundary) > 1
     ]
     if witnesses:
         have_witness = True

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 import shutil
@@ -301,6 +302,37 @@ def test_verify_directory_with_a_malformed_file_aborts_before_verifying(
     code, out, err = run_cli(["verify", tmp_path, "--workers", workers], capsys)
     assert code == 1 and out == ""
     assert "b.json" in err and "Traceback" not in err
+
+
+def test_verify_pool_is_no_larger_than_the_file_count(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records max_workers and runs each task at submit, in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    serial = run_cli(["verify", FIXTURES / "e1.json"], capsys)
+    assert run_cli(["verify", FIXTURES / "e1.json", "--workers", "5000"], capsys) == serial
+    assert sizes == []
+    for name in ("a.json", "b.json"):
+        shutil.copy(FIXTURES / "e1.json", tmp_path / name)
+    serial = run_cli(["verify", tmp_path], capsys)
+    assert run_cli(["verify", tmp_path, "--workers", "5000"], capsys) == serial
+    assert sizes == [2]
 
 
 def test_mersenne_prime_loads_at_once(tmp_path, capsys):

@@ -35,7 +35,7 @@ def test_enumerate_unique_instance_for_trivial_torsion():
     params = SearchParams(2, 3, ((2,),), ((),))
     insts = list(enumerate_instances(params))
     assert len(insts) == 1
-    assert insts[0].cocycle.entries == ()
+    assert insts[0].cocycle == ()
 
 
 def test_enumerate_finds_the_canonical_small_instance(e1):
@@ -78,20 +78,20 @@ def test_emitted_instances_not_coboundary_related():
     params = SearchParams(2, 4, ((4,),), ((2,),))
     insts = list(enumerate_instances(params))
     assert insts
-    tables = {inst.cocycle.entries for inst in insts}
+    tables = {inst.cocycle for inst in insts}
     assert len(tables) == len(insts)
     for inst in insts:
         t = inst.torsion_rank
         group = inst.group
-        value_space = list(itertools.product(*(range(o) for o in inst.module.atilde_orders)))
+        value_space = list(itertools.product(*(range(o) for o in inst.atilde_orders)))
         for values in itertools.product(value_space, repeat=len(group.nonidentity())):
             c = dict(zip(group.nonidentity(), values))
             try:
                 shifted = coboundary_shift(inst, c)
             except RejectedShiftError:
                 continue
-            if shifted.cocycle.entries != inst.cocycle.entries:
-                assert shifted.cocycle.entries not in tables
+            if shifted.cocycle != inst.cocycle:
+                assert shifted.cocycle not in tables
 
 
 def test_random_instance_reproducible_and_valid():
@@ -217,7 +217,7 @@ def _all_pairs_derived(inst, degree_zero):
     all pairs of the pool.  uv and vu share their G part and A x {1} acts on
     the left by translation, so [u, v] = uv(vu)^-1 is the difference of the
     A parts of uv and vu."""
-    orders = inst.coordinate_orders()
+    orders = inst.frame.orders
     gelts = inst.group.elements()
     a_elts = list(itertools.product(*(range(o) for o in orders)))
     act = {(g, a): inst.act(g, a) for g in gelts for a in a_elts}
@@ -260,7 +260,7 @@ def _tuple_law_facts(inst):
     f(s, t), st).  Transfers follow the coset-product definition against
     (0, g); U' is the span of [x, s], x over U and s over the generators
     (e_k, 1) and (0, g_i), a normal subgroup that makes U abelian."""
-    orders = inst.coordinate_orders()
+    orders = inst.frame.orders
     group = inst.group
     gelts = group.elements()
     zero, one = inst.a_zero(), group.identity()
@@ -316,7 +316,7 @@ def test_oracle_matches_the_tuple_group_law(rank3):
     coordinates of order 2, 4, 16 and 27 and on a rank-3 G."""
     insts = [inst for inst in map(load_instance, corpus_paths()) if u_order(inst) <= 128]
     insts += [load_instance(CORPUS / "l3" / "p3_n3_G3_A3_000.json"), rank3]
-    assert {27, 16, 4, 2} <= {o for inst in insts for o in inst.coordinate_orders()}
+    assert {27, 16, 4, 2} <= {o for inst in insts for o in inst.frame.orders}
     for inst in insts:
         facts = oracle_group(inst)
         transfer, u_tilde, derived_order, gamma_span = _tuple_law_facts(inst)

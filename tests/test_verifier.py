@@ -3,12 +3,12 @@ import pytest
 from logcap.extension import u_order
 from logcap.instance import coboundary_shift
 from logcap.verifier import CHECK_IDS, run_all, run_check
-from tests.conftest import random_admissible_shift
+from tests.conftest import FIXTURES, random_admissible_shift
 
 
 def test_e1_all_checks_pass(e1):
     rep = run_all(e1)
-    assert rep.ok
+    assert rep.validation.ok
     assert [v.check_id for v in rep.verdicts] == list(CHECK_IDS)
     assert all(v.status == "pass" for v in rep.verdicts)
 
@@ -26,7 +26,8 @@ def test_e1_key_quantities(e1):
 
 def test_inst33_all_checks_pass(inst33):
     rep = run_all(inst33)
-    assert rep.ok
+    assert rep.validation.ok
+    assert all(v.status == "pass" for v in rep.verdicts)
     by_id = {v.check_id: v for v in rep.verdicts}
     assert by_id["V8"].witness["boundary_order"] == 3
     assert by_id["V9"].witness["index"] == 9
@@ -42,7 +43,8 @@ def test_rank_three_group_passes_every_check(rank3):
 
 def test_trivial_torsion_everything_vacuous(trivial_atilde):
     rep = run_all(trivial_atilde)
-    assert rep.ok
+    assert rep.validation.ok
+    assert all(v.status == "pass" for v in rep.verdicts)
     by_id = {v.check_id: v for v in rep.verdicts}
     assert by_id["V6"].witness["trace_image_order"] == 1
     assert by_id["V5"].witness["omega_image_order"] == 1
@@ -50,7 +52,7 @@ def test_trivial_torsion_everything_vacuous(trivial_atilde):
 
 def test_h1_failure_gates_all_checks(h1_violating):
     rep = run_all(h1_violating)
-    assert not rep.ok
+    assert not rep.validation.ok
     for v in rep.verdicts:
         assert v.status == "hypothesis-failed"
         assert "H1" in v.witness["failed_validation"]
@@ -160,5 +162,27 @@ def test_checks_share_the_instance_certificate(monkeypatch):
     fresh_e1 = build_instance(2, 3, [2], [2], [[[1, 0], [1, 1]]], {})
     assert run_check(fresh_e1, "V3").status == "pass"
     assert run_check(fresh_e1, "V6").status == "pass"
-    assert run_all(fresh_e1).ok
+    rep = run_all(fresh_e1)
+    assert rep.validation.ok and all(v.status == "pass" for v in rep.verdicts)
     assert len(calls) == 1
+
+
+def test_each_derived_submodule_is_built_once(monkeypatch):
+    from logcap import extension
+    from logcap.instance import load_instance
+
+    calls = []
+    derived_subgroup = extension.derived_subgroup
+
+    def counted(inst, degree_zero=False):
+        calls.append(degree_zero)
+        return derived_subgroup(inst, degree_zero)
+
+    monkeypatch.setattr(extension, "derived_subgroup", counted)
+    e1 = load_instance(FIXTURES / "e1.json")
+    run_all(e1, oracle_bound=4096)
+    assert sorted(calls) == [False, True]
+    # validation, V4 and V10 all read the frame's two derived subgroups
+    assert run_check(e1, "V4", oracle_bound=4096).status == "pass"
+    assert run_check(e1, "V10", oracle_bound=4096).status == "pass"
+    assert len(calls) == 2
