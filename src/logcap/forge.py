@@ -16,8 +16,18 @@ its coboundaries, depend only on T as a G-module: on the torsion blocks of
 the generator matrices, never on how gamma moves.  Every torsion row of an
 action matrix is zero in the gamma column, so the torsion block of a
 product is the product of the torsion blocks.  Configurations that differ
-only in gamma's row therefore share one module, and a search solves it
-once per torsion action.
+only in gamma's row therefore share one module.
+
+A search context, a dict from each (G, A~) shape to its configuration
+list and its modules keyed by torsion action, holds each of them once.
+``build_corpus`` makes one per component and passes it through the count,
+the walk or every sample of that component; ``enumerate_instances`` shares
+one between its count and its walk; each other public call makes its own,
+so nothing outlives one component or one call.  Sharing changes no output:
+a module depends only on its torsion key and its basis is a canonical
+Howell form, and no rng draw reads the context.  Configurations are
+extended depth-first, generator by generator, through a table of which
+candidate pairs commute, which yields them in ``itertools.product`` order.
 
 The oracle at the bottom knows nothing about any of that: it materializes
 the extension group, finds its own generating set by greedy closure, takes
@@ -123,19 +133,44 @@ def _full_matrix(p, q, modulus: int):
 
 
 def action_configurations(prime: int, precision: int, g_orders, atilde_orders):
-    """All commuting tuples of admissible generator actions, in a fixed order."""
+    """All commuting tuples of admissible generator actions, in
+    ``itertools.product`` order over the per-generator candidates.
+
+    Candidates are found once per distinct generator order and each pair
+    is tested for commuting once.  Tuples then grow depth-first, generator
+    by generator, through the candidates that commute with every one
+    already chosen.  Depth-first order is product order, and the pruning
+    drops exactly the tuples with a non-commuting pair, so the result is
+    the filtered product in the same order.
+    """
     d = tuple(atilde_orders)
     modulus = prime**precision
     orders = d + (modulus,)
-    per_gen = [_generator_candidates(d, o) for o in g_orders]
+    index: Dict[tuple, int] = {}  # each distinct candidate matrix -> its position in mats
+    by_order = {}
+    for o in dict.fromkeys(g_orders):
+        cands = _generator_candidates(d, o)
+        by_order[o] = [index.setdefault(_full_matrix(p, q, modulus), len(index)) for p, q in cands]
+    per_gen = [by_order[o] for o in g_orders]
+    mats = list(index)
+    # commute[i]: the candidates that commute with candidate i; rank 1 needs none
+    commute: List[set] = [set() for _ in mats]
+    if len(g_orders) > 1:
+        for i, j in itertools.combinations_with_replacement(range(len(mats)), 2):
+            if mat_mul(mats[i], mats[j], orders) == mat_mul(mats[j], mats[i], orders):
+                commute[i].add(j)
+                commute[j].add(i)
     configs = []
-    for combo in itertools.product(*per_gen):
-        mats = tuple(_full_matrix(p, q, modulus) for p, q in combo)
-        if all(
-            mat_mul(x, y, orders) == mat_mul(y, x, orders)
-            for x, y in itertools.combinations(mats, 2)
-        ):
-            configs.append(mats)
+
+    def extend(chosen: tuple, allowed: set) -> None:
+        if len(chosen) == len(per_gen):
+            configs.append(tuple(mats[i] for i in chosen))
+            return
+        for i in per_gen[len(chosen)]:
+            if i in allowed:
+                extend(chosen + (i,), allowed & commute[i])
+
+    extend((), set(range(len(mats))))
     return configs
 
 
@@ -349,18 +384,27 @@ def _shared_space(spaces: dict, params: SearchParams, g_orders, atilde_orders, a
     return spaces[key]
 
 
-def _spaces(params: SearchParams, g_orders, atilde_orders):
-    """(action, factor-set space) for each action configuration of a shape.
+def _shape_search(context: dict, params: SearchParams, g_orders, atilde_orders) -> tuple:
+    """(action configurations, {torsion key: factor-set space}) of a shape,
+    from a search context, built on first use."""
+    shape = (g_orders, atilde_orders)
+    if shape not in context:
+        context[shape] = (action_configurations(params.prime, params.precision, *shape), {})
+    return context[shape]
 
-    A factor-set space depends only on the torsion action, so each is
-    built the first time the walk reaches its torsion action and shared by
-    the later configurations with the same one, until the walk ends."""
-    spaces: dict = {}
-    for action in action_configurations(params.prime, params.precision, g_orders, atilde_orders):
+
+def _spaces(params: SearchParams, g_orders, atilde_orders, context=None):
+    """(action, factor-set space) for each action configuration of a shape,
+    from the given search context or a new one."""
+    context = {} if context is None else context
+    configs, spaces = _shape_search(context, params, g_orders, atilde_orders)
+    for action in configs:
         yield action, _shared_space(spaces, params, g_orders, atilde_orders, action)
 
 
-def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=None) -> int:
+def estimate_space(
+    params: SearchParams, g_orders, atilde_orders, abort_above=None, *, _context=None
+) -> int:
     """The number of factor sets the enumeration must walk, 0 below the
     precision floor.
 
@@ -370,7 +414,7 @@ def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=No
     """
     total = 0
     for g, a in _shapes(params, g_orders, atilde_orders):
-        for _, space in _spaces(params, g, a):
+        for _, space in _spaces(params, g, a, _context):
             total += space.count()
             if abort_above is not None and total > abort_above:
                 return total
@@ -379,20 +423,22 @@ def estimate_space(params: SearchParams, g_orders, atilde_orders, abort_above=No
 
 def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None):
     """All validate-passing instances, one per coboundary class, in a
-    deterministic order.  Refuses up front when the space is too large."""
+    deterministic order.  Refuses up front when the space is too large;
+    the walk reuses the spaces that the count built."""
+    context: dict = {}
     shapes = _shapes(params, g_orders, atilde_orders)
     total = 0
     for g, a in shapes:
-        total += estimate_space(params, g, a, abort_above=params.ceiling - total)
+        total += estimate_space(params, g, a, abort_above=params.ceiling - total, _context=context)
         if total > params.ceiling:
             raise CeilingExceededError(total, params.ceiling)
-    yield from _instances(params, shapes)
+    yield from _instances(params, shapes, context)
 
 
-def _instances(params: SearchParams, shapes):
+def _instances(params: SearchParams, shapes, context: dict):
     """The enumeration behind enumerate_instances, with no count first."""
     for g, a in shapes:
-        for action, space in _spaces(params, g, a):
+        for action, space in _spaces(params, g, a, context):
             for table_vec in space.canonical_tables:
                 inst = build_instance(
                     params.prime, params.precision, g, a, action, space.table_to_dict(table_vec)
@@ -401,23 +447,24 @@ def _instances(params: SearchParams, shapes):
                     yield inst
 
 
-def random_instance(params: SearchParams, g_orders=None, atilde_orders=None) -> Optional[Instance]:
+def random_instance(
+    params: SearchParams, g_orders=None, atilde_orders=None, *, _context=None
+) -> Optional[Instance]:
     """Seed-reproducible rejection sampling over action configurations and
     factor-set modules; returns the first validate-passing instance.
 
-    A factor-set module depends only on the torsion action, so the spaces
-    built during the call are keyed by it; each instance is still built
-    from its own full configuration."""
+    Configurations and spaces come from the search context, a new one
+    unless ``build_corpus`` passes its component's, so that the samples of
+    a component share them.  Every draw comes from ``params.seed`` alone,
+    and each instance is built from its own full configuration."""
     rng = random.Random(params.seed)
     shapes = _shapes(params, g_orders, atilde_orders)
     if not shapes:
         return None
-    cache: Dict[tuple, tuple] = {}
+    context = {} if _context is None else _context
     for _ in range(params.attempt_budget):
         g, a = shapes[rng.randrange(len(shapes))]
-        if (g, a) not in cache:
-            cache[g, a] = (action_configurations(params.prime, params.precision, g, a), {})
-        configs, spaces = cache[g, a]
+        configs, spaces = _shape_search(context, params, g, a)
         if not configs:
             continue
         action = configs[rng.randrange(len(configs))]
@@ -645,8 +692,10 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
             )
             manifest["components"].append(entry)
             continue
+        # one context for the component's count, walk and samples
+        context: dict = {}
         estimate = estimate_space(
-            params, comp.g_orders, comp.atilde_orders, abort_above=params.ceiling
+            params, comp.g_orders, comp.atilde_orders, abort_above=params.ceiling, _context=context
         )
         entry["estimate"] = estimate
         entry["estimate_exact"] = estimate <= params.ceiling
@@ -659,8 +708,8 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
         if mode == "exhaustive":
             if estimate > params.ceiling:
                 raise CeilingExceededError(estimate, params.ceiling)
-            # enumerate_instances would count again, building every space a third time
-            instances = list(_instances(params, [(comp.g_orders, comp.atilde_orders)]))
+            # enumerate_instances would count again
+            instances = list(_instances(params, [(comp.g_orders, comp.atilde_orders)], context))
         else:
             seen = set()
             n_samples = comp.samples if comp.samples is not None else params.samples
@@ -669,6 +718,7 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
                     replace(params, seed=params.seed + 7919 * k),
                     comp.g_orders,
                     comp.atilde_orders,
+                    _context=context,
                 )
                 if inst is None:
                     continue

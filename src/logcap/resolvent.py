@@ -17,9 +17,10 @@ e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j, normalized so that det M
 is exactly the trace.
 
 The ``Frame`` is the one owner of everything derived from an instance:
-besides the coordinates and matrices above, every submodule the checks
-read (the derived subgroups, the torsion part, I_G * B, the boundary
-module and the rest) is one of its members, built once per instance.
+besides the coordinates and matrices above, the validation report and
+every submodule the checks read (the derived subgroups, the torsion part,
+I_G * B, the boundary module and the rest) are its members, built once
+per instance.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .groupring import GElt, GroupRingElt, OmegaRingElt, det_ring, trace_element
 from .lattice import InternalInvariantError, Submodule, ZModRing, mat_mul, preimage, solve, vec_mat
 
 if TYPE_CHECKING:
-    from .instance import Instance
+    from .instance import Instance, ValidationReport
 
 Vec = Tuple[int, ...]
 
@@ -81,12 +82,13 @@ class Frame:
 
     Holds the coefficient ring, the coordinate orders, the factor-set
     lookup and the G-action of A, the star, omega and trace matrices of B,
-    the transfer as an affine map of A, the submodules the checks read, and
-    the relation certificate with delta.  Every instance owns one, as
-    ``inst.frame``; the data it is derived from is immutable, so nothing
-    here is ever invalidated.  Coordinates of B: the torsion generators of
-    A, then gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes
-    first in all three, so ``span`` and ``size`` serve each of them.
+    the transfer as an affine map of A, the validation report, the
+    submodules the checks read, and the relation certificate with delta.
+    Every instance owns one, as ``inst.frame``; the data it is derived from
+    is immutable, so nothing here is ever invalidated.  Coordinates of B:
+    the torsion generators of A, then gamma, then the (tau - 1); B-tilde
+    drops gamma.  Torsion comes first in all three, so ``span`` and
+    ``size`` serve each of them.
     """
 
     def __init__(self, inst: "Instance"):
@@ -339,6 +341,13 @@ class Frame:
         from . import extension
 
         return extension.derived_subgroup(self.inst, degree_zero=True)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """The validation report of the instance, shared by every check."""
+        from . import instance
+
+        return instance.validate(self.inst)
 
     @cached_property
     def ig_b(self) -> Submodule:

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from . import extension
 from .groupring import trace_element
-from .instance import Instance, ValidationReport, validate
+from .instance import Instance, ValidationReport
 from .lattice import preimage, quotient_order
 from .resolvent import certificate_determinants, omega_act, star_act, trace
 
@@ -319,12 +319,19 @@ _CHECKS = {
 }
 
 
-def _verdict(
-    inst: Instance, check_id: str, report: ValidationReport, oracle_bound: int, force: bool
+def run_check(
+    inst: Instance,
+    check_id: str,
+    oracle_bound: int = DEFAULT_ORACLE_BOUND,
+    force: bool = False,
 ) -> Verdict:
-    """One check, gated on validation; a check crashing on forced bad data
-    is a failure.  The shared certificate is computed first, outside the
-    crash guard, so that a refused determinant size reaches the caller."""
+    """Run one catalogue check, gated on validation; a check crashing on
+    forced bad data is a failure.  The shared certificate is computed
+    first, outside the crash guard, so that a refused determinant size
+    reaches the caller."""
+    if check_id not in _CHECKS:
+        raise ValueError(f"unknown check {check_id!r}")
+    report = inst.frame.validation
     if not report.ok and not force:
         return Verdict(
             check_id, "hypothesis-failed", {"failed_validation": list(report.failed_names())}
@@ -334,18 +341,6 @@ def _verdict(
         return _CHECKS[check_id](inst, oracle_bound)
     except Exception as e:
         return Verdict(check_id, "fail", {"error": f"{type(e).__name__}: {e}"})
-
-
-def run_check(
-    inst: Instance,
-    check_id: str,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
-    force: bool = False,
-) -> Verdict:
-    """Run one catalogue check; instances failing validation are gated."""
-    if check_id not in _CHECKS:
-        raise ValueError(f"unknown check {check_id!r}")
-    return _verdict(inst, check_id, validate(inst), oracle_bound, force)
 
 
 @dataclass(frozen=True)
@@ -368,8 +363,8 @@ def run_all(
     inst: Instance, oracle_bound: int = DEFAULT_ORACLE_BOUND, force: bool = False
 ) -> InstanceReport:
     """Validate, then run the whole catalogue with one shared certificate."""
-    report = validate(inst)
-    verdicts = tuple(_verdict(inst, cid, report, oracle_bound, force) for cid in CHECK_IDS)
+    report = inst.frame.validation
+    verdicts = tuple(run_check(inst, cid, oracle_bound, force) for cid in CHECK_IDS)
     if not report.ok and not force:
         return InstanceReport(report, verdicts, None, None)
     cert, delta_op, _ = inst.frame.relations

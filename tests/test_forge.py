@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from logcap import forge
 from logcap.extension import UElement, transfer, u_order
 from logcap.forge import (
     CeilingExceededError,
@@ -13,7 +14,10 @@ from logcap.forge import (
     OracleBoundError,
     SearchParams,
     _CocycleSpace,
+    _full_matrix,
+    _generator_candidates,
     _spaces,
+    action_configurations,
     build_corpus,
     enumerate_instances,
     estimate_space,
@@ -28,6 +32,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
+from logcap.lattice import mat_mul
 from tests.conftest import CORPUS, FIXTURES, REPO, corpus_paths, random_admissible_shift
 
 
@@ -156,6 +161,65 @@ def test_factor_set_space_depends_only_on_the_torsion_action(
     for facts in groups.values():
         assert all(f == facts[0] for f in facts)
     assert estimate_space(params, g_orders, atilde_orders) == total
+
+
+def _torsion_key(g_orders, atilde_orders, action):
+    t = len(atilde_orders)
+    return (tuple(g_orders), tuple(atilde_orders), tuple(tuple(r[:t] for r in m[:t]) for m in action))
+
+
+def _count_search_builds(monkeypatch):
+    """Record each factor-set space the search builds, by shape and torsion
+    action, and each action_configurations call, by shape."""
+    spaces, shapes = [], []
+
+    def counted_space(prime, precision, g_orders, atilde_orders, action):
+        spaces.append(_torsion_key(g_orders, atilde_orders, action))
+        return _CocycleSpace(prime, precision, g_orders, atilde_orders, action)
+
+    def counted_configurations(prime, precision, g_orders, atilde_orders):
+        shapes.append((tuple(g_orders), tuple(atilde_orders)))
+        return action_configurations(prime, precision, g_orders, atilde_orders)
+
+    monkeypatch.setattr(forge, "_CocycleSpace", counted_space)
+    monkeypatch.setattr(forge, "action_configurations", counted_configurations)
+    return spaces, shapes
+
+
+@pytest.mark.parametrize(
+    "params,comp",
+    [
+        (
+            SearchParams(3, 3, ((3, 3),), ((3,),), seed=307),
+            ComponentSpec((3, 3), (3,), mode="sample", samples=4),
+        ),
+        (SearchParams(2, 4, ((2, 2),), ((2, 2),), seed=2024), ComponentSpec((2, 2), (2, 2))),
+    ],
+    ids=["sampled", "exhaustive"],
+)
+def test_build_corpus_builds_each_space_once_per_call(tmp_path, monkeypatch, params, comp):
+    """One component's count, walk and samples share one search context,
+    and a second call shares nothing with the first."""
+    shape = (comp.g_orders, comp.atilde_orders)
+    configs = action_configurations(params.prime, params.precision, *shape)
+    every_key = {_torsion_key(*shape, m) for m in configs}
+    spaces, shapes = _count_search_builds(monkeypatch)
+    first = build_corpus(params, [comp], tmp_path / "a")
+    assert first["components"][0]["count"] > 0
+    assert shapes == [shape]
+    assert sorted(spaces) == sorted(every_key)
+    built = list(spaces)
+    assert build_corpus(params, [comp], tmp_path / "b") == first
+    assert shapes == [shape, shape]
+    assert spaces == built + built
+
+
+def test_enumerate_instances_builds_each_space_once(monkeypatch):
+    params = SearchParams(2, 4, ((2,), (2, 2)), ((2,), (2, 2)))
+    spaces, shapes = _count_search_builds(monkeypatch)
+    assert list(enumerate_instances(params))
+    assert len(shapes) == len(set(shapes)) == 4
+    assert spaces and len(spaces) == len(set(spaces))
 
 
 def test_random_admissible_shift_never_rejected(inst33, e1, rng):
@@ -394,6 +458,35 @@ def _pinned_components():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return {"l2": (tool.L2, tool.L2_COMPONENTS), "l3": (tool.L3, tool.L3_COMPONENTS)}
+
+
+def _product_configurations(prime, precision, g_orders, atilde_orders):
+    """The reference enumeration: the full product of the per-generator
+    candidates, filtered by pairwise commuting."""
+    d = tuple(atilde_orders)
+    modulus = prime**precision
+    orders = d + (modulus,)
+    per_gen = [_generator_candidates(d, o) for o in g_orders]
+    configs = []
+    for combo in itertools.product(*per_gen):
+        mats = tuple(_full_matrix(p, q, modulus) for p, q in combo)
+        if all(
+            mat_mul(x, y, orders) == mat_mul(y, x, orders)
+            for x, y in itertools.combinations(mats, 2)
+        ):
+            configs.append(mats)
+    return configs
+
+
+def test_depth_first_configurations_equal_the_filtered_product():
+    shapes = [
+        (params.prime, params.precision, c.g_orders, c.atilde_orders)
+        for params, components in _pinned_components().values()
+        for c in components
+    ]
+    shapes += [(2, 4, (2, 2, 2), (2,)), (2, 4, (2, 2, 2), (2, 2)), (2, 4, (2, 4), (2,))]
+    for shape in shapes:
+        assert action_configurations(*shape) == _product_configurations(*shape), shape
 
 
 @pytest.mark.parametrize(

@@ -186,3 +186,22 @@ def test_each_derived_submodule_is_built_once(monkeypatch):
     assert run_check(e1, "V4", oracle_bound=4096).status == "pass"
     assert run_check(e1, "V10", oracle_bound=4096).status == "pass"
     assert len(calls) == 2
+
+
+def test_each_instance_is_validated_once(monkeypatch):
+    from logcap import instance
+
+    calls = []
+    validate = instance.validate
+
+    def counted(inst):
+        calls.append(inst)
+        return validate(inst)
+
+    monkeypatch.setattr(instance, "validate", counted)
+    e1 = instance.load_instance(FIXTURES / "e1.json")
+    assert run_all(e1, oracle_bound=4096).validation.ok
+    # run_check reads the frame's report instead of validating again
+    assert run_check(e1, "V4", oracle_bound=4096).status == "pass"
+    assert run_check(e1, "V10", oracle_bound=4096).status == "pass"
+    assert calls == [e1]
