@@ -410,7 +410,9 @@ def estimate_space(
 
     With ``abort_above`` set, counting stops once the running total passes
     it, so a result above ``abort_above`` is a lower bound and one at or
-    below it is exact.
+    below it is exact.  The spaces counted are left in the search context
+    that ``build_corpus`` or ``enumerate_instances`` passes, for its walk
+    or samples to reuse.
     """
     total = 0
     for g, a in _shapes(params, g_orders, atilde_orders):
