@@ -133,8 +133,4 @@ def log_iso(inst: "Instance", u: UElement) -> ResolventElt:
     """
     if u.instance != inst:
         raise InstanceMismatchError("element does not belong to this instance")
-    nonid_index = inst.frame.nonid_index
-    lam = [0] * len(nonid_index)
-    if u.tau in nonid_index:
-        lam[nonid_index[u.tau]] = 1
-    return ResolventElt(inst, u.a, tuple(lam))
+    return ResolventElt(inst, u.a, inst.frame.lam_vec([(u.tau, 1)]))

@@ -18,8 +18,9 @@ action matrix is zero in the gamma column, so the torsion block of a
 product is the product of the torsion blocks.  Configurations that differ
 only in gamma's row therefore share one module.
 
-A search context, a dict from each (G, A~) shape to its configuration
-list and its modules keyed by torsion action, holds each of them once.
+A search context, a dict from each (G, A~) shape to its ``_Shape``, holds
+the shape's configuration list, table layout and modules keyed by torsion
+action, each once; an Instance is built only for a candidate to validate.
 ``build_corpus`` makes one per component and passes it through the count,
 the walk or every sample of that component; ``enumerate_instances`` shares
 one between its count and its walk; each other public call makes its own,
@@ -57,7 +58,16 @@ from .instance import (
     precision_terms,
     validate,
 )
-from .lattice import InternalInvariantError, Submodule, ZModRing, mat_mul, preimage, vec_mat
+from .lattice import (
+    InternalInvariantError,
+    Submodule,
+    ZModRing,
+    mat_mul,
+    preimage,
+    torsion_rows,
+    torsion_size,
+    vec_mat,
+)
 
 Vec = Tuple[int, ...]
 
@@ -177,19 +187,15 @@ def action_configurations(prime: int, precision: int, g_orders, atilde_orders):
 # -- factor set solution spaces ---------------------------------------------------
 
 
-class _CocycleSpace:
-    """The module of convention-compliant factor sets for one torsion action.
+class _Shape:
+    """The search state of one (G, A~) shape: its action configurations,
+    the factor-set table layout and the module of each torsion action.  A
+    table holds the values on the nonidentity ``pairs``, pair-major and
+    torsion-minor, over Z/exp(T); coordinate k has order ``orders[k]``."""
 
-    Variables are the table entries on nonidentity pairs; the associativity
-    identity on nonidentity triples, together with vanishing on inverse
-    pairs, cuts out a submodule over Z/exp(T).  Tables are enumerated by
-    closing the reduced generators under addition, so there is no blowup
-    from torsion coordinates of smaller order.  Everything here reads the
-    action only through ``_p_mats``, its torsion blocks, so one space
-    serves every configuration with the same torsion action.
-    """
-
-    def __init__(self, prime, precision, g_orders, atilde_orders, action):
+    def __init__(self, params: SearchParams, g_orders, atilde_orders):
+        prime = params.prime
+        self.params = params
         self.group = AbelianLGroup(prime, g_orders)
         self.d = tuple(atilde_orders)
         self.t = len(self.d)
@@ -197,121 +203,149 @@ class _CocycleSpace:
         self.nonid = self.group.nonidentity()
         self.pairs = [(s, g) for s in self.nonid for g in self.nonid]
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.nvars = len(self.pairs) * self.t
-        # the order of each table coordinate: pair-major, torsion-minor
-        self.orders = tuple(self.d[k % self.t] for k in range(self.nvars))
-        inst = build_instance(
-            prime, precision, g_orders, atilde_orders, action, {}
-        )
-        self._p_mats = {
-            g: [row[: self.t] for row in inst.frame.action[g][: self.t]]
-            for g in self.group.elements()
-        }
+        self.orders = self.d * len(self.pairs)
+        self.configs = action_configurations(prime, params.precision, g_orders, atilde_orders)
+        self.spaces: Dict[tuple, _CocycleSpace] = {}
+
+    def space(self, action) -> "_CocycleSpace":
+        """The factor-set module of an action configuration, shared by the
+        configurations with the same torsion blocks."""
+        key = tuple(tuple(row[: self.t] for row in m[: self.t]) for m in action)
+        if key not in self.spaces:
+            modulus = self.params.prime**self.params.precision
+            self.spaces[key] = _CocycleSpace(self, self.group.matrices(key, (modulus,) * self.t))
+        return self.spaces[key]
+
+    def instance(self, action, vec: Vec) -> Instance:
+        """The instance of an action configuration and a factor-set table."""
+        table = {pair: vec[k * self.t : (k + 1) * self.t] for k, pair in enumerate(self.pairs)}
+        p = self.params
+        return build_instance(p.prime, p.precision, self.group.orders, self.d, action, table)
+
+
+class _CocycleSpace:
+    """The module of convention-compliant factor sets for one torsion action.
+
+    Variables are the entries of a table of the shape; the associativity
+    identity on nonidentity triples, together with vanishing on inverse
+    pairs, cuts out a submodule over Z/exp(T).  Tables are enumerated by
+    closing the reduced generators under addition, so there is no blowup
+    from torsion coordinates of smaller order.  A space keeps its solution
+    module and ``_p_mats``, the torsion blocks of the element matrices, and
+    reads the table layout from its shape; it sees the action only through
+    ``_p_mats``, so it serves every configuration with that torsion action.
+    """
+
+    def __init__(self, shape: _Shape, p_mats: Dict[GElt, tuple]):
+        self.shape = shape
+        self._p_mats = p_mats
         self._sub = self._solve()
 
     def _var(self, pair, i) -> int:
-        return self.pair_index[pair] * self.t + i
+        return self.shape.pair_index[pair] * self.shape.t + i
 
     def _solve(self) -> Submodule:
-        group = self.group
+        shape = self.shape
+        group = shape.group
         one = group.identity()
+        nvars = len(shape.orders)
         cols: List[List[int]] = []  # one coefficient column per condition coordinate
         orders: List[int] = []
 
         def new_col(coord_order):
-            cols.append([0] * self.nvars)
+            cols.append([0] * nvars)
             orders.append(coord_order)
             return cols[-1]
 
-        for s in self.nonid:
+        for s in shape.nonid:
             p_s = self._p_mats[s]
-            for g in self.nonid:
-                for r in self.nonid:
+            for g in shape.nonid:
+                for r in shape.nonid:
                     sg = group.mul(s, g)
                     gr = group.mul(g, r)
-                    for j in range(self.t):
-                        col = new_col(self.d[j])
+                    for j in range(shape.t):
+                        col = new_col(shape.d[j])
                         # s * a_{g,r}: value coordinate i feeds target j via P_s
-                        for i in range(self.t):
+                        for i in range(shape.t):
                             col[self._var((g, r), i)] += p_s[i][j]
                         if sg != one:
                             col[self._var((sg, r), j)] -= 1
                         if gr != one:
                             col[self._var((s, gr), j)] += 1
                         col[self._var((s, g), j)] -= 1
-        for g in self.nonid:
+        for g in shape.nonid:
             gi = group.inv(g)
-            for j in range(self.t):
-                col = new_col(self.d[j])
+            for j in range(shape.t):
+                col = new_col(shape.d[j])
                 col[self._var((g, gi), j)] += 1
-        return self._kernel_mod_orders(cols, orders, self.nvars)
+        return self._kernel_mod_orders(cols, orders, nvars)
 
     def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
         """The x in (Z/exp T)^nvars with x . cols[c] = 0 mod orders[c] for
         every condition column c.  There are no conditions only when there
         are no variables."""
-        N = self.ring.modulus
+        ring = self.shape.ring
         width = len(cols)
-        rows = [[cols[c][v] % N for c in range(width)] for v in range(nvars)]
-        rel_rows = [_unit(width, c, orders[c] % N) for c in range(width)]
-        return preimage(rows, Submodule.from_generators(self.ring, width, rel_rows), self.ring)
+        rows = [[cols[c][v] % ring.modulus for c in range(width)] for v in range(nvars)]
+        relations = Submodule.from_generators(ring, width, torsion_rows(orders, width))
+        return preimage(rows, relations, ring)
 
     def _reduce_table(self, vec: Sequence[int]) -> Vec:
-        return tuple(x % o for x, o in zip(vec, self.orders))
+        return tuple(x % o for x, o in zip(vec, self.shape.orders))
 
     def count(self) -> int:
         # the solution module holds every torsion multiple o_k e_k, which
-        # spans N / o_k values in coordinate k and reduces to the zero table
-        return self._sub.order() // math.prod(self.ring.modulus // o for o in self.orders)
+        # reduces to the zero table
+        return torsion_size(self._sub, self.shape.orders)
 
     def sample(self, rng: random.Random) -> Vec:
         """A random factor-set vector: one coefficient mod exp(T) drawn per
         basis row of the solution module, in basis order."""
-        coeffs = [rng.randrange(self.ring.modulus) for _ in self._sub.basis]
-        return vec_mat(coeffs, self._sub.basis, self.orders)
+        coeffs = [rng.randrange(self.shape.ring.modulus) for _ in self._sub.basis]
+        return vec_mat(coeffs, self._sub.basis, self.shape.orders)
 
     def tables(self) -> List[Vec]:
         """All factor-set vectors, sorted."""
         gens = [self._reduce_table(r) for r in self._sub.basis]
-        return sorted(_closure(gens, self.orders))
+        return sorted(_closure(gens, self.shape.orders))
 
     def coboundaries(self) -> List[Vec]:
         """The subgroup of shifts of the table by admissible transversal moves."""
-        group = self.group
-        nshift = len(self.nonid) * self.t
+        shape = self.shape
+        group = shape.group
+        nonid, t = shape.nonid, shape.t
+        nshift = len(nonid) * t
         cols: List[List[int]] = []
         orders: List[int] = []
-        for tau in self.nonid:
+        for tau in nonid:
             ti = group.inv(tau)
             p_t = self._p_mats[tau]
-            for j in range(self.t):
+            for j in range(t):
                 col = [0] * nshift
-                col[self.nonid.index(tau) * self.t + j] += 1
-                for i in range(self.t):
-                    col[self.nonid.index(ti) * self.t + i] += p_t[i][j]
+                col[nonid.index(tau) * t + j] += 1
+                for i in range(t):
+                    col[nonid.index(ti) * t + i] += p_t[i][j]
                 cols.append(col)
-                orders.append(self.d[j])
+                orders.append(shape.d[j])
         admissible = self._kernel_mod_orders(cols, orders, nshift)
         gens = []
-        zero = (0,) * self.t
+        zero = (0,) * t
         for c_row in admissible.basis:
-            cvals = {
-                tau: tuple(c_row[k * self.t : (k + 1) * self.t])
-                for k, tau in enumerate(self.nonid)
-            }
+            cvals = {tau: tuple(c_row[k * t : (k + 1) * t]) for k, tau in enumerate(nonid)}
             # c_s + s * c_g - c_sg, pair by pair in table order
             table = []
-            for s, g in self.pairs:
-                moved = vec_mat(cvals[g], self._p_mats[s], self.d)
+            for s, g in shape.pairs:
+                moved = vec_mat(cvals[g], self._p_mats[s], shape.d)
                 c_sg = cvals.get(group.mul(s, g), zero)
                 table += [x + y - z for x, y, z in zip(cvals[s], moved, c_sg)]
             gens.append(self._reduce_table(table))
-        return sorted(_closure(gens, self.orders))
+        return sorted(_closure(gens, shape.orders))
 
     @cached_property
     def canonical_tables(self) -> List[Vec]:
         """One lexicographically minimal representative per coboundary class,
         computed once for all the configurations that share this space."""
+        orders = self.shape.orders
         shifts = self.coboundaries()
         seen = set()
         out = []
@@ -320,20 +354,8 @@ class _CocycleSpace:
                 continue
             out.append(z)
             for w in shifts:
-                seen.add(tuple((a + b) % o for a, b, o in zip(z, w, self.orders)))
+                seen.add(tuple((a + b) % o for a, b, o in zip(z, w, orders)))
         return out
-
-    def table_to_dict(self, vec: Vec) -> Dict[Tuple[GElt, GElt], Vec]:
-        return {
-            pair: tuple(vec[self.pair_index[pair] * self.t + i] for i in range(self.t))
-            for pair in self.pairs
-        }
-
-
-def _unit(n, k, c):
-    row = [0] * n
-    row[k] = c
-    return row
 
 
 def _closure(gens: Iterable[Vec], orders: Sequence[int]) -> set:
@@ -374,32 +396,12 @@ def _shapes(params: SearchParams, g_orders=None, atilde_orders=None):
     ]
 
 
-def _shared_space(spaces: dict, params: SearchParams, g_orders, atilde_orders, action):
-    """The factor-set space of an action configuration, taken from spaces
-    when a configuration with the same torsion blocks built it before."""
-    t = len(atilde_orders)
-    key = tuple(tuple(row[:t] for row in m[:t]) for m in action)
-    if key not in spaces:
-        spaces[key] = _CocycleSpace(params.prime, params.precision, g_orders, atilde_orders, action)
-    return spaces[key]
-
-
-def _shape_search(context: dict, params: SearchParams, g_orders, atilde_orders) -> tuple:
-    """(action configurations, {torsion key: factor-set space}) of a shape,
-    from a search context, built on first use."""
-    shape = (g_orders, atilde_orders)
-    if shape not in context:
-        context[shape] = (action_configurations(params.prime, params.precision, *shape), {})
-    return context[shape]
-
-
-def _spaces(params: SearchParams, g_orders, atilde_orders, context=None):
-    """(action, factor-set space) for each action configuration of a shape,
-    from the given search context or a new one."""
-    context = {} if context is None else context
-    configs, spaces = _shape_search(context, params, g_orders, atilde_orders)
-    for action in configs:
-        yield action, _shared_space(spaces, params, g_orders, atilde_orders, action)
+def _shape(context: dict, params: SearchParams, g_orders, atilde_orders) -> _Shape:
+    """The search state of a shape, from a search context, built on first use."""
+    key = (g_orders, atilde_orders)
+    if key not in context:
+        context[key] = _Shape(params, g_orders, atilde_orders)
+    return context[key]
 
 
 def estimate_space(
@@ -414,10 +416,12 @@ def estimate_space(
     that ``build_corpus`` or ``enumerate_instances`` passes, for its walk
     or samples to reuse.
     """
+    context = {} if _context is None else _context
     total = 0
     for g, a in _shapes(params, g_orders, atilde_orders):
-        for _, space in _spaces(params, g, a, _context):
-            total += space.count()
+        shape = _shape(context, params, g, a)
+        for action in shape.configs:
+            total += shape.space(action).count()
             if abort_above is not None and total > abort_above:
                 return total
     return total
@@ -440,11 +444,10 @@ def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None)
 def _instances(params: SearchParams, shapes, context: dict):
     """The enumeration behind enumerate_instances, with no count first."""
     for g, a in shapes:
-        for action, space in _spaces(params, g, a, context):
-            for table_vec in space.canonical_tables:
-                inst = build_instance(
-                    params.prime, params.precision, g, a, action, space.table_to_dict(table_vec)
-                )
+        shape = _shape(context, params, g, a)
+        for action in shape.configs:
+            for table_vec in shape.space(action).canonical_tables:
+                inst = shape.instance(action, table_vec)
                 if validate(inst).ok:
                     yield inst
 
@@ -465,16 +468,11 @@ def random_instance(
         return None
     context = {} if _context is None else _context
     for _ in range(params.attempt_budget):
-        g, a = shapes[rng.randrange(len(shapes))]
-        configs, spaces = _shape_search(context, params, g, a)
-        if not configs:
+        shape = _shape(context, params, *shapes[rng.randrange(len(shapes))])
+        if not shape.configs:
             continue
-        action = configs[rng.randrange(len(configs))]
-        space = _shared_space(spaces, params, g, a, action)
-        table_vec = space.sample(rng)
-        inst = build_instance(
-            params.prime, params.precision, g, a, action, space.table_to_dict(table_vec)
-        )
+        action = shape.configs[rng.randrange(len(shape.configs))]
+        inst = shape.instance(action, shape.space(action).sample(rng))
         if validate(inst).ok:
             return inst
     return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Sequence, Tuple
 
-from .lattice import ModulusMismatchError, ZModRing, _is_prime
+from .lattice import ModulusMismatchError, ZModRing, _is_prime, mat_mul
 
 GElt = Tuple[int, ...]
 
@@ -99,6 +99,21 @@ class AbelianLGroup:
             and len(a) == len(self.orders)
             and all(isinstance(x, int) and 0 <= x < o for x, o in zip(a, self.orders))
         )
+
+    def matrices(self, gen_mats: Sequence, orders: Sequence[int]) -> Dict[GElt, tuple]:
+        """The matrix tau_1^k_1 ... tau_s^k_s of every element (k_1, ..., k_s),
+        multiplied in generator order from the generator matrices gen_mats,
+        column j reduced mod orders[j]."""
+        d = len(orders)
+        out = {}
+        for g in self._elements:
+            k = max((i for i, x in enumerate(g) if x), default=None)
+            if k is None:
+                out[g] = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+                continue
+            prev = out[g[:k] + (g[k] - 1,) + g[k + 1 :]]
+            out[g] = mat_mul(prev, gen_mats[k], orders)
+        return out
 
 
 def check_l_powers(prime: int, orders: Sequence[int], what: str) -> None:
@@ -242,9 +257,6 @@ class OmegaRingElt:
 
     def __add__(self, other: "OmegaRingElt") -> "OmegaRingElt":
         return OmegaRingElt(self.r0 + other.r0, self.r1 + other.r1)
-
-    def __sub__(self, other: "OmegaRingElt") -> "OmegaRingElt":
-        return OmegaRingElt(self.r0 - other.r0, self.r1 - other.r1)
 
     def __neg__(self) -> "OmegaRingElt":
         return OmegaRingElt(-self.r0, -self.r1)

@@ -17,8 +17,9 @@ a product is reduced mod ``orders[j]``, which divides l^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 class ModulusMismatchError(ValueError):
@@ -116,9 +117,6 @@ class ZModRing:
 
     def __repr__(self) -> str:
         return f"ZModRing({self.prime}, {self.precision})"
-
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
 
     def val(self, x: int) -> int:
         """l-adic valuation of x mod l^n; val(0) = n by convention."""
@@ -311,6 +309,22 @@ class Submodule:
             vec[:] = saved
 
         yield from rec(0)
+
+
+def torsion_rows(orders: Sequence[int], width: int) -> List[list]:
+    """The relations o_i * e_i, rows of length width, for o_i in orders."""
+    rows = []
+    for i, o in enumerate(orders):
+        row = [0] * width
+        row[i] = o
+        rows.append(row)
+    return rows
+
+
+def torsion_size(sub: Submodule, orders: Sequence[int]) -> int:
+    """The group order of a span that holds the torsion rows of orders,
+    which make up N / o_i elements in coordinate i, divided out here."""
+    return sub.order() // math.prod(sub.ring.modulus // o for o in orders)
 
 
 def quotient_order(outer: Submodule, inner: Submodule) -> int:

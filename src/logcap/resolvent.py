@@ -27,13 +27,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .groupring import GElt, GroupRingElt, OmegaRingElt, det_ring, trace_element
-from .lattice import InternalInvariantError, Submodule, ZModRing, mat_mul, preimage, solve, vec_mat
+from .lattice import (
+    InternalInvariantError,
+    Submodule,
+    ZModRing,
+    preimage,
+    solve,
+    torsion_rows,
+    torsion_size,
+    vec_mat,
+)
 
 if TYPE_CHECKING:
     from .instance import Instance, ValidationReport
@@ -110,17 +118,7 @@ class Frame:
         multiplied in generator order.  Reduced mod l^n, not per coordinate:
         the two agree only on instances that pass action-well-defined."""
         inst = self.inst
-        d = inst.dim_a
-        modulus = (self.ring.modulus,) * d
-        out = {}
-        for g in inst.group.elements():
-            k = max((i for i, x in enumerate(g) if x), default=None)
-            if k is None:
-                out[g] = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-                continue
-            prev = out[g[:k] + (g[k] - 1,) + g[k + 1 :]]
-            out[g] = mat_mul(prev, inst.action[k], modulus)
-        return out
+        return inst.group.matrices(inst.action, (self.ring.modulus,) * inst.dim_a)
 
     @cached_property
     def cocycle_table(self) -> Dict[Tuple[GElt, GElt], Vec]:
@@ -181,28 +179,21 @@ class Frame:
         t = self.inst.torsion_rank
         return self.b_reduce(tuple(vec[:t]) + (0,) + tuple(vec[t:]))
 
-    def relation_rows(self, width: int) -> List[list]:
-        """The coordinate torsion d_i * e_i, in the coordinates of A, B or
-        B-tilde (told apart by the width)."""
-        rows = []
-        for i, o in enumerate(self.inst.atilde_orders):
-            row = [0] * width
-            row[i] = o
-            rows.append(row)
-        return rows
-
     def span(self, gens: Sequence[Sequence[int]], width: int) -> Submodule:
-        return Submodule.from_generators(self.ring, width, list(gens) + self.relation_rows(width))
+        """The span of gens and the torsion relations d_i * e_i, in the
+        coordinates of A, B or B-tilde (told apart by the width)."""
+        rows = list(gens) + torsion_rows(self.inst.atilde_orders, width)
+        return Submodule.from_generators(self.ring, width, rows)
 
     def size(self, sub: Submodule) -> int:
-        """The group order of a span of A, B or B-tilde.  Every span holds
-        the torsion relations d_i * e_i, which make up N / d_i elements in
-        coordinate i; they are divided out here."""
-        return sub.order() // math.prod(self.ring.modulus // o for o in self.inst.atilde_orders)
+        """The group order of a span of A, B or B-tilde."""
+        return torsion_size(sub, self.inst.atilde_orders)
 
-    def lam_vec(self, coeffs: Dict[GElt, int]) -> Vec:
+    def lam_vec(self, terms: Iterable[Tuple[GElt, int]]) -> Vec:
+        """The (tau - 1) coordinates of sum c * (g - 1) over the terms (g, c);
+        a g that occurs twice adds up, and g = 1 adds nothing."""
         out = [0] * len(self.nonid_index)
-        for g, c in coeffs.items():
+        for g, c in terms:
             if g in self.nonid_index:
                 out[self.nonid_index[g]] += c
         return tuple(out)
@@ -214,7 +205,6 @@ class Frame:
         """The matrix of the twisted action of every sigma on B."""
         inst = self.inst
         group = inst.group
-        one = group.identity()
         N = self.ring.modulus
         d = inst.dim_a
         zeros = (0,) * len(self.nonid_index)
@@ -222,13 +212,8 @@ class Frame:
         for sigma in group.elements():
             rows = [inst.act(sigma, tuple(int(i == j) for j in range(d))) + zeros for i in range(d)]
             for tau in group.nonidentity():
-                lam = {}
-                st = group.mul(sigma, tau)
-                if st != one:
-                    lam[st] = lam.get(st, 0) + 1
-                if sigma != one:
-                    lam[sigma] = lam.get(sigma, 0) - 1
-                rows.append(inst.cocycle_in_a(sigma, tau) + self.lam_vec(lam))
+                lam = self.lam_vec(((group.mul(sigma, tau), 1), (sigma, -1)))
+                rows.append(inst.cocycle_in_a(sigma, tau) + lam)
             out[sigma] = tuple(tuple(x % N for x in r) for r in rows)
         return out
 
@@ -362,17 +347,11 @@ class Frame:
         """Products (g - 1)(h - 1) of the plain group ring, embedded in B."""
         inst = self.inst
         group = inst.group
-        one = group.identity()
         gens = []
         for g in group.nonidentity():
             for h in group.nonidentity():
-                lam: Dict[GElt, int] = {}
-                gh = group.mul(g, h)
-                if gh != one:
-                    lam[gh] = lam.get(gh, 0) + 1
-                lam[g] = lam.get(g, 0) - 1
-                lam[h] = lam.get(h, 0) - 1
-                gens.append((0,) * inst.dim_a + self.lam_vec(lam))
+                lam = self.lam_vec(((group.mul(g, h), 1), (g, -1), (h, -1)))
+                gens.append((0,) * inst.dim_a + lam)
         return self.span(gens, self.dim_b)
 
     @cached_property
@@ -410,13 +389,15 @@ class Frame:
     def relations(self) -> tuple:
         """(certificate, delta, error): the relation certificate and the
         operator delta, or None for each that could not be found, with the
-        error that stopped it as text.  Other errors, such as a refused
-        determinant size, propagate."""
+        error that stopped it as text: an infeasible system, a broken
+        certificate, or an identity that fails on an instance that does not
+        validate.  Other errors, such as a refused determinant size,
+        propagate."""
         cert = None
         try:
             cert = relation_matrices(self.inst)
             return cert, delta(self.inst, cert), None
-        except (InfeasibleRelationError, CertificateError) as e:
+        except (InfeasibleRelationError, CertificateError, InternalInvariantError) as e:
             return cert, None, f"{type(e).__name__}: {e}"
 
 
@@ -541,7 +522,7 @@ def _solve_mu_row(
         # omega terms are solved afterwards; quotient them out here:
         # generators of w * B-tilde in degree-zero coordinates
         complement = [inst.a_tau(tau)[:t] + (0,) * len(nonid) for tau in group.elements()]
-    for r in complement + frame.relation_rows(frame.dim_bt):
+    for r in complement + torsion_rows(inst.atilde_orders, frame.dim_bt):
         rows.append(list(r) + [0] * det_cols)
 
     target = list(frame.bt_vec(_residual(inst, o_i, b[i], [])))
@@ -572,7 +553,7 @@ def _solve_nu_row(
         for j in range(s)
         for g in group.elements()
     ]
-    rows += frame.relation_rows(frame.dim_bt)
+    rows += torsion_rows(inst.atilde_orders, frame.dim_bt)
     sol = solve(rows, list(frame.bt_vec(residual)), inst.ring)
     if sol is None:
         return None

@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from logcap import cli
 from logcap.cli import main
+from logcap.instance import SchemaError, instance_from_dict
 from tests.conftest import FIXTURES
 
 
@@ -454,7 +456,17 @@ def _mutations(path):
 def test_mutated_fields_of_e1_end_in_a_contract_exit_code(tmp_path, capsys, path):
     for data in _mutations(path):
         file = _write(tmp_path, data)
-        for command in ("validate", "verify"):
-            code, _, err = run_cli([command, file], capsys)
+        for command in (["validate"], ["verify"], ["verify", "--force"]):
+            code, _, err = run_cli(command + [file], capsys)
             assert code in (0, 1, 2, 3), (command, data)
             assert "Traceback" not in err
+
+
+def test_out_of_range_cocycle_key_is_an_input_error(tmp_path, capsys):
+    data = copy.deepcopy(E1)
+    data["cocycle"]["0,5"] = [1]
+    with pytest.raises(SchemaError, match=re.escape("cocycle key ((0,), (5,))")):
+        instance_from_dict(data)
+    code, _, err = run_cli(["validate", _write(tmp_path, data)], capsys)
+    assert code == 1
+    assert "cocycle key" in err and "Traceback" not in err

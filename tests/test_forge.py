@@ -16,7 +16,7 @@ from logcap.forge import (
     _CocycleSpace,
     _full_matrix,
     _generator_candidates,
-    _spaces,
+    _Shape,
     action_configurations,
     build_corpus,
     enumerate_instances,
@@ -24,6 +24,7 @@ from logcap.forge import (
     oracle_group,
     random_instance,
 )
+from logcap.groupring import AbelianLGroup
 from logcap.instance import (
     RejectedShiftError,
     build_instance,
@@ -146,20 +147,25 @@ def test_factor_set_space_depends_only_on_the_torsion_action(
     prime, precision, g_orders, atilde_orders
 ):
     """The search shares one space among the configurations with the same
-    torsion action.  Built with no sharing, the configurations that share a
-    space give the same solution basis, coboundaries and count, and the
-    shared count is the sum of the unshared ones."""
+    torsion action.  Built with no sharing, from the torsion blocks of the
+    instance's own element matrices, each configuration gives the solution
+    basis, coboundaries and count of the shared space, and the shared count
+    is the sum of the unshared ones."""
     params = SearchParams(prime, precision, (g_orders,), (atilde_orders,))
-    groups = {}
+    shape = _Shape(params, g_orders, atilde_orders)
+    t = len(atilde_orders)
+    shared_ids = []
     total = 0
-    for action, shared in _spaces(params, g_orders, atilde_orders):
-        space = _CocycleSpace(prime, precision, g_orders, atilde_orders, action)
+    for action in shape.configs:
+        shared = shape.space(action)
+        inst = build_instance(prime, precision, g_orders, atilde_orders, action, {})
+        p_mats = {g: tuple(r[:t] for r in m[:t]) for g, m in inst.frame.action.items()}
+        space = _CocycleSpace(shape, p_mats)
         facts = (space._sub.basis, space.coboundaries(), space.count())
+        assert facts == (shared._sub.basis, shared.coboundaries(), shared.count())
         total += facts[2]
-        groups.setdefault(id(shared), []).append(facts)
-    assert len(groups) < sum(map(len, groups.values()))  # some configurations share
-    for facts in groups.values():
-        assert all(f == facts[0] for f in facts)
+        shared_ids.append(id(shared))
+    assert len(set(shared_ids)) < len(shared_ids)  # some configurations share
     assert estimate_space(params, g_orders, atilde_orders) == total
 
 
@@ -173,9 +179,10 @@ def _count_search_builds(monkeypatch):
     action, and each action_configurations call, by shape."""
     spaces, shapes = [], []
 
-    def counted_space(prime, precision, g_orders, atilde_orders, action):
-        spaces.append(_torsion_key(g_orders, atilde_orders, action))
-        return _CocycleSpace(prime, precision, g_orders, atilde_orders, action)
+    def counted_space(shape, p_mats):
+        gens = [p_mats[g] for g in shape.group.generators()]
+        spaces.append(_torsion_key(shape.group.orders, shape.d, gens))
+        return _CocycleSpace(shape, p_mats)
 
     def counted_configurations(prime, precision, g_orders, atilde_orders):
         shapes.append((tuple(g_orders), tuple(atilde_orders)))
@@ -220,6 +227,44 @@ def test_enumerate_instances_builds_each_space_once(monkeypatch):
     assert list(enumerate_instances(params))
     assert len(shapes) == len(set(shapes)) == 4
     assert spaces and len(spaces) == len(set(spaces))
+
+
+def test_estimate_space_builds_no_instance(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_instance(*args)
+
+    monkeypatch.setattr(forge, "build_instance", counted)
+    params = SearchParams(2, 4, ((2, 2),), ((2, 2),))
+    assert estimate_space(params, (2, 2), (2, 2)) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "prime,g_orders,atilde_orders",
+    [(2, (2, 4), (2,)), (3, (3, 3), (3,)), (2, (2, 2, 2), (2,))],
+    ids=["G2x4_A2", "G3x3_A3", "G2x2x2_A2"],
+)
+def test_element_matrices_are_products_of_generator_powers(prime, g_orders, atilde_orders):
+    """AbelianLGroup.matrices against tau_1^k_1 ... tau_s^k_s written out as
+    repeated products, for every action configuration of the shape."""
+    precision = 4 if prime == 2 else 3
+    group = AbelianLGroup(prime, g_orders)
+    d = len(atilde_orders) + 1
+    orders = (prime**precision,) * d
+    one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    configs = action_configurations(prime, precision, g_orders, atilde_orders)
+    assert configs
+    for gens in configs:
+        mats = group.matrices(gens, orders)
+        for g in group.elements():
+            want = one
+            for mat, k in zip(gens, g):
+                for _ in range(k):
+                    want = mat_mul(want, mat, orders)
+            assert mats[g] == want, (gens, g)
 
 
 def test_random_admissible_shift_never_rejected(inst33, e1, rng):
