@@ -3,13 +3,16 @@
 A search covers the (G, A~) shapes at or above the precision floor.  For a
 fixed action configuration the admissible factor sets form a finite module
 (the associativity identity, normalization and the inverse convention are
-all linear), so enumeration solves for that module once, walks its
-elements and keeps one canonical representative per coboundary class;
-``estimate_space`` counts them, ``enumerate_instances`` refuses through
-that count, and ``random_instance`` samples the same module.  Actions come
-directly from the torsion structure: entry steps forced by
-well-definedness, then powers, norms and commutators checked with one
-matrix product that reduces each column by its own order.
+all linear), so enumeration solves for that module once and reduces each
+of its elements against the Howell form of the coboundaries.  Reduction
+takes each coordinate in turn to its least value in the class, so the
+reduced tables are the lexicographically least representatives, one per
+coboundary class.  ``estimate_space`` counts the module's elements,
+``enumerate_instances`` refuses through that count, and ``random_instance``
+samples the same module.  Actions come directly from the torsion
+structure: entry steps forced by well-definedness, then powers, norms and
+commutators checked with one matrix product that reduces each column by
+its own order.
 
 A factor set takes its values in the torsion part T, so its module, and
 its coboundaries, depend only on T as a G-module: on the torsion blocks of
@@ -21,14 +24,15 @@ only in gamma's row therefore share one module.
 A search context, a dict from each (G, A~) shape to its ``_Shape``, holds
 the shape's configuration list, table layout and modules keyed by torsion
 action, each once; an Instance is built only for a candidate to validate.
-``build_corpus`` makes one per component and passes it through the count,
-the walk or every sample of that component; ``enumerate_instances`` shares
-one between its count and its walk; each other public call makes its own,
-so nothing outlives one component or one call.  Sharing changes no output:
-a module depends only on its torsion key and its basis is a canonical
-Howell form, and no rng draw reads the context.  Configurations are
-extended depth-first, generator by generator, through a table of which
-candidate pairs commute, which yields them in ``itertools.product`` order.
+``build_corpus`` makes one per component and passes it through the count
+and then ``enumerate_instances`` or every sample of that component;
+``enumerate_instances`` shares one, its own or the component's, between
+its count and its walk; each other public call makes its own, so nothing
+outlives one component or one call.  Sharing changes no output: a module
+depends only on its torsion key and its basis is a canonical Howell form,
+and no rng draw reads the context.  Configurations are extended
+depth-first, generator by generator, through a table of which candidate
+pairs commute, which yields them in ``itertools.product`` order.
 
 The oracle at the bottom knows nothing about any of that: it materializes
 the extension group, finds its own generating set by greedy closure, takes
@@ -230,7 +234,9 @@ class _CocycleSpace:
     identity on nonidentity triples, together with vanishing on inverse
     pairs, cuts out a submodule over Z/exp(T).  Tables are enumerated by
     closing the reduced generators under addition, so there is no blowup
-    from torsion coordinates of smaller order.  A space keeps its solution
+    from torsion coordinates of smaller order.  The coboundaries are one
+    Howell form, torsion relations included, that every table reduces
+    against to its class representative.  A space keeps its solution
     module and ``_p_mats``, the torsion blocks of the element matrices, and
     reads the table layout from its shape; it sees the action only through
     ``_p_mats``, so it serves every configuration with that torsion action.
@@ -290,9 +296,6 @@ class _CocycleSpace:
         relations = Submodule.from_generators(ring, width, torsion_rows(orders, width))
         return preimage(rows, relations, ring)
 
-    def _reduce_table(self, vec: Sequence[int]) -> Vec:
-        return tuple(x % o for x, o in zip(vec, self.shape.orders))
-
     def count(self) -> int:
         # the solution module holds every torsion multiple o_k e_k, which
         # reduces to the zero table
@@ -304,13 +307,9 @@ class _CocycleSpace:
         coeffs = [rng.randrange(self.shape.ring.modulus) for _ in self._sub.basis]
         return vec_mat(coeffs, self._sub.basis, self.shape.orders)
 
-    def tables(self) -> List[Vec]:
-        """All factor-set vectors, sorted."""
-        gens = [self._reduce_table(r) for r in self._sub.basis]
-        return sorted(_closure(gens, self.shape.orders))
-
-    def coboundaries(self) -> List[Vec]:
-        """The subgroup of shifts of the table by admissible transversal moves."""
+    def coboundaries(self) -> Submodule:
+        """The shifts of the table by admissible transversal moves, with the
+        torsion relations o_k * e_k, in Howell form."""
         shape = self.shape
         group = shape.group
         nonid, t = shape.nonid, shape.t
@@ -338,24 +337,20 @@ class _CocycleSpace:
                 moved = vec_mat(cvals[g], self._p_mats[s], shape.d)
                 c_sg = cvals.get(group.mul(s, g), zero)
                 table += [x + y - z for x, y, z in zip(cvals[s], moved, c_sg)]
-            gens.append(self._reduce_table(table))
-        return sorted(_closure(gens, shape.orders))
+            gens.append(table)
+        width = len(shape.orders)
+        return Submodule.from_generators(
+            shape.ring, width, gens + torsion_rows(shape.orders, width)
+        )
 
     @cached_property
     def canonical_tables(self) -> List[Vec]:
-        """One lexicographically minimal representative per coboundary class,
-        computed once for all the configurations that share this space."""
-        orders = self.shape.orders
+        """One lexicographically least representative per coboundary class,
+        sorted, computed once for all the configurations that share this
+        space.  Reduction against the Howell form of the coboundaries takes
+        each coordinate in turn to its least value in the class."""
         shifts = self.coboundaries()
-        seen = set()
-        out = []
-        for z in self.tables():
-            if z in seen:
-                continue
-            out.append(z)
-            for w in shifts:
-                seen.add(tuple((a + b) % o for a, b, o in zip(z, w, orders)))
-        return out
+        return sorted({shifts.reduce(z) for z in _closure(self._sub.basis, self.shape.orders)})
 
 
 def _closure(gens: Iterable[Vec], orders: Sequence[int]) -> set:
@@ -427,22 +422,19 @@ def estimate_space(
     return total
 
 
-def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None):
+def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None, *, _context=None):
     """All validate-passing instances, one per coboundary class, in a
     deterministic order.  Refuses up front when the space is too large;
-    the walk reuses the spaces that the count built."""
-    context: dict = {}
+    the walk reuses the spaces that the count built.  With the search
+    context that ``build_corpus`` passes, the count reads the spaces that
+    the component's own count already built."""
+    context = {} if _context is None else _context
     shapes = _shapes(params, g_orders, atilde_orders)
     total = 0
     for g, a in shapes:
         total += estimate_space(params, g, a, abort_above=params.ceiling - total, _context=context)
         if total > params.ceiling:
             raise CeilingExceededError(total, params.ceiling)
-    yield from _instances(params, shapes, context)
-
-
-def _instances(params: SearchParams, shapes, context: dict):
-    """The enumeration behind enumerate_instances, with no count first."""
     for g, a in shapes:
         shape = _shape(context, params, g, a)
         for action in shape.configs:
@@ -706,10 +698,9 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
         entry["exhausted"] = mode == "exhaustive"
         instances: List[Instance] = []
         if mode == "exhaustive":
-            if estimate > params.ceiling:
-                raise CeilingExceededError(estimate, params.ceiling)
-            # enumerate_instances would count again
-            instances = list(_instances(params, [(comp.g_orders, comp.atilde_orders)], context))
+            instances = list(
+                enumerate_instances(params, comp.g_orders, comp.atilde_orders, _context=context)
+            )
         else:
             seen = set()
             n_samples = comp.samples if comp.samples is not None else params.samples

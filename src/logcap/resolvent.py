@@ -37,6 +37,7 @@ from .lattice import (
     Submodule,
     ZModRing,
     preimage,
+    quotient_order,
     solve,
     torsion_rows,
     torsion_size,
@@ -297,6 +298,11 @@ class Frame:
         return preimage(rows, self.ig_bt, self.ring)
 
     @cached_property
+    def ambiguous_index(self) -> int:
+        """The index of I_G * B-tilde in the ambiguous classes."""
+        return quotient_order(self.ambiguous, self.ig_bt)
+
+    @cached_property
     def ig_gamma(self) -> Submodule:
         """I_G * gamma = the span of all (1 - tau) * gamma inside A."""
         inst = self.inst
@@ -474,12 +480,12 @@ def _ig_combination(inst: "Instance", coeffs: Sequence[int]) -> GroupRingElt:
     return GroupRingElt(group, inst.ring, out)
 
 
-def _residual(inst: "Instance", o: int, k: int, terms: Sequence[Sequence[int]]) -> Vec:
-    """o * e_k minus the sum of the terms, a vector of B."""
-    out = [o * x for x in inst.frame.unit(k)]
-    for term in terms:
-        out = [x - y for x, y in zip(out, term)]
-    return inst.frame.b_reduce(out)
+def _row_act(inst: "Instance", row: Sequence[GroupRingElt], b: Sequence[int]) -> Vec:
+    """sum_j row[j] * e_{b_j}, a vector of B, each entry acting through the
+    star action."""
+    frame = inst.frame
+    moved = [star_act(inst, x, frame.unit(k)) for x, k in zip(row, b)]
+    return vec_mat([1] * len(moved), moved, frame.b_orders)
 
 
 def _solve_mu_row(
@@ -489,8 +495,9 @@ def _solve_mu_row(
     cofactors: Optional[List[GroupRingElt]],
     use_gamma_form: bool,
 ) -> Optional[List[GroupRingElt]]:
-    """Solve for the I_G entries of relation row i; b holds the B
-    coordinates of the b_j.
+    """Solve relation row i for the I_G entries mu_ij and return the matrix
+    row o_i * delta_ij - mu_ij, with mu_i last in the gamma form; b holds
+    the B coordinates of the b_j.
 
     Without cofactors, solves modulo (w * B-tilde + torsion); with them,
     appends the group-ring coordinates of the determinant constraint
@@ -525,7 +532,7 @@ def _solve_mu_row(
     for r in complement + torsion_rows(inst.atilde_orders, frame.dim_bt):
         rows.append(list(r) + [0] * det_cols)
 
-    target = list(frame.bt_vec(_residual(inst, o_i, b[i], [])))
+    target = [o_i * x for x in frame.bt_vec(frame.unit(b[i]))]
     if cofactors is not None:
         rhs = cofactors[i].scale(o_i) - trace_element(group, inst.ring)
         target += list(_ring_vec(inst, rhs))
@@ -534,33 +541,36 @@ def _solve_mu_row(
     if sol is None:
         return None
     m = len(nonid)
-    out = [_ig_combination(inst, sol[j * m : (j + 1) * m]) for j in range(s)]
+    out = [
+        GroupRingElt.scalar(group, inst.ring, o_i if i == j else 0)
+        - _ig_combination(inst, sol[j * m : (j + 1) * m])
+        for j in range(s)
+    ]
     if use_gamma_form:
         out.append(_ig_combination(inst, sol[mu_block : mu_block + m]))
     return out
 
 
 def _solve_nu_row(
-    inst: "Instance", i: int, b: List[int], mu_row: List[GroupRingElt]
+    inst: "Instance", b: List[int], m_row: List[GroupRingElt]
 ) -> Optional[List[GroupRingElt]]:
+    """The N row of an M row, the nu_ij with w * sum_j nu_ij * b_j equal to
+    sum_j M_ij * b_j, or None if there are none."""
     frame = inst.frame
     group = inst.group
-    s = group.rank
-    moved = [star_act(inst, mu_row[j], frame.unit(b[j])) for j in range(s)]
-    residual = _residual(inst, group.orders[i], b[i], moved)
     rows = [
-        list(frame.bt_vec(omega_act(inst, frame.star[g][b[j]])))
-        for j in range(s)
+        list(frame.bt_vec(omega_act(inst, frame.star[g][k])))
+        for k in b
         for g in group.elements()
     ]
     rows += torsion_rows(inst.atilde_orders, frame.dim_bt)
-    sol = solve(rows, list(frame.bt_vec(residual)), inst.ring)
+    sol = solve(rows, list(frame.bt_vec(_row_act(inst, m_row, b))), inst.ring)
     if sol is None:
         return None
     n = group.size()
     return [
         GroupRingElt(group, inst.ring, dict(zip(group.elements(), sol[j * n : (j + 1) * n])))
-        for j in range(s)
+        for j in range(len(b))
     ]
 
 
@@ -579,50 +589,30 @@ def _cofactor_row(inst: "Instance", m_rows: List[List[GroupRingElt]], i: int, s:
     return cof
 
 
-def _diag_entry(inst: "Instance", i: int, j: int, o_i: int, mu: GroupRingElt) -> GroupRingElt:
-    base = GroupRingElt.scalar(inst.group, inst.ring, o_i if i == j else 0)
-    return base - mu
-
-
-def _solve_form(inst: "Instance", b: List[int], use_gamma_form: bool):
-    """All relation rows, with the determinant constraint imposed on one row.
+def _solve_form(inst: "Instance", b: List[int], use_gamma_form: bool) -> List[List[GroupRingElt]]:
+    """The matrix rows of one form, M or Lambda with mu_i last, with the
+    determinant constraint imposed on one row.
 
     Rows other than the constrained one are solved first (deterministic
-    order), the constrained row then absorbs det M = Tr as extra linear
-    conditions.  Constraining the last row works on every instance we
-    generate; earlier rows are tried as fallbacks.
+    order), the constrained row then absorbs det = Tr as extra linear
+    conditions on its cofactors.  Constraining the last row works on every
+    instance we generate; earlier rows are tried as fallbacks.
     """
-    group = inst.group
-    s = group.rank
+    s = inst.group.rank
     if s == 0:
-        return [], []
+        return []
     for constrained in range(s - 1, -1, -1):
-        mu_rows: List[Optional[List[GroupRingElt]]] = [None] * s
-        ok = True
+        rows: List[Optional[List[GroupRingElt]]] = [None] * s
         for i in range(s):
-            if i == constrained:
-                continue
-            mu = _solve_mu_row(inst, i, b, None, use_gamma_form)
-            if mu is None:
-                ok = False
-                break
-            mu_rows[i] = mu
-        if not ok:
-            continue
-        m_rows = []
-        for i in range(s):
-            if i == constrained:
-                m_rows.append([None] * s)
-            else:
-                m_rows.append(
-                    [_diag_entry(inst, i, j, group.orders[i], mu_rows[i][j]) for j in range(s)]
-                )
-        cof = _cofactor_row(inst, m_rows, constrained, s)
-        mu = _solve_mu_row(inst, constrained, b, cof, use_gamma_form)
-        if mu is None:
-            continue
-        mu_rows[constrained] = mu
-        return mu_rows, [constrained]
+            if i != constrained:
+                rows[i] = _solve_mu_row(inst, i, b, None, use_gamma_form)
+                if rows[i] is None:
+                    break
+        else:
+            cof = _cofactor_row(inst, rows, constrained, s)
+            rows[constrained] = _solve_mu_row(inst, constrained, b, cof, use_gamma_form)
+            if rows[constrained] is not None:
+                return rows
     raise InfeasibleRelationError(
         "no relation certificate with det M = Tr exists for any constrained row"
     )
@@ -639,49 +629,35 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
         )
     b = [inst.frame.tau_coord(tau) for tau in group.generators()]
 
-    mu_rows, _ = _solve_form(inst, b, use_gamma_form=False)
+    m_rows = _solve_form(inst, b, use_gamma_form=False)
     nu_rows = []
-    for i in range(s):
-        nu = _solve_nu_row(inst, i, b, mu_rows[i])
+    for i, m_row in enumerate(m_rows):
+        nu = _solve_nu_row(inst, b, m_row)
         if nu is None:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
         nu_rows.append(nu)
-
-    lam_full, _ = _solve_form(inst, b, use_gamma_form=True)
-    lam_rows = [row[:s] for row in lam_full]
-    mu_vec = [row[s] for row in lam_full]
-
-    m_matrix = tuple(
-        tuple(_diag_entry(inst, i, j, group.orders[i], mu_rows[i][j]) for j in range(s))
-        for i in range(s)
-    )
-    lam_matrix = tuple(
-        tuple(_diag_entry(inst, i, j, group.orders[i], lam_rows[i][j]) for j in range(s))
-        for i in range(s)
-    )
+    lam_rows = _solve_form(inst, b, use_gamma_form=True)
     cert = RelationCertificate(
-        m_matrix=m_matrix,
+        m_matrix=tuple(tuple(row) for row in m_rows),
         n_matrix=tuple(tuple(row) for row in nu_rows),
-        lam_matrix=lam_matrix,
-        mu_vector=tuple(mu_vec),
+        lam_matrix=tuple(tuple(row[:s]) for row in lam_rows),
+        mu_vector=tuple(row[s] for row in lam_rows),
     )
-    _verify_certificate(inst, cert, b, mu_rows, lam_rows)
+    _verify_certificate(inst, cert, b)
     return cert
 
 
-def _verify_certificate(inst, cert, b, mu_rows, lam_rows):
-    group = inst.group
-    unit = inst.frame.unit
-    for i in range(group.rank):
-        terms = []
-        for j, k in enumerate(b):
-            terms.append(star_act(inst, mu_rows[i][j], unit(k)))
-            terms.append(omega_act(inst, star_act(inst, cert.n_matrix[i][j], unit(k))))
-        if any(_residual(inst, group.orders[i], b[i], terms)):
+def _verify_certificate(inst: "Instance", cert: RelationCertificate, b: Sequence[int]) -> None:
+    """Check both forms by substitution, reading only the instance and the
+    certificate: sum_j M_ij * b_j = w * sum_j N_ij * b_j and
+    sum_j Lambda_ij * b_j = mu_i * gamma for every row i, where b holds the
+    B coordinates of the b_j."""
+    gamma = inst.frame.unit(inst.torsion_rank)
+    for i in range(cert.size()):
+        omega_side = omega_act(inst, _row_act(inst, cert.n_matrix[i], b))
+        if _row_act(inst, cert.m_matrix[i], b) != omega_side:
             raise CertificateError(f"nonzero residual in omega-form row {i}")
-        terms = [star_act(inst, lam_rows[i][j], unit(k)) for j, k in enumerate(b)]
-        terms.append(star_act(inst, cert.mu_vector[i], unit(inst.torsion_rank)))
-        if any(_residual(inst, group.orders[i], b[i], terms)):
+        if _row_act(inst, cert.lam_matrix[i], b) != star_act(inst, cert.mu_vector[i], gamma):
             raise CertificateError(f"nonzero residual in gamma-form row {i}")
 
 

@@ -230,7 +230,7 @@ def _v7_main_theorem(inst: Instance, oracle_bound: int) -> Verdict:
     ig_bt = frame.ig_bt
     kernel_index = quotient_order(tr_kernel, ig_bt) if tr_kernel.contains_submodule(ig_bt) else None
     witness = {
-        "ambiguous_order": quotient_order(amb, ig_bt),
+        "ambiguous_order": frame.ambiguous_index,
         "trace_kernel_order": kernel_index,
     }
     if bad:
@@ -258,7 +258,7 @@ def _v8_delta_kills_boundary(inst: Instance, oracle_bound: int) -> Verdict:
 
 
 def _v9_index(inst: Instance, oracle_bound: int) -> Verdict:
-    idx = quotient_order(inst.frame.ambiguous, inst.frame.ig_bt)
+    idx = inst.frame.ambiguous_index
     ok = idx == inst.group.size()
     return Verdict(
         "V9",

@@ -33,7 +33,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from logcap.lattice import mat_mul
+from logcap.lattice import mat_mul, vec_mat
 from tests.conftest import CORPUS, FIXTURES, REPO, corpus_paths, random_admissible_shift
 
 
@@ -167,6 +167,57 @@ def test_factor_set_space_depends_only_on_the_torsion_action(
         shared_ids.append(id(shared))
     assert len(set(shared_ids)) < len(shared_ids)  # some configurations share
     assert estimate_space(params, g_orders, atilde_orders) == total
+
+
+def _seen_set_walk(space):
+    """The canonical tables by a seen-set walk: every table of the space in
+    sorted order, keeping each one that no kept table reaches by a
+    coboundary shift.  The shifts are the coboundaries c_s + s * c_g - c_sg
+    of every map c from the nonidentity elements to the torsion that vanish
+    on inverse pairs."""
+    shape = space.shape
+    group, d, t = shape.group, shape.d, shape.t
+    orders = shape.orders
+    inverse_pairs = [k for k, (s, g) in enumerate(shape.pairs) if g == group.inv(s)]
+    tables = sorted({tuple(x % o for x, o in zip(z, orders)) for z in space._sub.elements()})
+    shifts = set()
+    for flat in itertools.product(*(range(o) for o in d * len(shape.nonid))):
+        c = {tau: flat[k * t : (k + 1) * t] for k, tau in enumerate(shape.nonid)}
+        c[group.identity()] = (0,) * t
+        table = []
+        for s, g in shape.pairs:
+            moved = vec_mat(c[g], space._p_mats[s], d)
+            table += [(x + y - z) % o for x, y, z, o in zip(c[s], moved, c[group.mul(s, g)], d)]
+        if not any(table[k * t + j] for k in inverse_pairs for j in range(t)):
+            shifts.add(tuple(table))
+    seen, out = set(), []
+    for z in tables:
+        if z not in seen:
+            out.append(z)
+            seen.update(tuple((a + b) % o for a, b, o in zip(z, w, orders)) for w in shifts)
+    return out
+
+
+@pytest.mark.parametrize(
+    "prime,precision,g_orders,atilde_orders",
+    [
+        (2, 4, (2,), (2, 2)),
+        (2, 4, (2, 2), (2, 2)),
+        (2, 4, (4,), (2, 2)),
+        (3, 3, (3,), (3,)),
+        (2, 4, (2, 2), (2,)),
+    ],
+    ids=["G2_A2x2", "G2x2_A2x2", "G4_A2x2", "G3_A3", "G2x2_A2"],
+)
+def test_canonical_tables_match_the_seen_set_walk(prime, precision, g_orders, atilde_orders):
+    """Howell reduction against the coboundaries keeps the same table of
+    each class as the seen-set walk, on every torsion action of the shape."""
+    params = SearchParams(prime, precision, (g_orders,), (atilde_orders,))
+    shape = _Shape(params, g_orders, atilde_orders)
+    spaces = {id(s): s for s in map(shape.space, shape.configs)}
+    assert spaces
+    for space in spaces.values():
+        assert space.canonical_tables == _seen_set_walk(space)
 
 
 def _torsion_key(g_orders, atilde_orders, action):

@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from logcap.groupring import GroupRingElt, OmegaRingElt, trace_element
-from logcap.instance import build_instance
+from logcap.instance import build_instance, load_instance
 from logcap.lattice import Submodule, quotient_order
 from logcap.resolvent import (
     CertificateError,
     RelationCertificate,
+    _verify_certificate,
     certificate_determinants,
     delta,
     omega_act,
@@ -15,6 +17,7 @@ from logcap.resolvent import (
     star_act,
     trace,
 )
+from tests.conftest import CORPUS, FIXTURES
 
 
 def ring_elt(inst, coeffs):
@@ -222,6 +225,31 @@ def test_certificate_augmentation_pattern(inst33):
             want = inst33.group.orders[i] if i == j else 0
             assert cert.m_matrix[i][j].augmentation() == want % inst33.ring.modulus
             assert cert.lam_matrix[i][j].augmentation() == want % inst33.ring.modulus
+
+
+@pytest.mark.parametrize(
+    "field,form",
+    [("m_matrix", "omega"), ("n_matrix", "omega"), ("lam_matrix", "gamma"), ("mu_vector", "gamma")],
+)
+@pytest.mark.parametrize(
+    "path", [FIXTURES / "e1.json", CORPUS / "l3" / "p3_n3_G3x3_A3_000.json"], ids=["e1", "G3x3_A3"]
+)
+def test_certificate_check_reads_only_the_certificate(path, field, form):
+    """Adding the identity to the first entry of M, N, Lambda or mu breaks
+    row 0 of its form, and the substitution check, given only the instance
+    and the certificate, names that form and row."""
+    inst = load_instance(path)
+    cert = relation_matrices(inst)
+    b = [inst.frame.tau_coord(tau) for tau in inst.group.generators()]
+    _verify_certificate(inst, cert, b)
+    one = GroupRingElt.one(inst.group, inst.ring)
+    value = getattr(cert, field)
+    if field == "mu_vector":
+        changed = (value[0] + one,) + value[1:]
+    else:
+        changed = ((value[0][0] + one,) + value[0][1:],) + value[1:]
+    with pytest.raises(CertificateError, match=f"nonzero residual in {form}-form row 0"):
+        _verify_certificate(inst, replace(cert, **{field: changed}), b)
 
 
 def test_certificate_residuals_verify_by_substitution(inst33):
