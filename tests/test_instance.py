@@ -125,6 +125,30 @@ _DETAIL_CASES = [
         "cocycle-inverse-convention",
         "nonzero at ((1,), (1,))",
     ),
+    (
+        # ten bad triples: the first two under s = (1,), the next under
+        # s = (2,); the detail keeps four of them
+        (2, 4, [4], [2], [[[1, 0], [1, 1]]], {((2,), (1,)): [1]}),
+        "cocycle-identity",
+        "triple ((1,), (1,), (1,)); triple ((1,), (2,), (1,));"
+        " triple ((2,), (1,), (1,)); triple ((2,), (1,), (2,))",
+    ),
+    (
+        (2, 2, [2], [2], [[[1, 0], [1, 1]]], {}),
+        "precision-rule",
+        "n = 2 < 1 + 1 + 1",
+    ),
+    (
+        # a trivial action and factor set: U is abelian, so U' = 0
+        (2, 3, [2], [2], [[[1, 0], [0, 1]]], {}),
+        "H1",
+        "derived subgroup has order 1 inside torsion of order 2",
+    ),
+    (
+        (2, 3, [2], [2], [[[1, 0], [0, 1]]], {}),
+        "degree-zero-index",
+        "index 4 != |G| = 2",
+    ),
 ]
 
 
