@@ -66,6 +66,7 @@ from .lattice import (
     InternalInvariantError,
     Submodule,
     ZModRing,
+    carry_free_coder,
     mat_mul,
     preimage,
     torsion_rows,
@@ -487,14 +488,11 @@ class OracleFacts:
 def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     """Materialize the extension group and compute everything by counting.
 
-    Each element (a, g) of U is one integer, code(a)*|G| + index(g).  The
-    code of a is mixed-radix over the coordinates of A, with radix 2*o - 1
-    for a coordinate of order o.  A reduced digit is at most o - 1, so the
-    sum of two reduced codes has digits at most 2*o - 2: it never carries
-    from one digit into the next, and the list ``red`` maps every such sum
-    back to the reduced code, digit by digit.  One table per (s, t) holds
-    b -> red[code(s*b) + code(f(s, t))], read from the instance's action
-    and factor set on every element, so a product
+    Each element (a, g) of U is one integer, code(a)*|G| + index(g), with
+    the carry-free code of A from ``lattice.carry_free_coder``: its list
+    ``red`` maps a sum of two codes to the code of the sum.  One table per
+    (s, t) holds b -> red[code(s*b) + code(f(s, t))], read from the
+    instance's action and factor set on every element, so a product
     (a, s)(b, t) = (a + s*b + f(s, t), st) is red[a + actf[s][t][b]]*|G|
     + gmul[s][t].  Codes become coordinate tuples only in the facts
     returned.
@@ -521,14 +519,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     gmul = [[gidx[group.mul(x, y)] for y in gelts] for x in gelts]
     ginv = [gidx[group.inv(x)] for x in gelts]
 
-    weights, red = [], [0]
-    for o in reversed(orders):  # last coordinate lowest; len(red) is the place value
-        weights.insert(0, len(red))
-        red = [(d % o) * len(red) + r for d in range(2 * o - 1) for r in red]
-
-    def code(v):
-        return sum((x % o) * w for x, o, w in zip(v, orders, weights))
-
+    code, red = carry_free_coder(orders)
     a_elts = list(itertools.product(*(range(o) for o in orders)))
     a_codes = [code(a) for a in a_elts]
     decode = dict(zip(a_codes, a_elts))

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from .groupring import AbelianLGroup, GElt, GroupRingElt, GroupSizeError, check_l_powers
-from .lattice import ModulusSizeError, Submodule, ZModRing, mat_mul, vec_mat
+from .lattice import ModulusSizeError, Submodule, ZModRing, carry_free_coder, mat_mul, vec_mat
 
 if TYPE_CHECKING:
     from .resolvent import Frame
@@ -317,18 +317,26 @@ def validate(inst: Instance) -> ValidationReport:
             bad.append(f"nonzero entry at identity pair with {g}")
     checks.append(CheckResult("cocycle-normalized", not bad, "; ".join(bad)))
 
+    # s*f(g, r) + f(s, gr) = f(sg, r) + f(s, g) on tables of element indices
+    # and carry-free codes of the values, with s*v once per value v
+    elts = group.elements()
+    idx = {g: i for i, g in enumerate(elts)}
+    prod = [[idx[group.mul(x, y)] for y in elts] for x in elts]
+    code, red = carry_free_coder(orders)
+    f = [[0] * len(elts) for _ in elts]
+    values = {0: (0,) * t}
+    for s, g, v in inst.cocycle:
+        f[idx[s]][idx[g]] = code(v)
+        values[code(v)] = v
     bad = []
-    for s in group.elements():
-        for g in group.elements():
-            for r in group.elements():
-                terms = zip(
-                    inst.atilde_act(s, inst.cocycle_value(g, r)),
-                    inst.cocycle_value(group.mul(s, g), r),
-                    inst.cocycle_value(s, group.mul(g, r)),
-                    inst.cocycle_value(s, g),
-                )
-                if any(inst.atilde_reduce([w - x + y - z for w, x, y, z in terms])):
-                    bad.append(f"triple ({s}, {g}, {r})")
+    for s, fs, ps in zip(elts, f, prod):
+        act = {c: code(inst.atilde_act(s, v)) for c, v in values.items()}
+        for g, fg, pg, z, sg in zip(elts, f, prod, fs, ps):
+            bad += [
+                f"triple ({s}, {g}, {r})"
+                for r, x, gr, y in zip(elts, fg, pg, f[sg])
+                if red[act[x] + fs[gr]] != red[y + z]
+            ]
         if len(bad) > 3:
             break
     checks.append(CheckResult("cocycle-identity", not bad, "; ".join(bad[:4])))

@@ -165,6 +165,21 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], orders: Sequ
     return tuple(vec_mat(row, b, orders) for row in a)
 
 
+def carry_free_coder(orders: Sequence[int]):
+    """(code, red): code(v) is mixed-radix in v reduced, radix 2*o - 1 for a
+    coordinate of order o, so a sum of two codes never carries from digit to
+    digit, and red[code(x) + code(y)] == code(x + y)."""
+    weights, red = [], [0]
+    for o in reversed(orders):  # last coordinate lowest; len(red) is the place value
+        weights.insert(0, len(red))
+        red = [(d % o) * len(red) + r for d in range(2 * o - 1) for r in red]
+
+    def code(v):
+        return sum((x % o) * w for x, o, w in zip(v, orders, weights))
+
+    return code, red
+
+
 def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
     """Howell form of a row lattice; returns (rows, pivot_columns).
 

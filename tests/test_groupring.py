@@ -153,16 +153,33 @@ def _det_permutation_sum(m):
     return acc
 
 
-@pytest.mark.parametrize("size", [2, 3])
-def test_det_cofactor_matches_permutation_sum(size):
+# (G, coefficient ring) pairs; the cases over Z/2 and Z/8 are named by size alone
+_DET_RINGS = [
+    ("", (2, [2]), (2, 3)),
+    ("C3-Z9-", (3, [3]), (3, 2)),
+    ("C2xC2-Z4-", (2, [2, 2]), (2, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "size, group_args, ring_args",
+    [
+        pytest.param(size, group_args, ring_args, id=f"{name}{size}")
+        for name, group_args, ring_args in _DET_RINGS
+        for size in (1, 2, 3, 4)
+    ],
+)
+def test_det_cofactor_matches_permutation_sum(size, group_args, ring_args):
     rnd = random.Random(size)
-    g = AbelianLGroup(2, [2])
+    g = AbelianLGroup(*group_args)
+    ring = ZModRing(*ring_args)
+    n = ring.modulus
     for _ in range(6):
         m = [
             [
                 OmegaRingElt(
-                    GroupRingElt(g, Z8, {e: rnd.randrange(8) for e in g.elements()}),
-                    GroupRingElt(g, Z8, {e: rnd.randrange(8) for e in g.elements()}),
+                    GroupRingElt(g, ring, {e: rnd.randrange(n) for e in g.elements()}),
+                    GroupRingElt(g, ring, {e: rnd.randrange(n) for e in g.elements()}),
                 )
                 for _ in range(size)
             ]

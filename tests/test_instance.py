@@ -1,9 +1,12 @@
+import itertools
 import json
+import random
 import re
 
 import pytest
 
 from logcap.instance import (
+    CheckResult,
     RejectedShiftError,
     SchemaError,
     build_instance,
@@ -13,7 +16,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from tests.conftest import FIXTURES, random_admissible_shift
+from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift
 
 
 def test_e1_validates(e1):
@@ -260,3 +263,82 @@ def test_element_arithmetic_and_degree(e1):
     assert e1.act((1,), gamma) == (1, 1)
     assert e1.act((1,), alpha) == alpha
     assert e1.a_tau((1,)) == (1, 0)
+
+
+def _cocycle_identity_on_tuples(inst):
+    """The cocycle-identity check written out on coordinate tuples: every
+    triple in element order, s*f(g, r) - f(sg, r) + f(s, gr) - f(s, g)
+    reduced at the end, the first four bad triples kept, and the walk cut
+    after any s that brings the count past three."""
+    group = inst.group
+    bad = []
+    for s in group.elements():
+        for g in group.elements():
+            for r in group.elements():
+                terms = zip(
+                    inst.atilde_act(s, inst.cocycle_value(g, r)),
+                    inst.cocycle_value(group.mul(s, g), r),
+                    inst.cocycle_value(s, group.mul(g, r)),
+                    inst.cocycle_value(s, g),
+                )
+                if any(inst.atilde_reduce([w - x + y - z for w, x, y, z in terms])):
+                    bad.append(f"triple ({s}, {g}, {r})")
+        if len(bad) > 3:
+            break
+    return CheckResult("cocycle-identity", not bad, "; ".join(bad[:4]))
+
+
+def _one_per_shape():
+    """The first corpus instance of every shipped (l, G, A~) shape."""
+    seen = {}
+    for path in corpus_paths():
+        inst = load_instance(path)
+        seen.setdefault((inst.prime, inst.group.orders, inst.atilde_orders), path)
+    return list(seen.values())
+
+
+_REFERENCE_PATHS = _one_per_shape() + sorted(FIXTURES.glob("*.json"))
+
+
+def _corruptions(inst, seed, count=3):
+    """inst, then count copies with one to three factor-set entries set to
+    seeded random nonzero values (identity pairs included)."""
+    rnd = random.Random(seed)
+    elts = inst.group.elements()
+    nonzero = list(itertools.product(*(range(o) for o in inst.atilde_orders)))[1:]
+    out = [inst]
+    for _ in range(count if nonzero else 0):
+        data = instance_to_dict(inst)
+        for _ in range(rnd.randint(1, 3)):
+            s, g = rnd.choice(elts), rnd.choice(elts)
+            data["cocycle"][",".join(map(str, s + g))] = list(rnd.choice(nonzero))
+        out.append(instance_from_dict(data))
+    return out
+
+
+def _assert_matches_reference(inst):
+    report = validate(inst)
+    want = _cocycle_identity_on_tuples(inst)
+    assert report.checks == tuple(want if c.name == want.name else c for c in report.checks)
+    return want
+
+
+@pytest.mark.parametrize(
+    "path", _REFERENCE_PATHS, ids=[p.relative_to(p.parent.parent).as_posix() for p in _REFERENCE_PATHS]
+)
+def test_cocycle_identity_matches_the_tuple_loop(path):
+    base = load_instance(path)
+    results = [_assert_matches_reference(inst) for inst in _corruptions(base, path.name)]
+    assert any(not r.passed for r in results) == bool(base.atilde_orders)
+
+
+def test_cocycle_identity_matches_the_tuple_loop_on_an_ill_defined_action():
+    # tau_1 sends e_0 to e_0 + e_1, but 2 e_0 = 0 while 2 (e_0 + e_1) != 0
+    # in Z/2 x Z/4: the check must reduce f(g, r) before acting, as
+    # atilde_act does
+    args = (2, 4, [4], [2, 4], [[[1, 1, 0], [0, 1, 0], [0, 0, 1]]], {})
+    base = build_instance(*args)
+    assert "action-well-defined" in validate(base).failed_names()
+    results = [_assert_matches_reference(inst) for inst in _corruptions(base, 7, count=8)]
+    assert sum(not r.passed for r in results) >= 4
+    assert any(r.detail.count("triple") == 4 for r in results)

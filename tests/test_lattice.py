@@ -8,6 +8,7 @@ from logcap.lattice import (
     Submodule,
     ZModRing,
     _is_prime,
+    carry_free_coder,
     kernel,
     mat_mul,
     preimage,
@@ -332,3 +333,18 @@ def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
     assert _is_prime(2**61 - 1) and _is_prime(2**31 - 1)
     with pytest.raises(ValueError):
         _is_prime(2**89 - 1)
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (4, 2), (2, 2, 2), (3, 9), (2, 16)], ids=str)
+def test_carry_free_coder(orders):
+    code, red = carry_free_coder(orders)
+    reduced = list(itertools.product(*(range(o) for o in orders)))
+    codes = [code(v) for v in reduced]
+    assert len(set(codes)) == len(reduced)
+    for x in reduced:
+        for y in reduced:
+            assert red[code(x) + code(y)] == code([a + b for a, b in zip(x, y)])
+    rnd = random.Random(len(orders))
+    for v in reduced:
+        shifted = [a + o * rnd.randint(-3, 3) for a, o in zip(v, orders)]
+        assert code(shifted) == code(v)

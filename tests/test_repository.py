@@ -1,9 +1,11 @@
 """Repository-wide checks: the library's invariants survive ``python -O``,
 every demo script runs to completion, every name the benchmark's tracer
-wraps exists, and no public library name is there for its tests alone."""
+wraps exists, every committed benchmark record names what the benchmark
+measures, and no public library name is there for its tests alone."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +64,30 @@ def test_every_traced_name_resolves_in_logcap():
         if owner is None or attr not in vars(owner):
             missing.append(f"{mod}.{cls}.{attr}")
     assert missing == []
+
+
+BENCH_RECORDS = sorted(REPO.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_names_the_benchmark(path):
+    """A BENCH_<label>.json parses, carries its own label, and reports only
+    workloads and metrics that BENCHMARK.json declares."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    end_to_end = {m["name"] for m in spec["end_to_end"]}
+    per_layer = {m["name"] for m in spec["per_layer"]}
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert path.name == f"BENCH_{record['label']}.json"
+    runs = dict(record["workloads"])
+    runs.update((k, v) for k, v in record.get("holdout", {}).items() if isinstance(v, dict))
+    assert runs and set(runs) <= workloads
+    for run in runs.values():
+        assert run["metrics"] and set(run["metrics"]) <= end_to_end
+    traced = record["traced"]
+    assert traced["workload"] in workloads
+    for side in ("parent", "change"):
+        assert traced[side] and set(traced[side]) <= per_layer
 
 
 def test_every_public_library_name_has_a_user_outside_the_tests():
