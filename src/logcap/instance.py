@@ -317,8 +317,7 @@ def validate(inst: Instance) -> ValidationReport:
             bad.append(f"nonzero entry at identity pair with {g}")
     checks.append(CheckResult("cocycle-normalized", not bad, "; ".join(bad)))
 
-    # s*f(g, r) + f(s, gr) = f(sg, r) + f(s, g) on tables of element indices
-    # and carry-free codes of the values, with s*v once per value v
+    # s*f(g, r) + f(s, gr) = f(sg, r) + f(s, g) on index and code tables; s*v once per value v
     elts = group.elements()
     idx = {g: i for i, g in enumerate(elts)}
     prod = [[idx[group.mul(x, y)] for y in elts] for x in elts]

@@ -166,9 +166,8 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], orders: Sequ
 
 
 def carry_free_coder(orders: Sequence[int]):
-    """(code, red): code(v) is mixed-radix in v reduced, radix 2*o - 1 for a
-    coordinate of order o, so a sum of two codes never carries from digit to
-    digit, and red[code(x) + code(y)] == code(x + y)."""
+    """(code, red): code(v) is mixed-radix in v reduced, radix 2*o - 1 for
+    order o, so a sum of two codes never carries and red[code(x) + code(y)] == code(x + y)."""
     weights, red = [], [0]
     for o in reversed(orders):  # last coordinate lowest; len(red) is the place value
         weights.insert(0, len(red))
