@@ -489,7 +489,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     """Materialize the extension group and compute everything by counting.
 
     Each element (a, g) of U is one integer, code(a)*|G| + index(g), with
-    the carry-free code of A from ``lattice.carry_free_coder``: its list
+    the carry-free code of A from ``lattice.carry_free_coder``: its table
     ``red`` maps a sum of two codes to the code of the sum.  One table per
     (s, t) holds b -> red[code(s*b) + code(f(s, t))], read from the
     instance's action and factor set on every element, so a product
@@ -515,8 +515,7 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     group = inst.group
     gelts = group.elements()
     n_g = len(gelts)
-    gidx = {g: i for i, g in enumerate(gelts)}
-    gmul = [[gidx[group.mul(x, y)] for y in gelts] for x in gelts]
+    gidx, gmul = group.product_indices()
     ginv = [gidx[group.inv(x)] for x in gelts]
 
     code, red = carry_free_coder(orders)

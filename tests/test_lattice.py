@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from logcap import lattice
 from logcap.lattice import (
     ContainmentError,
     Submodule,
@@ -335,9 +336,13 @@ def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
         _is_prime(2**89 - 1)
 
 
+@pytest.mark.parametrize("table", ["list", "dict"])
 @pytest.mark.parametrize("orders", [(), (2,), (4, 2), (2, 2, 2), (3, 9), (2, 16)], ids=str)
-def test_carry_free_coder(orders):
+def test_carry_free_coder(orders, table, monkeypatch):
+    if table == "dict":  # the table that reduces sums as they are looked up
+        monkeypatch.setattr(lattice, "DENSE_SUMS", 0)
     code, red = carry_free_coder(orders)
+    assert isinstance(red, list) == (table == "list")
     reduced = list(itertools.product(*(range(o) for o in orders)))
     codes = [code(v) for v in reduced]
     assert len(set(codes)) == len(reduced)
@@ -348,3 +353,13 @@ def test_carry_free_coder(orders):
     for v in reduced:
         shifted = [a + o * rnd.randint(-3, 3) for a, o in zip(v, orders)]
         assert code(shifted) == code(v)
+
+
+@pytest.mark.parametrize("orders", [(2**40,), (2,) * 30, (3, 3**30)], ids=["2^40", "2x30", "3,3^30"])
+def test_carry_free_coder_on_large_orders_keeps_only_the_sums_looked_up(orders):
+    code, red = carry_free_coder(orders)
+    rnd = random.Random(len(orders))
+    for _ in range(200):
+        x, y = ([rnd.randrange(o) for o in orders] for _ in range(2))
+        assert red[code(x) + code(y)] == code([a + b for a, b in zip(x, y)])
+    assert isinstance(red, dict) and len(red) <= 200
