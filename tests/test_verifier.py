@@ -1,9 +1,9 @@
 import pytest
 
 from logcap.extension import u_order
-from logcap.instance import coboundary_shift
+from logcap.instance import coboundary_shift, load_instance
 from logcap.verifier import CHECK_IDS, run_all, run_check
-from tests.conftest import FIXTURES, random_admissible_shift
+from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift
 
 
 def test_e1_all_checks_pass(e1):
@@ -109,6 +109,27 @@ def test_v1_generator_mode_agrees_with_exhaustive(e1, inst33):
         assert exhaustive.witness["exhaustive"] is True
         assert gen_based.status == exhaustive.status == "pass"
         assert gen_based.witness["elements_checked"] < exhaustive.witness["elements_checked"]
+
+
+def test_v1_generator_walk_pinned_on_the_corpus():
+    # at bound 0 V1 walks the unit vectors of A, then the group generators
+    paths = corpus_paths()
+    assert len(paths) == 55
+    for path in paths:
+        inst = load_instance(path)
+        v = run_check(inst, "V1", oracle_bound=0)
+        want = {"elements_checked": inst.dim_a + len(inst.group.generators()), "exhaustive": False}
+        assert (v.status, v.witness) == ("pass", want), path.name
+
+
+def test_v1_generator_walk_witness_on_corrupted_cocycle(corrupted):
+    v = run_check(corrupted, "V1", oracle_bound=0, force=True)
+    assert v.status == "fail"
+    assert v.witness == {
+        "element": {"a": [0, 0], "tau": [1]},
+        "transfer": [1, 0],
+        "trace_of_log": [0, 0],
+    }
 
 
 def test_report_serialization_roundtrip(e1):
