@@ -10,9 +10,10 @@ The instance here is the smallest interesting one: l = 2, G = Z/2,
 T = Z/2 = <alpha>, tau fixing alpha and moving gamma to gamma + alpha.
 """
 
+from itertools import product
 from pathlib import Path
 
-from logcap.extension import UElement, log_iso, transfer, u_elements
+from logcap.extension import UElement, log_iso, transfer
 from logcap.instance import load_instance, validate
 from logcap.resolvent import trace
 
@@ -39,12 +40,14 @@ print("derived subgroup basis:", d.basis, "= torsion part:", d == inst.frame.ati
 
 # transfer: sum of the transversal corrections; on the gamma lift it
 # multiplies the degree by |G| and picks up the commutator alpha
-print("Ver(gamma-lift) =", transfer(inst, u), " (2 gamma + alpha)")
-print("Ver(u_tau)      =", transfer(inst, v))
+print("Ver(gamma-lift) =", transfer(inst, u.a, u.tau), " (2 gamma + alpha)")
+print("Ver(u_tau)      =", transfer(inst, v.a, v.tau))
 
 # the logarithm sends (a, tau) to a + (tau - 1) in the resolvent module;
-# the trace of the logarithm recovers the transfer, element by element
+# the trace of the logarithm recovers the transfer, element by element;
+# both take an element of U as its coordinates (a, tau)
+all_of_u = product(product(*(range(o) for o in inst.frame.orders)), inst.group.elements())
 mismatches = sum(
-    1 for w in u_elements(inst) if transfer(inst, w) != trace(inst, log_iso(inst, w).to_vec())
+    1 for a, g in all_of_u if transfer(inst, a, g) != trace(inst, log_iso(inst, a, g).to_vec())
 )
 print("transfer vs trace-of-logarithm mismatches over all of U:", mismatches)

@@ -1,6 +1,6 @@
 """Command-line front end: validate, verify, search, oracle, report.
 
-Exit codes are a stable contract: 0 success, 1 malformed input, 2 a
+Exit codes are a stable contract: 0 success, 1 malformed input or usage, 2 a
 mathematical check failed (validation failure or a fail/hypothesis-failed
 verdict), 3 a resource refusal (search space above the ceiling, oracle
 bound exceeded, group order or coefficient modulus above its limit,
@@ -276,7 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the help (0) or a usage error (2)
+        return EXIT_INPUT if e.code else EXIT_OK
     try:
         return args.func(args)
     except (SchemaError, OSError) as e:

@@ -5,10 +5,12 @@ is exactly the factor-set identity, so these functions are meaningful on
 validated instances only (the verifier exercises them on broken data too,
 where failures are the point).
 
-The transfer is computed against the fixed transversal u_t = (0, t); other
-transversals are reachable through coboundary shifts of the instance.  Into
-the abelian normal subgroup A it is an affine map, a norm plus a factor-set
-correction (Neukirch, Schmidt & Wingberg, *Cohomology of Number Fields*):
+The transfer and the logarithm take an element of U as its coordinates
+(a, tau); only the group law wraps them in a ``UElement``.  The transfer
+is computed against the fixed transversal u_t = (0, t); other transversals
+are reachable through coboundary shifts of the instance.  Into the abelian
+normal subgroup A it is an affine map, a norm plus a factor-set correction
+(Neukirch, Schmidt & Wingberg, *Cohomology of Number Fields*):
 
     transfer(a, tau) = N * a + c(tau),   N = sum_h h,
     c(tau) = sum_g (tau g)^-1 * f(tau, g).
@@ -21,7 +23,6 @@ exactly when the action respects the torsion orders (validation's
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Tuple, TYPE_CHECKING
 
@@ -76,14 +77,6 @@ class UElement:
         return UElement(inst, b, ti)
 
 
-def u_elements(inst: "Instance"):
-    """All of U in a deterministic order (A coordinates outer, G inner)."""
-    orders = inst.frame.orders
-    for a in itertools.product(*(range(o) for o in orders)):
-        for g in inst.group.elements():
-            yield UElement(inst, a, g)
-
-
 def u_order(inst: "Instance") -> int:
     return inst.group.size() * inst.ring.modulus * inst.atilde_order()
 
@@ -112,7 +105,7 @@ def derived_subgroup(inst: "Instance", degree_zero: bool = False) -> Submodule:
     return inst.span_a(gens)
 
 
-def transfer(inst: "Instance", u: UElement) -> Vec:
+def transfer(inst: "Instance", a: Vec, tau: GElt) -> Vec:
     """The transfer of u = (a, tau) into A against the transversal u_t = (0, t).
 
     u * u_t = u_{tau t} * (x_t, 1) forces x_t = (tau t)^-1 * (a + f(tau, t));
@@ -120,17 +113,13 @@ def transfer(inst: "Instance", u: UElement) -> Vec:
     It is constant on cosets of the derived subgroup and a homomorphism
     there, on instances whose action is well defined on A.
     """
-    if u.instance != inst:
-        raise InstanceMismatchError("element does not belong to this instance")
-    return inst.frame.transfer_map(u.a, u.tau)
+    return inst.frame.transfer_map(a, tau)
 
 
-def log_iso(inst: "Instance", u: UElement) -> ResolventElt:
+def log_iso(inst: "Instance", a: Vec, tau: GElt) -> ResolventElt:
     """(a, tau) -> a + (tau - 1), a representative of the logarithm class.
 
     Descends to an isomorphism from U modulo its derived subgroup onto the
     resolvent module modulo its augmentation submodule.
     """
-    if u.instance != inst:
-        raise InstanceMismatchError("element does not belong to this instance")
-    return ResolventElt(inst, u.a, inst.frame.lam_vec([(u.tau, 1)]))
+    return ResolventElt(inst, a, inst.frame.lam_vec([(tau, 1)]))

@@ -639,13 +639,18 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
     the search space was covered (exhausted, sampled, or excluded).
 
     Malformed parameters raise before anything is written: a composite
-    prime, precision 0 or an order that is not a power of the prime is an
-    error, while a valid shape below the precision floor is recorded as
-    excluded."""
+    prime, precision 0, an order that is not a power of the prime or a
+    (G, A~) pair named twice is an error, while a valid shape below the
+    precision floor is recorded as excluded."""
     ZModRing(params.prime, params.precision)
+    seen = set()
     for comp in components:
         AbelianLGroup(params.prime, comp.g_orders)
         check_l_powers(params.prime, comp.atilde_orders, "torsion")
+        key = (tuple(comp.g_orders), tuple(comp.atilde_orders))
+        if key in seen:
+            raise ValueError(f"component (G, A~) = {key} is repeated")
+        seen.add(key)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {

@@ -15,6 +15,7 @@ embedded in the verdicts so reports are reproducible end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Tuple
 
 from . import extension
@@ -66,26 +67,24 @@ def _fmt_vec(v) -> list:
 
 
 def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
-    elements = []
-    one = inst.group.identity()
-    for i in range(inst.dim_a):
-        a = tuple(1 if j == i else 0 for j in range(inst.dim_a))
-        elements.append(extension.UElement(inst, a, one))
-    for tau in inst.group.generators():
-        elements.append(extension.UElement(inst, inst.a_zero(), tau))
+    group, d = inst.group, inst.dim_a
     exhaustive = extension.u_order(inst) <= oracle_bound
     if exhaustive:
-        elements = extension.u_elements(inst)
+        # all of U, A coordinates outer and G inner
+        pairs = product(product(*(range(o) for o in inst.frame.orders)), group.elements())
+    else:
+        pairs = [(tuple(int(j == i) for j in range(d)), group.identity()) for i in range(d)]
+        pairs += [(inst.a_zero(), tau) for tau in group.generators()]
     checked = 0
-    for u in elements:
-        via_transfer = extension.transfer(inst, u)
-        via_trace = trace(inst, extension.log_iso(inst, u).to_vec())
+    for a, tau in pairs:
+        via_transfer = extension.transfer(inst, a, tau)
+        via_trace = trace(inst, extension.log_iso(inst, a, tau).to_vec())
         if via_transfer != via_trace:
             return Verdict(
                 "V1",
                 "fail",
                 {
-                    "element": {"a": _fmt_vec(u.a), "tau": _fmt_vec(u.tau)},
+                    "element": {"a": _fmt_vec(a), "tau": _fmt_vec(tau)},
                     "transfer": _fmt_vec(via_transfer),
                     "trace_of_log": _fmt_vec(via_trace),
                 },

@@ -391,6 +391,51 @@ def test_search_with_malformed_orders_or_precision_is_an_input_error(
     assert "wrote" not in out and not (tmp_path / "c").exists()
 
 
+def test_search_with_a_repeated_component_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["search", "--prime", "2", "--precision", "4", "--G", "2", "--G", "2",
+         "--Atilde", "2", "--out", tmp_path / "c"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error:") and "repeated" in err and "Traceback" not in err
+    assert "wrote" not in out and not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["verify", "--no-such-flag", FIXTURES / "e1.json"], "unrecognized arguments"),
+        (["search", "--prime", "2", "--G", "2", "--Atilde", "2", "--out", "c"],
+         "the following arguments are required: --precision"),
+        (["search", "--prime", "2", "--precision", "4", "--G", "2,x", "--Atilde", "0",
+          "--out", "c"], "cannot parse orders '2,x'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_an_input_error(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == "" and "usage: logcap" in err and message in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(["verify", "--help"], capsys)
+    assert code == 0 and out.startswith("usage: logcap verify") and err == ""
+
+
+def test_usage_error_exit_code_from_the_command_line(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "logcap.cli", "search", "--prime", "2", "--precision", "4",
+         "--G", "2,x", "--Atilde", "0", "--out", str(tmp_path / "d")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "cannot parse orders" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "d").exists()
+
+
 def test_search_below_the_precision_floor_records_the_exclusion(tmp_path, capsys):
     code, out, _ = run_cli(
         ["search", "--prime", "2", "--precision", "2", "--G", "4", "--Atilde", "4",

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from logcap import forge
-from logcap.extension import UElement, transfer, u_order
+from logcap.extension import transfer, u_order
 from logcap.forge import (
     CeilingExceededError,
     ComponentSpec,
@@ -341,7 +341,7 @@ def test_oracle_e1_facts(e1):
 def test_oracle_transfer_matches_formula(e1):
     facts = oracle_group(e1)
     for (a, g), want in facts.transfer.items():
-        assert transfer(e1, UElement(e1, a, g)) == want
+        assert transfer(e1, a, g) == want
 
 
 def test_oracle_trivial_group():
@@ -541,6 +541,14 @@ def test_build_corpus_sampled_mode(tmp_path):
     assert comp["mode"] == "sample"
     assert comp["exhausted"] is False
     assert 1 <= comp["count"] <= 2
+
+
+def test_build_corpus_refuses_a_repeated_component_before_writing(tmp_path):
+    params = SearchParams(2, 4, ((2,),), ((2,),))
+    comps = [ComponentSpec((2,), (2,)), ComponentSpec((2,), (4,)), ComponentSpec((2,), (2,), "sample")]
+    with pytest.raises(ValueError, match=r"\(\(2,\), \(2,\)\) is repeated"):
+        build_corpus(params, comps, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
 
 
 def test_estimate_space_zero_for_precision_starved():

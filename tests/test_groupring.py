@@ -236,3 +236,68 @@ def test_annihilator_of_augmentation_ideal_is_trace_line(orders, precision):
         count += 1
     assert count == ring.modulus ** g.size()
 
+
+
+# -- ring laws on random elements ------------------------------------------------
+
+LAW_CASES = [
+    (2, 2, [2]),
+    (2, 2, [4]),
+    (2, 2, [2, 2]),
+    (3, 2, [3]),
+    (3, 2, [9]),
+    (3, 3, [3]),
+    (3, 3, [9]),
+]
+LAW_IDS = [f"Z{p ** n}-G{'x'.join(map(str, o))}" for p, n, o in LAW_CASES]
+
+
+def random_elt(rng, group, ring):
+    return GroupRingElt(group, ring, {g: rng.randrange(ring.modulus) for g in group.elements()})
+
+
+@pytest.mark.parametrize("prime,precision,orders", LAW_CASES, ids=LAW_IDS)
+def test_group_ring_laws_on_random_elements(rng, prime, precision, orders):
+    group, ring = AbelianLGroup(prime, orders), ZModRing(prime, precision)
+    one = GroupRingElt.one(group, ring)
+    for _ in range(25):
+        x, y, z = (random_elt(rng, group, ring) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x + y) * z == x * z + y * z
+        assert x * y == y * x
+        assert x * one == x and x - x == GroupRingElt.zero(group, ring)
+
+
+@pytest.mark.parametrize("prime,precision,orders", LAW_CASES, ids=LAW_IDS)
+def test_omega_ring_laws_on_random_elements(rng, prime, precision, orders):
+    group, ring = AbelianLGroup(prime, orders), ZModRing(prime, precision)
+    zero = GroupRingElt.zero(group, ring)
+    w = OmegaRingElt(zero, GroupRingElt.one(group, ring))
+    assert w * w == OmegaRingElt(zero, zero)
+    for _ in range(15):
+        x, y, z = (
+            OmegaRingElt(random_elt(rng, group, ring), random_elt(rng, group, ring))
+            for _ in range(3)
+        )
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
+        assert (x + y) * z == x * z + y * z
+        assert x * y == y * x
+        # w kills the w-part: (w x)(w y) = w^2 x y = 0
+        assert (w * x) * (w * y) == OmegaRingElt(zero, zero)
+
+
+@pytest.mark.parametrize("prime,precision,orders", LAW_CASES, ids=LAW_IDS)
+def test_trace_annihilates_augmentation_ideal_on_random_elements(rng, prime, precision, orders):
+    group, ring = AbelianLGroup(prime, orders), ZModRing(prime, precision)
+    tr = trace_element(group, ring)
+    one = group.identity()
+    for sigma in group.nonidentity():
+        assert not (tr * GroupRingElt(group, ring, {sigma: 1, one: -1})).coeffs
+    for _ in range(25):
+        x = random_elt(rng, group, ring)
+        # Tr x = aug(x) Tr, so Tr kills exactly the augmentation-zero part
+        assert tr * x == tr.scale(x.augmentation())
+        x_in_ig = x - GroupRingElt.scalar(group, ring, x.augmentation())
+        assert x_in_ig.augmentation() == 0 and not (tr * x_in_ig).coeffs

@@ -1,7 +1,8 @@
 """Repository-wide checks: the library's invariants survive ``python -O``,
 every demo script runs to completion, every name the benchmark's tracer
-wraps exists, every committed benchmark record names what the benchmark
-measures, and no public library name is there for its tests alone."""
+wraps exists, the benchmark's own tests pass, every committed benchmark
+record names what the benchmark measures, and no public library name is
+there for its tests alone."""
 
 import ast
 import importlib
@@ -64,6 +65,18 @@ def test_every_traced_name_resolves_in_logcap():
         if owner is None or attr not in vars(owner):
             missing.append(f"{mod}.{cls}.{attr}")
     assert missing == []
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark requires every per-layer metric to record work, so a
+    # change to a traced name must keep its tests passing
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "perfbench/selftest.py"],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 BENCH_RECORDS = sorted(REPO.glob("BENCH_*.json"))
