@@ -1,7 +1,12 @@
+import random
+from itertools import product
+
 import pytest
 
+from logcap import extension
 from logcap.extension import u_order
-from logcap.instance import coboundary_shift, load_instance
+from logcap.instance import coboundary_shift, instance_from_dict, instance_to_dict, load_instance
+from logcap.resolvent import trace
 from logcap.verifier import CHECK_IDS, run_all, run_check
 from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift
 
@@ -130,6 +135,103 @@ def test_v1_generator_walk_witness_on_corrupted_cocycle(corrupted):
         "transfer": [1, 0],
         "trace_of_log": [0, 0],
     }
+
+
+def _v1_on_all_of_u(inst):
+    """V1 as a walk over all of U, A coordinates outer and G inner, up to
+    the first pair where the transfer and the trace of the logarithm
+    differ: (status, failure witness or None)."""
+    try:
+        a_coords = product(*(range(o) for o in inst.frame.orders))
+        for a, tau in product(a_coords, inst.group.elements()):
+            via_transfer = extension.transfer(inst, a, tau)
+            via_trace = trace(inst, extension.log_iso(inst, a, tau).to_vec())
+            if via_transfer != via_trace:
+                return "fail", {
+                    "element": {"a": list(a), "tau": list(tau)},
+                    "transfer": list(via_transfer),
+                    "trace_of_log": list(via_trace),
+                }
+    except Exception as e:
+        return "fail", {"error": f"{type(e).__name__}: {e}"}
+    return "pass", None
+
+
+def _v1_corruptions(inst, seed):
+    """Copies of inst with one factor-set value (two copies, when A has
+    torsion) or one action entry (two copies) set to a seeded random value."""
+    rnd = random.Random(seed)
+    elts, modulus = inst.group.elements(), inst.ring.modulus
+    out = []
+    for _ in range(2 if inst.atilde_orders else 0):
+        data = instance_to_dict(inst)
+        s, g = rnd.choice(elts), rnd.choice(elts)
+        data["cocycle"][",".join(map(str, s + g))] = [rnd.randrange(o) for o in inst.atilde_orders]
+        out.append(instance_from_dict(data))
+    for _ in range(2):
+        data = instance_to_dict(inst)
+        matrix = rnd.choice(list(data["A"]["action"].values()))
+        row = rnd.choice(matrix)
+        row[rnd.randrange(len(row))] = rnd.randrange(modulus)
+        out.append(instance_from_dict(data))
+    return out
+
+
+def _v1_matches_the_walk(inst):
+    v = run_check(inst, "V1", force=True)
+    status, failure = _v1_on_all_of_u(inst)
+    assert v.status == status
+    if failure is not None:
+        assert v.witness == failure
+    return v
+
+
+_V1_REFERENCE_PATHS = corpus_paths() + sorted(FIXTURES.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "path",
+    _V1_REFERENCE_PATHS,
+    ids=[p.relative_to(p.parent.parent).as_posix() for p in _V1_REFERENCE_PATHS],
+)
+def test_v1_matches_the_walk_over_u(path):
+    _v1_matches_the_walk(load_instance(path))
+
+
+def test_v1_matches_the_walk_over_u_on_seeded_corruptions():
+    # forced copies of every corpus instance and fixture with |U| <= 256
+    failed_at = []
+    for path in _V1_REFERENCE_PATHS:
+        base = load_instance(path)
+        if u_order(base) > 256:
+            continue
+        group = base.group
+        for inst in _v1_corruptions(base, path.name):
+            v = _v1_matches_the_walk(inst)
+            if v.status == "fail":
+                tau = tuple(v.witness["element"]["tau"])
+                if tau == group.identity():
+                    failed_at.append("identity")
+                else:
+                    failed_at.append("generator" if tau in group.generators() else "other")
+    assert len(failed_at) >= 10
+    assert {"identity", "other"} <= set(failed_at)
+
+
+def test_v1_matches_the_walk_where_the_norm_and_the_trace_differ_on_a(monkeypatch):
+    # N and Tr agree on A by construction, so only a changed N reaches the
+    # unit vectors of A: every row of N is moved, and the walk over U first
+    # fails at the last unit vector
+    from logcap import resolvent
+
+    norm_matrix = resolvent.Frame.norm_matrix.func
+    moved = property(lambda frame: tuple(tuple(x + 1 for x in row) for row in norm_matrix(frame)))
+    monkeypatch.setattr(resolvent.Frame, "norm_matrix", moved)
+    for path in (FIXTURES / "e1.json", *corpus_paths()[::11]):
+        inst = load_instance(path)
+        v = _v1_matches_the_walk(inst)
+        unit = [0] * (inst.dim_a - 1) + [1]
+        assert v.witness["element"] == {"a": unit, "tau": list(inst.group.identity())}
 
 
 def test_report_serialization_roundtrip(e1):
