@@ -102,7 +102,6 @@ class Frame:
 
     def __init__(self, inst: "Instance"):
         self.inst = inst
-        self._offsets: Dict[GElt, Vec] = {}
 
     @cached_property
     def ring(self) -> ZModRing:
@@ -261,23 +260,23 @@ class Frame:
         mats = self.action.values()
         return tuple(tuple(sum(m[i][j] for m in mats) % N for j in range(d)) for i in range(d))
 
-    def transfer_map(self, a: Sequence[int], tau: GElt) -> Vec:
-        """The transfer of (a, tau) into A: N * a + c(tau).
-
-        The offset c(tau) = sum_g (tau g)^-1 * f(tau, g) is computed on
-        first use: a check that touches only the generators never pays
-        for the other offsets.
-        """
+    @cached_property
+    def offsets(self) -> Dict[GElt, Vec]:
+        """c(tau) = sum_g (tau g)^-1 * f(tau, g) for every tau in G."""
         inst = self.inst
-        c = self._offsets.get(tau)
-        if c is None:
-            group = inst.group
+        group = inst.group
+        out = {}
+        for tau in group.elements():
             c = inst.a_zero()
             for g in group.elements():
                 tg_inv = group.inv(group.mul(tau, g))
                 c = inst.a_add(c, inst.act(tg_inv, inst.cocycle_in_a(tau, g)))
-            self._offsets[tau] = c
-        return inst.a_add(vec_mat(a, self.norm_matrix, self.orders), c)
+            out[tau] = c
+        return out
+
+    def transfer_map(self, a: Sequence[int], tau: GElt) -> Vec:
+        """The transfer of (a, tau) into A: N * a + c(tau)."""
+        return self.inst.a_add(vec_mat(a, self.norm_matrix, self.orders), self.offsets[tau])
 
     # shared submodules -------------------------------------------------------
 

@@ -15,7 +15,6 @@ embedded in the verdicts so reports are reproducible end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional, Tuple
 
 from . import extension
@@ -67,15 +66,15 @@ def _fmt_vec(v) -> list:
 
 
 def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
+    # Both sides are affine in a, so their difference vanishes on all of U
+    # exactly when it vanishes at (0, tau) for every tau and at (e_i, 1) for
+    # every i.  In this order the first failing pair is the first failing
+    # pair of the walk over U with A coordinates outer and G inner: once
+    # every (0, tau) passes, that walk first fails at (e_j, 1) for the
+    # largest j where the sides differ.
     group, d = inst.group, inst.dim_a
-    exhaustive = extension.u_order(inst) <= oracle_bound
-    if exhaustive:
-        # all of U, A coordinates outer and G inner
-        pairs = product(product(*(range(o) for o in inst.frame.orders)), group.elements())
-    else:
-        pairs = [(tuple(int(j == i) for j in range(d)), group.identity()) for i in range(d)]
-        pairs += [(inst.a_zero(), tau) for tau in group.generators()]
-    checked = 0
+    pairs = [(inst.a_zero(), tau) for tau in group.elements()]
+    pairs += [(tuple(int(j == i) for j in range(d)), group.identity()) for i in reversed(range(d))]
     for a, tau in pairs:
         via_transfer = extension.transfer(inst, a, tau)
         via_trace = trace(inst, extension.log_iso(inst, a, tau).to_vec())
@@ -89,8 +88,7 @@ def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
                     "trace_of_log": _fmt_vec(via_trace),
                 },
             )
-        checked += 1
-    return Verdict("V1", "pass", {"elements_checked": checked, "exhaustive": exhaustive})
+    return Verdict("V1", "pass", {"elements_checked": len(pairs)})
 
 
 def _v2_denominator(inst: Instance, oracle_bound: int) -> Verdict:

@@ -499,6 +499,7 @@ def test_oracle_independent_of_formula_code(monkeypatch):
     monkeypatch.setattr(extension, "derived_subgroup", refuse)
     monkeypatch.setattr(resolvent.Frame, "transfer_map", refuse)
     monkeypatch.setattr(resolvent.Frame, "norm_matrix", property(refuse))
+    monkeypatch.setattr(resolvent.Frame, "offsets", property(refuse))
     monkeypatch.setattr(resolvent.Frame, "trace_matrix", property(refuse))
     for path, facts in zip(paths, want):
         inst = load_instance(path)
