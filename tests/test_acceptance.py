@@ -215,8 +215,8 @@ def test_criterion_9_negative_controls():
 # bytes changed.  Witnesses of the forced fixtures carry the certificate
 # error strings, so those are pinned too.
 GOLDEN_REPORTS = {
-    "corpus": "3ed35d380d5de0de0da5dfce516ef3f388b246e3ca13a453f43722af9188f062",
-    "forced": "59f08504f6ef2ce23ac31f1edd73bb7718367bdbbdad6011e57e23dd0afc1ccb",
+    "corpus": "932cef227c0b953b5d856db8fc56601cb61f01f09182373e46e455756cbded40",
+    "forced": "9ca162ee76d26ddaea080ade6c1cd1997c974f5369b48d9f915920d37e5a58b8",
 }
 
 
