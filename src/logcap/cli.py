@@ -233,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", help="instance files or corpus directories")
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--oracle-bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND)
+    p.add_argument(
+        "--oracle-bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND,
+        help="|U| above which V10 is skipped; no other check reads it",
+    )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--force",
@@ -258,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", type=int, default=50_000)
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
-    p.add_argument("--oracle-bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND)
+    p.add_argument(
+        "--oracle-bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND,
+        help="only written into the manifest; the search does not read it",
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="brute-force facts about one instance's extension group")

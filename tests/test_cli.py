@@ -424,6 +424,13 @@ def test_help_exits_zero(capsys):
     assert code == 0 and out.startswith("usage: logcap verify") and err == ""
 
 
+def test_oracle_bound_help_says_what_reads_it(capsys):
+    _, out, _ = run_cli(["verify", "--help"], capsys)
+    assert "V10 is skipped; no other check reads it" in " ".join(out.split())
+    _, out, _ = run_cli(["search", "--help"], capsys)
+    assert "only written into the manifest" in " ".join(out.split())
+
+
 def test_usage_error_exit_code_from_the_command_line(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "logcap.cli", "search", "--prime", "2", "--precision", "4",
