@@ -263,8 +263,7 @@ class Frame:
     @cached_property
     def offsets(self) -> Dict[GElt, Vec]:
         """c(tau) = sum_g (tau g)^-1 * f(tau, g) for every tau in G."""
-        inst = self.inst
-        group = inst.group
+        inst, group = self.inst, self.inst.group
         out = {}
         for tau in group.elements():
             c = inst.a_zero()

@@ -66,12 +66,9 @@ def _fmt_vec(v) -> list:
 
 
 def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
-    # Both sides are affine in a, so their difference vanishes on all of U
-    # exactly when it vanishes at (0, tau) for every tau and at (e_i, 1) for
-    # every i.  In this order the first failing pair is the first failing
-    # pair of the walk over U with A coordinates outer and G inner: once
-    # every (0, tau) passes, that walk first fails at (e_j, 1) for the
-    # largest j where the sides differ.
+    # Both sides are affine in a: agreeing at (0, tau) for every tau and at
+    # (e_i, 1) for every i, they agree on U.  This order finds the first
+    # failing pair of the walk over U, A coordinates outer and G inner.
     group, d = inst.group, inst.dim_a
     pairs = [(inst.a_zero(), tau) for tau in group.elements()]
     pairs += [(tuple(int(j == i) for j in range(d)), group.identity()) for i in reversed(range(d))]
