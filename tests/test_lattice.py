@@ -363,3 +363,96 @@ def test_carry_free_coder_on_large_orders_keeps_only_the_sums_looked_up(orders):
         x, y = ([rnd.randrange(o) for o in orders] for _ in range(2))
         assert red[code(x) + code(y)] == code([a + b for a, b in zip(x, y)])
     assert isinstance(red, dict) and len(red) <= 200
+
+
+# -- the Howell kernel pinned to the dense elimination it replaced -------------
+
+
+def dense_howell(rows, width, ring):
+    """Reference: the Howell elimination that updates every column from the
+    pivot to the end of the row and filters the whole work list each step."""
+    N = ring.modulus
+    work = []
+    for r in rows:
+        rr = [x % N for x in r]
+        if any(rr):
+            work.append(rr)
+    result, pivots = [], []
+    for col in range(width):
+        best, best_val = -1, ring.precision + 1
+        for idx, r in enumerate(work):
+            if r[col] and ring.val(r[col]) < best_val:
+                best_val, best = ring.val(r[col]), idx
+        if best < 0:
+            continue
+        piv = work.pop(best)
+        u_inv = ring.inv(ring.unit_part(piv[col]))
+        piv = [(u_inv * x) % N for x in piv]
+        p = piv[col]
+        for r in work:
+            if r[col]:
+                q = r[col] // p
+                for j in range(col, width):
+                    r[j] = (r[j] - q * piv[j]) % N
+        if N // p > 1:
+            extra = [(N // p * x) % N for x in piv]
+            if any(extra):
+                work.append(extra)
+        work = [r for r in work if any(r)]
+        result.append(piv)
+        pivots.append(col)
+    for k in range(len(result)):
+        jk = pivots[k]
+        p = result[k][jk]
+        for i in range(k):
+            q = result[i][jk] // p
+            for j in range(jk, width):
+                result[i][j] = (result[i][j] - q * result[k][j]) % N
+    return tuple(tuple(r) for r in result), tuple(pivots)
+
+
+def howell_cases(rnd, ring):
+    """Seeded (rows, width) pairs: dense, sparse, augmented [rows | I], map rows
+    over the diagonal torsion rows o_i e_i, and duplicate, zero, unreduced and
+    negative rows."""
+    N = ring.modulus
+    orders = [ring.prime**k for k in range(1, ring.precision + 1)]
+
+    def sparse(nrows, width, density):
+        return [
+            [rnd.randrange(N) if rnd.random() < density else 0 for _ in range(width)]
+            for _ in range(nrows)
+        ]
+
+    for _ in range(12):
+        width = rnd.randint(1, 10)
+        yield random_rows(rnd, ring, rnd.randint(1, 8), width), width
+    for _ in range(12):
+        width = rnd.randint(5, 40)
+        yield sparse(rnd.randint(1, 20), width, rnd.choice([0.05, 0.15, 0.3])), width
+    for _ in range(8):
+        nrows, width = rnd.randint(1, 12), rnd.randint(1, 20)
+        rows = sparse(nrows, width, 0.2)
+        yield [r + [int(i == j) for j in range(nrows)] for i, r in enumerate(rows)], width + nrows
+    for _ in range(8):  # the preimage of torsion relations, as the factor-set search builds it
+        nvars, width = rnd.randint(2, 14), rnd.randint(2, 24)
+        stacked = sparse(nvars, width, 0.15) + [
+            [rnd.choice(orders) if j == i else 0 for j in range(width)] for i in range(width)
+        ]
+        n = len(stacked)
+        yield [r + [int(i == j) for j in range(n)] for i, r in enumerate(stacked)], width + n
+    for _ in range(8):
+        width = rnd.randint(1, 12)
+        rows = [[rnd.randrange(-3 * N, 3 * N) for _ in range(width)] for _ in range(rnd.randint(1, 6))]
+        rows += [list(r) for r in rows] + [[0] * width, [N * rnd.randint(-2, 2)] * width]
+        rnd.shuffle(rows)
+        yield rows, width
+
+
+@pytest.mark.parametrize(
+    "ring", [Z8, ZModRing(2, 4), Z9, Z27, ZModRing(5, 2)], ids=lambda r: f"Z{r.modulus}"
+)
+def test_howell_matches_the_dense_elimination(ring):
+    rnd = random.Random(900 + ring.modulus)
+    for rows, width in howell_cases(rnd, ring):
+        assert lattice._howell(rows, width, ring) == dense_howell(rows, width, ring)
