@@ -204,6 +204,10 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
     reduced below it, and the annihilator multiple of each pivot row is kept
     in play so that the span of any zero-prefix is generated by the rows
     with pivots in that range (the Howell property).
+
+    Rows stay reduced in [0, N), so the zero columns of a pivot row change
+    nothing and are skipped, and only the rows just updated can vanish.  The
+    pivot is the first row of least valuation, so the scan stops at a unit.
     """
     N = ring.modulus
     work = []
@@ -227,37 +231,44 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
                 if v < best_val:
                     best_val = v
                     best = idx
+                    if not v:
+                        break
         if best < 0:
             continue
         piv = work.pop(best)
         u_inv = ring.inv(ring.unit_part(piv[col]))
         piv = [(u_inv * x) % N for x in piv]
         p = piv[col]  # now exactly l^best_val
+        nz = [(j, piv[j]) for j in range(col, width) if piv[j]]
+        kept = []
         for r in work:
             if r[col]:
                 q = r[col] // p  # exact: pivot has minimal valuation
-                for j in range(col, width):
-                    r[j] = (r[j] - q * piv[j]) % N
+                for j, y in nz:
+                    r[j] = (r[j] - q * y) % N
+                if not any(r):
+                    continue
+            kept.append(r)
+        work = kept
         ann = N // p
         if ann > 1:
             extra = [(ann * x) % N for x in piv]
             if any(extra):
                 work.append(extra)
-        work = [r for r in work if any(r)]
         result.append(piv)
         pivots.append(col)
 
     # reduce entries above each pivot below the pivot value
-    for k in range(len(result)):
+    for k in range(1, len(result)):
         jk = pivots[k]
-        p = result[k][jk]
-        for i in range(k):
-            q = result[i][jk] // p
+        row_k = result[k]
+        p = row_k[jk]
+        nz = [(j, row_k[j]) for j in range(jk, width) if row_k[j]]
+        for row_i in result[:k]:
+            q = row_i[jk] // p
             if q:
-                row_i = result[i]
-                row_k = result[k]
-                for j in range(jk, width):
-                    row_i[j] = (row_i[j] - q * row_k[j]) % N
+                for j, y in nz:
+                    row_i[j] = (row_i[j] - q * y) % N
     return tuple(tuple(r) for r in result), tuple(pivots)
 
 
@@ -386,8 +397,6 @@ def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) 
     the target against the augmented Howell form in pivot order.
     """
     width = len(target)
-    if rows and any(len(r) != width for r in rows):
-        raise ShapeError("matrix width does not match target length")
     basis, pivots = _augmented_howell(rows, width, ring)
     N = ring.modulus
     resid = [x % N for x in target]

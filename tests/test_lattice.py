@@ -6,6 +6,7 @@ import pytest
 from logcap import lattice
 from logcap.lattice import (
     ContainmentError,
+    ShapeError,
     Submodule,
     ZModRing,
     _is_prime,
@@ -239,6 +240,22 @@ def test_preimage_matches_brute_force():
             img = tuple(sum(c * w[i][j] for i, c in enumerate(x)) % 8 for j in range(2))
             assert (x in pre) == (img in sub)
 
+
+
+def test_a_row_of_the_wrong_length_raises_shape_error():
+    with pytest.raises(ShapeError):
+        solve([[1, 0], [1]], [1, 0], Z8)
+    with pytest.raises(ShapeError):
+        solve([[1, 0, 0]], [1, 0], Z8)
+    with pytest.raises(ShapeError):
+        kernel([[1, 2], [3, 4, 5]], 2, Z8)
+    with pytest.raises(ShapeError):
+        Submodule.from_generators(Z8, 3, [[1, 0, 0], [0, 1]])
+    with pytest.raises(ShapeError):
+        Submodule.from_generators(Z8, 2, [[0, 0, 0]])  # a zero row is checked too
+    sub = Submodule.from_generators(Z8, 2, [[2, 0]])
+    with pytest.raises(ShapeError):
+        sub.reduce([1, 0, 0])
 
 # -- Howell form, kernel and preimage pinned to enumeration over Z/4 .. Z/27 -----
 
