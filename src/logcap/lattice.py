@@ -237,7 +237,8 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
             continue
         piv = work.pop(best)
         u_inv = ring.inv(ring.unit_part(piv[col]))
-        piv = [(u_inv * x) % N for x in piv]
+        if u_inv != 1:
+            piv = [(u_inv * x) % N for x in piv]
         p = piv[col]  # now exactly l^best_val
         nz = [(j, piv[j]) for j in range(col, width) if piv[j]]
         kept = []
@@ -250,8 +251,8 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
                     continue
             kept.append(r)
         work = kept
-        ann = N // p
-        if ann > 1:
+        if p > 1:  # the annihilator multiple of a unit pivot row is zero
+            ann = N // p
             extra = [(ann * x) % N for x in piv]
             if any(extra):
                 work.append(extra)
