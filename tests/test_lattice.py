@@ -241,7 +241,6 @@ def test_preimage_matches_brute_force():
             assert (x in pre) == (img in sub)
 
 
-
 def test_a_row_of_the_wrong_length_raises_shape_error():
     with pytest.raises(ShapeError):
         solve([[1, 0], [1]], [1, 0], Z8)
@@ -256,6 +255,7 @@ def test_a_row_of_the_wrong_length_raises_shape_error():
     sub = Submodule.from_generators(Z8, 2, [[2, 0]])
     with pytest.raises(ShapeError):
         sub.reduce([1, 0, 0])
+
 
 # -- Howell form, kernel and preimage pinned to enumeration over Z/4 .. Z/27 -----
 
