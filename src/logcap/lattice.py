@@ -424,10 +424,15 @@ def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) 
 
 
 def kernel(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> Submodule:
-    """Left kernel {x : x * rows = 0} as a Submodule of (Z/l^n)^len(rows)."""
+    """Left kernel {x : x * rows = 0} as a Submodule of (Z/l^n)^len(rows).
+
+    The rows of the augmented Howell form whose pivots lie past width, cut
+    to their identity part, are already the Howell form of the kernel.
+    """
     basis, pivots = _augmented_howell(rows, width, ring)
-    gens = [row[width:] for row, col in zip(basis, pivots) if col >= width]
-    return Submodule.from_generators(ring, len(rows), gens)
+    k = sum(col < width for col in pivots)  # pivots increase: the kernel rows come last
+    tails = tuple(row[width:] for row in basis[k:])
+    return Submodule(ring, len(rows), tails, tuple(col - width for col in pivots[k:]))
 
 
 def preimage(map_rows: Sequence[Sequence[int]], sub: Submodule, ring: ZModRing) -> Submodule:

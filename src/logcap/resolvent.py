@@ -490,43 +490,32 @@ def _solve_mu_row(
     inst: "Instance",
     i: int,
     b: List[int],
-    cofactors: Optional[List[GroupRingElt]],
-    use_gamma_form: bool,
-) -> Optional[List[GroupRingElt]]:
-    """Solve relation row i for the I_G entries mu_ij and return the matrix
-    row o_i * delta_ij - mu_ij, with mu_i last in the gamma form; b holds
-    the B coordinates of the b_j.
+    complement: List[Vec],
+    cofactors: Optional[List[GroupRingElt]] = None,
+) -> Tuple[List[GroupRingElt], Vec]:
+    """Solve relation row i for the I_G entries mu_ij modulo the complement
+    rows and torsion; return the matrix row o_i * delta_ij - mu_ij and the
+    coefficients on the complement rows.  b holds the B coordinates of the
+    b_j.
 
-    Without cofactors, solves modulo (w * B-tilde + torsion); with them,
-    appends the group-ring coordinates of the determinant constraint
-    sum_j mu_ij * C_ij = e_i * C_ii - Tr so the certificate's matrix has
-    determinant exactly the trace.  In the gamma form the complement
-    unknown is mu_i * gamma rather than an omega term.
+    With cofactors, appends the group-ring coordinates of the determinant
+    constraint sum_j mu_ij * C_ij = e_i * C_ii - Tr so the certificate's
+    matrix has determinant exactly the trace.
     """
     frame = inst.frame
     group = inst.group
     nonid = group.nonidentity()
-    s = group.rank
     o_i = group.orders[i]
     det_cols = group.size() if cofactors is not None else 0
 
     rows = []
-    for j in range(s):
+    for j, k in enumerate(b):
         for tau in nonid:
-            contrib = list(frame.bt_vec(frame.ig_unit(tau, b[j])))
+            contrib = list(frame.bt_vec(frame.ig_unit(tau, k)))
             if cofactors is not None:
                 contrib += list(_ring_vec(inst, _ig_elt(inst, tau) * cofactors[j]))
             rows.append(contrib)
     mu_block = len(rows)
-
-    t = inst.torsion_rank
-    if use_gamma_form:
-        # gamma-form complement: coefficients of mu_i over the I_G basis
-        complement = [frame.bt_vec(frame.ig_unit(tau, t)) for tau in nonid]
-    else:
-        # omega terms are solved afterwards; quotient them out here:
-        # generators of w * B-tilde in degree-zero coordinates
-        complement = [inst.a_tau(tau)[:t] + (0,) * len(nonid) for tau in group.elements()]
     for r in complement + torsion_rows(inst.atilde_orders, frame.dim_bt):
         rows.append(list(r) + [0] * det_cols)
 
@@ -537,109 +526,83 @@ def _solve_mu_row(
 
     sol = solve(rows, target, inst.ring)
     if sol is None:
-        return None
+        where = " with det = Tr" if cofactors is not None else ""
+        raise InfeasibleRelationError(f"relation row {i} has no solution{where}")
     m = len(nonid)
     out = [
         GroupRingElt.scalar(group, inst.ring, o_i if i == j else 0)
         - _ig_combination(inst, sol[j * m : (j + 1) * m])
-        for j in range(s)
-    ]
-    if use_gamma_form:
-        out.append(_ig_combination(inst, sol[mu_block : mu_block + m]))
-    return out
-
-
-def _solve_nu_row(
-    inst: "Instance", b: List[int], m_row: List[GroupRingElt]
-) -> Optional[List[GroupRingElt]]:
-    """The N row of an M row, the nu_ij with w * sum_j nu_ij * b_j equal to
-    sum_j M_ij * b_j, or None if there are none."""
-    frame = inst.frame
-    group = inst.group
-    rows = [
-        list(frame.bt_vec(omega_act(inst, frame.star[g][k])))
-        for k in b
-        for g in group.elements()
-    ]
-    rows += torsion_rows(inst.atilde_orders, frame.dim_bt)
-    sol = solve(rows, list(frame.bt_vec(_row_act(inst, m_row, b))), inst.ring)
-    if sol is None:
-        return None
-    n = group.size()
-    return [
-        GroupRingElt(group, inst.ring, dict(zip(group.elements(), sol[j * n : (j + 1) * n])))
         for j in range(len(b))
     ]
+    return out, sol[mu_block : mu_block + len(complement)]
 
 
-def _cofactor_row(inst: "Instance", m_rows: List[List[GroupRingElt]], i: int, s: int):
-    """Signed minors along row i of the matrix whose other rows are fixed."""
+def _cofactor_row(inst: "Instance", rows: List[List[GroupRingElt]]) -> List[GroupRingElt]:
+    """Signed minors along a last row placed below the given rows."""
+    s = len(rows) + 1
     if s == 1:
         return [GroupRingElt.one(inst.group, inst.ring)]
     cof = []
-    other = [m_rows[r] for r in range(s) if r != i]
     for j in range(s):
-        minor = [[row[c] for c in range(s) if c != j] for row in other]
-        d = det_ring(minor)
-        if (i + j) % 2:
-            d = -d
-        cof.append(d)
+        d = det_ring([[row[c] for c in range(s) if c != j] for row in rows])
+        cof.append(-d if (s - 1 + j) % 2 else d)
     return cof
 
 
-def _solve_form(inst: "Instance", b: List[int], use_gamma_form: bool) -> List[List[GroupRingElt]]:
-    """The matrix rows of one form, M or Lambda with mu_i last, with the
-    determinant constraint imposed on one row.
+def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
+    """The rows of one form, M or Lambda, each with its coefficients on the
+    form's complement rows, with det = Tr imposed on the last row.
 
-    Rows other than the constrained one are solved first (deterministic
-    order), the constrained row then absorbs det = Tr as extra linear
-    conditions on its cofactors.  Constraining the last row works on every
-    instance we generate; earlier rows are tried as fallbacks.
+    Rows 0..s-2 are solved first without the constraint; the last row then
+    absorbs det = Tr as extra linear conditions on their cofactors.
     """
     s = inst.group.rank
-    if s == 0:
-        return []
-    for constrained in range(s - 1, -1, -1):
-        rows: List[Optional[List[GroupRingElt]]] = [None] * s
-        for i in range(s):
-            if i != constrained:
-                rows[i] = _solve_mu_row(inst, i, b, None, use_gamma_form)
-                if rows[i] is None:
-                    break
-        else:
-            cof = _cofactor_row(inst, rows, constrained, s)
-            rows[constrained] = _solve_mu_row(inst, constrained, b, cof, use_gamma_form)
-            if rows[constrained] is not None:
-                return rows
-    raise InfeasibleRelationError(
-        "no relation certificate with det M = Tr exists for any constrained row"
-    )
+    form = [_solve_mu_row(inst, i, b, complement) for i in range(s - 1)]
+    if s:
+        cof = _cofactor_row(inst, [row for row, _ in form])
+        form.append(_solve_mu_row(inst, s - 1, b, complement, cof))
+    return form
 
 
 def relation_matrices(inst: "Instance") -> RelationCertificate:
     """Solve the defining relations of the b_i = tau_i - 1 in both forms and
-    return the verified certificate."""
+    return the verified certificate.
+
+    The omega form quotients out w * B-tilde, the span of the
+    (1 - tau) * gamma in degree-zero coordinates, and then solves each
+    M row for its N row; the gamma form reads mu_i from its coefficients
+    on the (tau - 1) * gamma."""
+    frame = inst.frame
     group = inst.group
     s = group.rank
-    if s > 0 and not inst.frame.generated:
+    if s > 0 and not frame.generated:
         raise InfeasibleRelationError(
             "the b_i do not generate the degree-zero part; relations cannot close"
         )
-    b = [inst.frame.tau_coord(tau) for tau in group.generators()]
+    b = [frame.tau_coord(tau) for tau in group.generators()]
+    t = inst.torsion_rank
+    nonid = group.nonidentity()
+    elts = group.elements()
 
-    m_rows = _solve_form(inst, b, use_gamma_form=False)
-    nu_rows = []
+    omega_complement = [inst.a_tau(tau)[:t] + (0,) * len(nonid) for tau in elts]
+    m_rows = [row for row, _ in _solve_form(inst, b, omega_complement)]
+    nu_system = [frame.bt_vec(omega_act(inst, frame.star[g][k])) for k in b for g in elts]
+    nu_system += torsion_rows(inst.atilde_orders, frame.dim_bt)
+    n = len(elts)
+    n_rows = []
     for i, m_row in enumerate(m_rows):
-        nu = _solve_nu_row(inst, b, m_row)
-        if nu is None:
+        sol = solve(nu_system, frame.bt_vec(_row_act(inst, m_row, b)), inst.ring)
+        if sol is None:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
-        nu_rows.append(nu)
-    lam_rows = _solve_form(inst, b, use_gamma_form=True)
+        chunks = (sol[j * n : (j + 1) * n] for j in range(s))
+        n_rows.append(tuple(GroupRingElt(group, inst.ring, dict(zip(elts, c))) for c in chunks))
+    gamma_complement = [frame.bt_vec(frame.ig_unit(tau, t)) for tau in nonid]
+    lam = _solve_form(inst, b, gamma_complement)
     cert = RelationCertificate(
         m_matrix=tuple(tuple(row) for row in m_rows),
-        n_matrix=tuple(tuple(row) for row in nu_rows),
-        lam_matrix=tuple(tuple(row[:s]) for row in lam_rows),
-        mu_vector=tuple(row[s] for row in lam_rows),
+        n_matrix=tuple(n_rows),
+        lam_matrix=tuple(tuple(row) for row, _ in lam),
+        mu_vector=tuple(_ig_combination(inst, coeffs) for _, coeffs in lam),
     )
     _verify_certificate(inst, cert, b)
     return cert

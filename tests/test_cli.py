@@ -182,6 +182,33 @@ def test_report_rerenders_markdown(tmp_path, capsys):
     assert "| V1 | pass |" in out
 
 
+def test_report_reproduces_verify_json_and_writes_out(tmp_path, capsys):
+    """report --format json gives back the bytes verify wrote, and report
+    --out writes the text report prints."""
+    out_json = tmp_path / "report.json"
+    code, _, _ = run_cli(["verify", FIXTURES / "e1.json", "--out", out_json], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["report", out_json, "--format", "json"], capsys)
+    assert (code, out) == (0, out_json.read_text(encoding="utf-8"))
+    code, printed, _ = run_cli(["report", out_json], capsys)
+    assert code == 0
+    out_md = tmp_path / "report.md"
+    code, out, _ = run_cli(["report", out_json, "--out", out_md], capsys)
+    assert (code, out) == (0, "")
+    assert out_md.read_text(encoding="utf-8") == printed
+
+
+def test_forced_markdown_report_of_an_invalid_instance(capsys):
+    """The markdown report names the failed validation checks, and a failing
+    check with none of the listed witness keys shows its raw witness."""
+    code, out, _ = run_cli(
+        ["verify", FIXTURES / "corrupted_cocycle.json", "--force", "--format", "markdown"], capsys
+    )
+    assert code == 2
+    assert "\nvalidation failed: cocycle-identity\n" in out
+    assert '| V1 | fail | precision-n | {"element": {"a": [0, 0], "tau": [1]}, ' in out
+
+
 def test_report_rejects_non_report(tmp_path, capsys):
     p = tmp_path / "x.json"
     p.write_text("[]")
@@ -266,6 +293,13 @@ def _c2_payload(**changes):
     }
     payload.update(changes)
     return payload
+
+
+def test_verify_directory_without_instance_files_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("{}")
+    code, out, err = run_cli(["verify", tmp_path], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: no instance files found\n"
 
 
 def test_zero_precision_is_an_input_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from logcap import resolvent
 from logcap.groupring import GroupRingElt, OmegaRingElt, trace_element
 from logcap.instance import build_instance, load_instance
 from logcap.lattice import Submodule, quotient_order
@@ -17,7 +18,8 @@ from logcap.resolvent import (
     star_act,
     trace,
 )
-from tests.conftest import CORPUS, FIXTURES
+from logcap.verifier import CHECK_IDS, run_all
+from tests.conftest import CORPUS, FIXTURES, corpus_paths
 
 
 def ring_elt(inst, coeffs):
@@ -336,6 +338,24 @@ def test_trivial_group_certificate():
     cert = relation_matrices(inst)
     assert cert.size() == 0
     assert not delta(inst, cert).coeffs
+    rep = run_all(inst)
+    assert {v.check_id: v.status for v in rep.verdicts} == dict.fromkeys(CHECK_IDS, "pass")
+
+
+def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, monkeypatch):
+    """One solve per row of M, of N and of Lambda: no row is solved twice."""
+    solve = resolvent.solve
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(resolvent, "solve", counting_solve)
+    for inst in [e1, inst33] + [load_instance(p) for p in corpus_paths()]:
+        calls.clear()
+        relation_matrices(inst)
+        assert len(calls) == 3 * inst.group.rank
 
 
 # -- the boundary module -------------------------------------------------------------
