@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,7 +34,7 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from logcap.lattice import mat_mul, vec_mat
+from logcap.lattice import Submodule, ZModRing, mat_mul, preimage, torsion_rows, vec_mat
 from tests.conftest import CORPUS, FIXTURES, REPO, corpus_paths, random_admissible_shift
 
 
@@ -640,3 +641,32 @@ def test_rebuilt_component_matches_the_shipped_corpus(tmp_path, label, shape):
     assert written == sorted(f["name"] for f in shipped_entry["files"])
     for f in shipped_entry["files"]:
         assert hashlib.sha256((tmp_path / f["name"]).read_bytes()).hexdigest() == f["sha256"]
+
+
+@pytest.mark.parametrize("prime, precision", [(2, 3), (3, 2)])
+def test_kernel_mod_orders_matches_the_full_diagonal_preimage(prime, precision):
+    """Condition columns whose orders mix N = exp(T) with smaller powers of
+    l: the module is the preimage of the whole torsion diagonal, and on
+    small systems it is exactly the set of x with x . cols[c] = 0 mod orders[c]."""
+    ring = ZModRing(prime, precision)
+    N = ring.modulus
+    space = SimpleNamespace(shape=SimpleNamespace(ring=ring))
+    rnd = random.Random(31 * N)
+    for trial in range(24):
+        if trial < 8:
+            nvars, width = rnd.randint(1, 2), rnd.randint(1, 4)
+        else:
+            nvars, width = rnd.randint(2, 10), rnd.randint(2, 20)
+        cols = [[rnd.choice([0, 0, rnd.randrange(-N, N)]) for _ in range(nvars)] for _ in range(width)]
+        orders = [rnd.choice([N, N, prime, prime ** (precision - 1)]) for _ in range(width)]
+        got = _CocycleSpace._kernel_mod_orders(space, cols, orders, nvars)
+        rows = [[cols[c][v] % N for c in range(width)] for v in range(nvars)]
+        diagonal = Submodule.from_generators(ring, width, torsion_rows(orders, width))
+        assert got == preimage(rows, diagonal, ring)
+        if trial < 8:
+            brute = {
+                x
+                for x in itertools.product(range(N), repeat=nvars)
+                if all(sum(a * b for a, b in zip(x, col)) % o == 0 for col, o in zip(cols, orders))
+            }
+            assert set(got.elements()) == brute

@@ -1,5 +1,8 @@
+import functools
 import itertools
+import operator
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +15,7 @@ from logcap.groupring import (
     trace_element,
 )
 from logcap.lattice import ModulusMismatchError, ZModRing
+from logcap.resolvent import _cofactor_row
 
 Z8 = ZModRing(2, 3)
 C2 = AbelianLGroup(2, [2])
@@ -186,6 +190,36 @@ def test_det_cofactor_matches_permutation_sum(size, group_args, ring_args):
             for _ in range(size)
         ]
         assert det_ring(m) == _det_permutation_sum(m)
+
+
+def _dot(row, cof):
+    return functools.reduce(operator.add, (x * c for x, c in zip(row, cof)))
+
+
+@pytest.mark.parametrize("omega", [False, True], ids=["groupring", "omega"])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_cofactor_row_expands_along_a_last_row(size, omega):
+    """sum_j last[j] * C_j is the determinant, and every given row pairs
+    with the cofactors to zero (a matrix with a repeated row)."""
+    rnd = random.Random(50 + size)
+    g, ring = AbelianLGroup(2, [2, 2]), ZModRing(2, 3)
+
+    def entry():
+        r0 = GroupRingElt(g, ring, {e: rnd.randrange(8) for e in g.elements()})
+        if not omega:
+            return r0
+        return OmegaRingElt(r0, GroupRingElt(g, ring, {e: rnd.randrange(8) for e in g.elements()}))
+
+    zero = GroupRingElt.zero(g, ring)
+    if omega:
+        zero = OmegaRingElt(zero, zero)
+    for _ in range(3):
+        m = [[entry() for _ in range(size)] for _ in range(size)]
+        rows, last = m[:-1], m[-1]
+        cof = _cofactor_row(SimpleNamespace(group=g, ring=ring), rows)
+        assert _dot(last, cof) == det_ring(m)
+        for row in rows:
+            assert _dot(row, cof) == zero
 
 
 def test_det_dimension_bound():

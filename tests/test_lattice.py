@@ -474,3 +474,96 @@ def test_howell_matches_the_dense_elimination(ring):
     rnd = random.Random(900 + ring.modulus)
     for rows, width in howell_cases(rnd, ring):
         assert lattice._howell(rows, width, ring) == dense_howell(rows, width, ring)
+
+
+# -- solve and reduce pinned to the pivot loop solve used to carry -------------
+
+SOLVE_RINGS = pytest.mark.parametrize(
+    "ring", [Z8, ZModRing(2, 4), Z9, Z27, ZModRing(5, 2)], ids=lambda r: f"Z{r.modulus}"
+)
+
+
+def pivot_loop_solve(rows, target, ring):
+    """Reference: solve's own loop over the augmented Howell form, which
+    subtracts each pivot row from the target and adds its identity part to x."""
+    width = len(target)
+    basis, pivots = lattice._augmented_howell(rows, width, ring)
+    N = ring.modulus
+    resid = [x % N for x in target]
+    x = [0] * len(rows)
+    for row, col in zip(basis, pivots):
+        if col >= width:
+            break
+        e = resid[col]
+        if e:
+            p = row[col]
+            if e % p != 0:
+                return None
+            q = e // p
+            for j in range(col, width):
+                resid[j] = (resid[j] - q * row[j]) % N
+            for j in range(len(rows)):
+                x[j] = (x[j] + q * row[width + j]) % N
+    if any(resid):
+        return None
+    return tuple(x)
+
+
+def solve_systems(rnd, ring):
+    """Seeded row lists: tall, wide, with zero, duplicate, unreduced and
+    negative rows, and sparse rows followed by torsion rows as the
+    certificate stacks them."""
+    N = ring.modulus
+    orders = [ring.prime**k for k in range(1, ring.precision + 1)]
+    for _ in range(10):
+        width = rnd.randint(1, 4)
+        yield random_rows(rnd, ring, rnd.randint(width + 1, width + 6), width)
+    for _ in range(10):
+        width = rnd.randint(3, 10)
+        yield random_rows(rnd, ring, rnd.randint(1, width - 1), width)
+    for _ in range(8):
+        width = rnd.randint(1, 6)
+        rows = [[rnd.randrange(-3 * N, 3 * N) for _ in range(width)] for _ in range(rnd.randint(1, 4))]
+        rows += [list(r) for r in rows[:2]] + [[0] * width]
+        rnd.shuffle(rows)
+        yield rows
+    for _ in range(8):
+        width = rnd.randint(2, 12)
+        rows = [
+            [rnd.randrange(N) if rnd.random() < 0.3 else 0 for _ in range(width)]
+            for _ in range(rnd.randint(1, 10))
+        ]
+        yield rows + lattice.torsion_rows([rnd.choice(orders) for _ in range(width)], width)
+
+
+@SOLVE_RINGS
+def test_solve_matches_the_pivot_loop(ring):
+    rnd = random.Random(1100 + ring.modulus)
+    found = missed = 0
+    for rows in solve_systems(rnd, ring):
+        width = len(rows[0])
+        x = [rnd.randrange(ring.modulus) for _ in rows]
+        targets = [times(x, rows, ring)]
+        targets += [[rnd.randrange(-ring.modulus, ring.modulus) for _ in range(width)] for _ in range(3)]
+        for target in targets:
+            got = solve(rows, target, ring)
+            assert got == pivot_loop_solve(rows, target, ring)
+            found += got is not None
+            missed += got is None
+    assert found and missed
+
+
+@SOLVE_RINGS
+def test_reduce_is_constant_on_cosets_and_below_each_pivot(ring):
+    rnd = random.Random(1200 + ring.modulus)
+    N = ring.modulus
+    for rows in solve_systems(rnd, ring):
+        width = len(rows[0])
+        sub = Submodule.from_generators(ring, width, rows)
+        for _ in range(4):
+            v = [rnd.randrange(-N, N) for _ in range(width)]
+            m = times([rnd.randrange(N) for _ in rows], rows, ring)
+            resid = sub.reduce(v)
+            assert sub.reduce([a + b for a, b in zip(v, m)]) == resid
+            assert not any(sub.reduce(m))
+            assert all(resid[col] < row[col] for row, col in zip(sub.basis, sub.pivots))

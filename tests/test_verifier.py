@@ -8,7 +8,7 @@ from logcap import extension
 from logcap.extension import u_order
 from logcap.instance import coboundary_shift, instance_from_dict, instance_to_dict, load_instance
 from logcap.resolvent import trace
-from logcap.verifier import CHECK_IDS, run_all, run_check
+from logcap.verifier import CHECK_ARITHMETIC, CHECK_IDS, run_all, run_check
 from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift
 
 
@@ -325,3 +325,7 @@ def test_each_instance_is_validated_once(monkeypatch):
     assert run_check(e1, "V4", oracle_bound=4096).status == "pass"
     assert run_check(e1, "V10", oracle_bound=4096).status == "pass"
     assert calls == [e1]
+
+
+def test_every_check_has_one_arithmetic_entry():
+    assert tuple(CHECK_ARITHMETIC) == CHECK_IDS
