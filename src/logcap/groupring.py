@@ -302,14 +302,14 @@ def det_ring(m: Sequence[Sequence]):
 
 
 def _det_rec(m):
-    s = len(m)
-    if s == 1:
+    if len(m) == 1:
         return m[0][0]
-    acc = None
-    for j in range(s):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = m[0][j] * _det_rec(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    terms = [x * c for x, c in zip(m[-1], cofactor_row(m[:-1]))]
+    return sum(terms[1:], terms[0])
+
+
+def cofactor_row(rows: Sequence[Sequence]) -> list:
+    """The signed minors C_j along a last row placed below the s - 1 >= 1
+    given rows of length s: sum_j last[j] * C_j is the determinant."""
+    minors = [_det_rec([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
+    return [-d if (len(rows) + j) % 2 else d for j, d in enumerate(minors)]

@@ -273,6 +273,21 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
     return tuple(tuple(r) for r in result), tuple(pivots)
 
 
+def _reduce(basis, pivots: Sequence[int], vec: Sequence[int], N: int) -> tuple:
+    """vec reduced mod N, then against the Howell rows basis in pivot order."""
+    v = [x % N for x in vec]
+    for row, col in zip(basis, pivots):
+        x = v[col]
+        if x:
+            # leaves v[col] = x mod pivot; a member reduces to zero and
+            # every coset has a unique fully reduced representative
+            q = x // row[col]
+            if q:
+                for j in range(col, len(v)):
+                    v[j] = (v[j] - q * row[j]) % N
+    return tuple(v)
+
+
 @dataclass(frozen=True)
 class Submodule:
     """A submodule of (Z/l^n)^ambient in canonical (Howell) form.
@@ -295,18 +310,7 @@ class Submodule:
         """Canonical residual of vec against the basis; zero iff vec is a member."""
         if len(vec) != self.ambient:
             raise ShapeError(f"vector of length {len(vec)}, expected {self.ambient}")
-        N = self.ring.modulus
-        v = [x % N for x in vec]
-        for row, col in zip(self.basis, self.pivots):
-            x = v[col]
-            if x:
-                # leaves v[col] = x mod pivot; a member reduces to zero and
-                # every coset has a unique fully reduced representative
-                q = x // row[col]
-                if q:
-                    for j in range(col, self.ambient):
-                        v[j] = (v[j] - q * row[j]) % N
-        return tuple(v)
+        return _reduce(self.basis, self.pivots, vec, self.ring.modulus)
 
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self.reduce(vec))
@@ -394,33 +398,23 @@ def _augmented_howell(rows: Sequence[Sequence[int]], width: int, ring: ZModRing)
 def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) -> Optional[tuple]:
     """Some x with x * rows = target over Z/l^n, or None if there is none.
 
-    Deterministic: the particular solution comes from greedy reduction of
-    the target against the augmented Howell form in pivot order.
+    Deterministic: (target | 0) is reduced against the rows of the augmented
+    Howell form [rows | I] whose pivots lie before width, which are not a
+    Howell form of their own span and so no Submodule.  A solution exists
+    exactly when the residual is (0 | -x), and then x * rows = target.
     """
     width = len(target)
     basis, pivots = _augmented_howell(rows, width, ring)
     N = ring.modulus
-    resid = [x % N for x in target]
-    x = [0] * len(rows)
-    for row, col in zip(basis, pivots):
-        if col >= width:
-            break  # remaining rows have zero matrix part
-        e = resid[col]
-        if e:
-            p = row[col]
-            if e % p != 0:
-                return None
-            q = e // p
-            for j in range(col, width):
-                resid[j] = (resid[j] - q * row[j]) % N
-            for j in range(len(rows)):
-                x[j] = (x[j] + q * row[width + j]) % N
-    if any(resid):
+    k = sum(col < width for col in pivots)
+    resid = _reduce(basis[:k], pivots[:k], list(target) + [0] * len(rows), N)
+    if any(resid[:width]):
         return None
+    x = tuple(-y % N for y in resid[width:])
     # defensive: the returned solution must verify exactly
     if vec_mat(x, rows, (N,) * width) != tuple(y % N for y in target):
         raise InternalInvariantError("solution fails the equations")
-    return tuple(x)
+    return x
 
 
 def kernel(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> Submodule:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .groupring import GElt, GroupRingElt, OmegaRingElt, det_ring, trace_element
+from .groupring import GElt, GroupRingElt, OmegaRingElt, cofactor_row, det_ring, trace_element
 from .lattice import (
     InternalInvariantError,
     Submodule,
@@ -537,18 +537,6 @@ def _solve_mu_row(
     return out, sol[mu_block : mu_block + len(complement)]
 
 
-def _cofactor_row(inst: "Instance", rows: List[List[GroupRingElt]]) -> List[GroupRingElt]:
-    """Signed minors along a last row placed below the given rows."""
-    s = len(rows) + 1
-    if s == 1:
-        return [GroupRingElt.one(inst.group, inst.ring)]
-    cof = []
-    for j in range(s):
-        d = det_ring([[row[c] for c in range(s) if c != j] for row in rows])
-        cof.append(-d if (s - 1 + j) % 2 else d)
-    return cof
-
-
 def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
     """The rows of one form, M or Lambda, each with its coefficients on the
     form's complement rows, with det = Tr imposed on the last row.
@@ -559,7 +547,8 @@ def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
     s = inst.group.rank
     form = [_solve_mu_row(inst, i, b, complement) for i in range(s - 1)]
     if s:
-        cof = _cofactor_row(inst, [row for row, _ in form])
+        rows = [row for row, _ in form]
+        cof = cofactor_row(rows) if rows else [GroupRingElt.one(inst.group, inst.ring)]
         form.append(_solve_mu_row(inst, s - 1, b, complement, cof))
     return form
 
@@ -629,9 +618,7 @@ def certificate_determinants(inst: "Instance", cert: RelationCertificate):
     if cert.size() == 0:
         one = GroupRingElt.one(group, ring)
         return one, one
-    return det_ring([list(r) for r in cert.m_matrix]), det_ring(
-        [list(r) for r in cert.lam_matrix]
-    )
+    return det_ring(cert.m_matrix), det_ring(cert.lam_matrix)
 
 
 def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:

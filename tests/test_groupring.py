@@ -2,7 +2,6 @@ import functools
 import itertools
 import operator
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -11,11 +10,11 @@ from logcap.groupring import (
     GroupRingElt,
     OmegaRingElt,
     RingSizeError,
+    cofactor_row,
     det_ring,
     trace_element,
 )
 from logcap.lattice import ModulusMismatchError, ZModRing
-from logcap.resolvent import _cofactor_row
 
 Z8 = ZModRing(2, 3)
 C2 = AbelianLGroup(2, [2])
@@ -216,7 +215,7 @@ def test_cofactor_row_expands_along_a_last_row(size, omega):
     for _ in range(3):
         m = [[entry() for _ in range(size)] for _ in range(size)]
         rows, last = m[:-1], m[-1]
-        cof = _cofactor_row(SimpleNamespace(group=g, ring=ring), rows)
+        cof = cofactor_row(rows)
         assert _dot(last, cof) == det_ring(m)
         for row in rows:
             assert _dot(row, cof) == zero

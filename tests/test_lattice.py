@@ -523,7 +523,8 @@ def solve_systems(rnd, ring):
         yield random_rows(rnd, ring, rnd.randint(1, width - 1), width)
     for _ in range(8):
         width = rnd.randint(1, 6)
-        rows = [[rnd.randrange(-3 * N, 3 * N) for _ in range(width)] for _ in range(rnd.randint(1, 4))]
+        nrows = rnd.randint(1, 4)
+        rows = [[rnd.randrange(-3 * N, 3 * N) for _ in range(width)] for _ in range(nrows)]
         rows += [list(r) for r in rows[:2]] + [[0] * width]
         rnd.shuffle(rows)
         yield rows
@@ -544,7 +545,8 @@ def test_solve_matches_the_pivot_loop(ring):
         width = len(rows[0])
         x = [rnd.randrange(ring.modulus) for _ in rows]
         targets = [times(x, rows, ring)]
-        targets += [[rnd.randrange(-ring.modulus, ring.modulus) for _ in range(width)] for _ in range(3)]
+        N = ring.modulus
+        targets += [[rnd.randrange(-N, N) for _ in range(width)] for _ in range(3)]
         for target in targets:
             got = solve(rows, target, ring)
             assert got == pivot_loop_solve(rows, target, ring)
