@@ -294,7 +294,9 @@ class _CocycleSpace:
         ring = self.shape.ring
         width = len(cols)
         rows = [[cols[c][v] % ring.modulus for c in range(width)] for v in range(nvars)]
-        relations = Submodule.from_generators(ring, width, torsion_rows(orders, width))
+        # a row of order N = exp(T) is zero mod N
+        small = [r for r, o in zip(torsion_rows(orders, width), orders) if o < ring.modulus]
+        relations = Submodule.from_generators(ring, width, small)
         return preimage(rows, relations, ring)
 
     def count(self) -> int:
