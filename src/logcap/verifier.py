@@ -25,8 +25,6 @@ from .resolvent import certificate_determinants, omega_act, star_act, trace
 
 DEFAULT_ORACLE_BOUND = 2**12
 
-CHECK_IDS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9", "V10")
-
 # whether the identity lives in the torsion part (exact) or involves the
 # truncated free coordinate (holds at the declared precision)
 CHECK_ARITHMETIC = {
@@ -53,7 +51,7 @@ class Verdict:
         return {
             "check": self.check_id,
             "status": self.status,
-            "arithmetic": CHECK_ARITHMETIC.get(self.check_id, "precision-n"),
+            "arithmetic": CHECK_ARITHMETIC[self.check_id],
             "witness": self.witness,
         }
 
@@ -311,6 +309,7 @@ _CHECKS = {
     "V9": _v9_index,
     "V10": _v10_oracle,
 }
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_check(
