@@ -4,11 +4,13 @@ from dataclasses import replace
 import pytest
 
 from logcap import resolvent
+from logcap.extension import u_order
 from logcap.groupring import GroupRingElt, OmegaRingElt, trace_element
 from logcap.instance import build_instance, load_instance
 from logcap.lattice import Submodule, quotient_order
 from logcap.resolvent import (
     CertificateError,
+    InfeasibleRelationError,
     RelationCertificate,
     _verify_certificate,
     certificate_determinants,
@@ -20,6 +22,7 @@ from logcap.resolvent import (
 )
 from logcap.verifier import CHECK_IDS, run_all
 from tests.conftest import CORPUS, FIXTURES, corpus_paths
+from tests.test_verifier import _v1_corruptions
 
 
 def ring_elt(inst, coeffs):
@@ -356,6 +359,39 @@ def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, monkeypatch):
         calls.clear()
         relation_matrices(inst)
         assert len(calls) == 3 * inst.group.rank
+
+
+def _omega_form_rows(inst):
+    """The M rows solved in the omega form: modulo the (1 - tau) * gamma in
+    degree-zero coordinates for every tau, the identity's zero row included."""
+    frame, group = inst.frame, inst.group
+    t = inst.torsion_rank
+    b = [frame.tau_coord(tau) for tau in group.generators()]
+    complement = [inst.a_tau(tau)[:t] + (0,) * len(group.nonidentity()) for tau in group.elements()]
+    return tuple(tuple(row) for row, _ in resolvent._solve_form(inst, b, complement))
+
+
+def test_certificate_rows_equal_the_omega_form_rows():
+    """On the corpus, the fixtures and their seeded corruptions (the frame
+    solves the relations whether or not the instance validates), the omega
+    form gives the rows of M where there is a certificate, and the error of
+    the certificate where it has no solution."""
+    certified = infeasible = 0
+    for path in corpus_paths() + sorted(FIXTURES.glob("*.json")):
+        base = load_instance(path)
+        copies = _v1_corruptions(base, path.name) if u_order(base) <= 256 else []
+        for inst in [base] + copies:
+            cert, _, error = inst.frame.relations
+            try:
+                rows = _omega_form_rows(inst)
+            except InfeasibleRelationError as e:
+                assert cert is None and error == f"InfeasibleRelationError: {e}"
+                infeasible += 1
+                continue
+            if cert is not None:
+                assert rows == cert.m_matrix
+                certified += 1
+    assert (certified, infeasible) == (181, 1)
 
 
 # -- the boundary module -------------------------------------------------------------
