@@ -14,7 +14,9 @@ and the Gamma-operator w = gamma - 1 kills A and sends (tau - 1) to
 matrices acting on row vectors.  Everything here is a module computation
 over Z/l^n; the relation solver produces certificates (M, N) with
 e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j, normalized so that det M
-is exactly the trace.
+is exactly the trace.  As w (tau - 1) = (1 - tau) * gamma, this form and
+the gamma form e_i b_i = sum lam_ij * b_j + mu_i * gamma reduce the same
+rows modulo w * B-tilde = I_G * gamma, so one solve gives Lambda = M.
 
 The ``Frame`` is the one owner of everything derived from an instance:
 besides the coordinates and matrices above, the validation report and
@@ -435,9 +437,10 @@ class RelationCertificate:
     """Verified relations e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j,
     together with the gamma-form e_i b_i = sum lam_ij * b_j + mu_i * gamma.
 
-    M has entries e_i delta_ij - mu_ij and satisfies det M = Tr exactly;
-    the same holds for the gamma-form matrix.  Certificates are not unique;
-    every downstream identity is asserted for the one actually produced.
+    M has entries e_i delta_ij - mu_ij and satisfies det M = Tr exactly.
+    The solver's Lambda is M (one solve finds both); each is checked on its
+    own, as a certificate from elsewhere may differ.  Certificates are not
+    unique; every downstream identity is asserted for the one produced.
     """
 
     m_matrix: tuple
@@ -538,8 +541,8 @@ def _solve_mu_row(
 
 
 def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
-    """The rows of one form, M or Lambda, each with its coefficients on the
-    form's complement rows, with det = Tr imposed on the last row.
+    """The rows of M (= Lambda), each with its coefficients on the
+    complement rows, with det = Tr imposed on the last row.
 
     Rows 0..s-2 are solved first without the constraint; the last row then
     absorbs det = Tr as extra linear conditions on their cofactors.
@@ -554,13 +557,10 @@ def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
 
 
 def relation_matrices(inst: "Instance") -> RelationCertificate:
-    """Solve the defining relations of the b_i = tau_i - 1 in both forms and
-    return the verified certificate.
-
-    The omega form quotients out w * B-tilde, the span of the
-    (1 - tau) * gamma in degree-zero coordinates, and then solves each
-    M row for its N row; the gamma form reads mu_i from its coefficients
-    on the (tau - 1) * gamma."""
+    """Solve the defining relations of the b_i = tau_i - 1 and return the
+    verified certificate: one solve modulo the (tau - 1) * gamma, which span
+    w * B-tilde, gives the rows of M = Lambda and, as their coefficients on
+    those rows, the mu_i; each M row is then solved for its N row."""
     frame = inst.frame
     group = inst.group
     s = group.rank
@@ -570,11 +570,10 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
         )
     b = [frame.tau_coord(tau) for tau in group.generators()]
     t = inst.torsion_rank
-    nonid = group.nonidentity()
     elts = group.elements()
-
-    omega_complement = [inst.a_tau(tau)[:t] + (0,) * len(nonid) for tau in elts]
-    m_rows = [row for row, _ in _solve_form(inst, b, omega_complement)]
+    complement = [frame.bt_vec(frame.ig_unit(tau, t)) for tau in group.nonidentity()]
+    form = _solve_form(inst, b, complement)
+    m_rows = tuple(tuple(row) for row, _ in form)
     nu_system = [frame.bt_vec(omega_act(inst, frame.star[g][k])) for k in b for g in elts]
     nu_system += torsion_rows(inst.atilde_orders, frame.dim_bt)
     n = len(elts)
@@ -585,13 +584,11 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
         chunks = (sol[j * n : (j + 1) * n] for j in range(s))
         n_rows.append(tuple(GroupRingElt(group, inst.ring, dict(zip(elts, c))) for c in chunks))
-    gamma_complement = [frame.bt_vec(frame.ig_unit(tau, t)) for tau in nonid]
-    lam = _solve_form(inst, b, gamma_complement)
     cert = RelationCertificate(
-        m_matrix=tuple(tuple(row) for row in m_rows),
+        m_matrix=m_rows,
         n_matrix=tuple(n_rows),
-        lam_matrix=tuple(tuple(row) for row, _ in lam),
-        mu_vector=tuple(_ig_combination(inst, coeffs) for _, coeffs in lam),
+        lam_matrix=m_rows,
+        mu_vector=tuple(_ig_combination(inst, coeffs) for _, coeffs in form),
     )
     _verify_certificate(inst, cert, b)
     return cert

@@ -20,7 +20,7 @@ from logcap.resolvent import (
     star_act,
     trace,
 )
-from logcap.verifier import CHECK_IDS, run_all
+from logcap.verifier import CHECK_IDS, run_all, run_check
 from tests.conftest import CORPUS, FIXTURES, corpus_paths
 from tests.test_verifier import _v1_corruptions
 
@@ -346,7 +346,8 @@ def test_trivial_group_certificate():
 
 
 def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, monkeypatch):
-    """One solve per row of M, of N and of Lambda: no row is solved twice."""
+    """One solve per row of M (= Lambda) and one per row of N: no row is
+    solved twice."""
     solve = resolvent.solve
     calls = []
 
@@ -358,7 +359,7 @@ def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, monkeypatch):
     for inst in [e1, inst33] + [load_instance(p) for p in corpus_paths()]:
         calls.clear()
         relation_matrices(inst)
-        assert len(calls) == 3 * inst.group.rank
+        assert len(calls) == 2 * inst.group.rank
 
 
 def _omega_form_rows(inst):
@@ -392,6 +393,16 @@ def test_certificate_rows_equal_the_omega_form_rows():
                 assert rows == cert.m_matrix
                 certified += 1
     assert (certified, infeasible) == (181, 1)
+
+
+def test_infeasible_relation_row_is_reported():
+    """h1_violating.json with f(tau, tau) = 1: the b_i generate, but no row
+    with det = Tr exists, and V3 run with force reports that error."""
+    inst = build_instance(2, 3, [2], [2], [[[1, 0], [0, 1]]], {((1,), (1,)): [1]})
+    error = "InfeasibleRelationError: relation row 0 has no solution with det = Tr"
+    assert inst.frame.relations == (None, None, error)
+    v = run_check(inst, "V3", force=True)
+    assert (v.status, v.witness) == ("fail", {"error": error})
 
 
 # -- the boundary module -------------------------------------------------------------
