@@ -38,6 +38,18 @@ def _orders_arg(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse orders {text!r}") from None
 
 
+def _at_least(least: int):
+    """The argparse type of an integer count that is at least ``least``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
+
+
 def _collect_paths(paths):
     out = []
     for p in paths:
@@ -234,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument(
-        "--oracle-bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND,
+        "--oracle-bound", type=_at_least(0), default=verifier.DEFAULT_ORACLE_BOUND,
         help="|U| above which V10 is skipped; no other check reads it",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument(
         "--force",
         action="store_true",
@@ -258,18 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ceiling", type=int, default=50_000)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--ceiling", type=_at_least(0), default=50_000)
+    p.add_argument("--samples", type=_at_least(0), default=3)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
     p.add_argument(
-        "--oracle-bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND,
+        "--oracle-bound", type=_at_least(0), default=verifier.DEFAULT_ORACLE_BOUND,
         help="only written into the manifest; the search does not read it",
     )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="brute-force facts about one instance's extension group")
     p.add_argument("path")
-    p.add_argument("--bound", type=int, default=verifier.DEFAULT_ORACLE_BOUND)
+    p.add_argument("--bound", type=_at_least(0), default=verifier.DEFAULT_ORACLE_BOUND)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="re-render a verification report")

@@ -445,6 +445,20 @@ def test_search_with_a_repeated_component_is_an_input_error(tmp_path, capsys):
         (["search", "--prime", "2", "--precision", "4", "--G", "2,x", "--Atilde", "0",
           "--out", "c"], "cannot parse orders '2,x'"),
         ([], "the following arguments are required: command"),
+        (["verify", FIXTURES / "e1.json", "--workers", "0"],
+         "argument --workers: must be at least 1, got 0"),
+        (["verify", FIXTURES / "e1.json", "--oracle-bound", "-1"],
+         "argument --oracle-bound: must be at least 0, got -1"),
+        (["search", "--prime", "2", "--precision", "4", "--G", "2", "--Atilde", "2",
+          "--out", "c", "--samples", "-2", "--mode", "sample"],
+         "argument --samples: must be at least 0, got -2"),
+        (["search", "--prime", "2", "--precision", "4", "--G", "2", "--Atilde", "2",
+          "--out", "c", "--ceiling", "-1"], "argument --ceiling: must be at least 0, got -1"),
+        (["search", "--prime", "2", "--precision", "4", "--G", "2", "--Atilde", "2",
+          "--out", "c", "--oracle-bound", "-1"],
+         "argument --oracle-bound: must be at least 0, got -1"),
+        (["oracle", FIXTURES / "e1.json", "--bound", "-1"],
+         "argument --bound: must be at least 0, got -1"),
     ],
 )
 def test_usage_error_is_an_input_error(capsys, args, message):
