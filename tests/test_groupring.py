@@ -8,13 +8,13 @@ import pytest
 from logcap.groupring import (
     AbelianLGroup,
     GroupRingElt,
-    OmegaRingElt,
     RingSizeError,
     cofactor_row,
     det_ring,
     trace_element,
 )
 from logcap.lattice import ModulusMismatchError, ZModRing
+from tests.dual import OmegaRingElt, dual_matrix
 
 Z8 = ZModRing(2, 3)
 C2 = AbelianLGroup(2, [2])
@@ -164,14 +164,14 @@ _DET_RINGS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "size, group_args, ring_args",
-    [
-        pytest.param(size, group_args, ring_args, id=f"{name}{size}")
-        for name, group_args, ring_args in _DET_RINGS
-        for size in (1, 2, 3, 4)
-    ],
-)
+_DET_CASES = [
+    pytest.param(size, group_args, ring_args, id=f"{name}{size}")
+    for name, group_args, ring_args in _DET_RINGS
+    for size in (1, 2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("size, group_args, ring_args", _DET_CASES)
 def test_det_cofactor_matches_permutation_sum(size, group_args, ring_args):
     rnd = random.Random(size)
     g = AbelianLGroup(*group_args)
@@ -189,6 +189,31 @@ def test_det_cofactor_matches_permutation_sum(size, group_args, ring_args):
             for _ in range(size)
         ]
         assert det_ring(m) == _det_permutation_sum(m)
+
+
+@pytest.mark.parametrize("size, group_args, ring_args", _DET_CASES)
+def test_dual_determinant_w_part_is_a_sum_of_row_replacements(size, group_args, ring_args):
+    """det(M - wN) = det M - w * sum_i det(M with row i replaced by N_i):
+    the determinant is linear in each row, and w^2 = 0."""
+    rnd = random.Random(100 + size)
+    g = AbelianLGroup(*group_args)
+    ring = ZModRing(*ring_args)
+
+    def matrix():
+        return [
+            [
+                GroupRingElt(g, ring, {e: rnd.randrange(ring.modulus) for e in g.elements()})
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+
+    for _ in range(6):
+        m, n = matrix(), matrix()
+        d = det_ring(dual_matrix(m, n))
+        replaced = [det_ring(m[:i] + [n[i]] + m[i + 1 :]) for i in range(size)]
+        assert d.r0 == det_ring(m)
+        assert d.r1 == -functools.reduce(operator.add, replaced)
 
 
 def _dot(row, cof):

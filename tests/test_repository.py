@@ -67,6 +67,15 @@ def test_every_traced_name_resolves_in_logcap():
     assert missing == []
 
 
+def test_every_exported_name_resolves():
+    """Every name in logcap.__all__ is an attribute of logcap, so a
+    star import cannot break after a deletion."""
+    assert [name for name in logcap.__all__ if not hasattr(logcap, name)] == []
+    namespace = {}
+    exec("from logcap import *", namespace)
+    assert set(logcap.__all__) <= set(namespace)
+
+
 def test_benchmark_selftest_passes():
     # the benchmark requires every per-layer metric to record work, so a
     # change to a traced name must keep its tests passing

@@ -1,16 +1,18 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from logcap import resolvent
 from logcap.extension import u_order
-from logcap.groupring import GroupRingElt, OmegaRingElt, trace_element
+from logcap.groupring import GroupRingElt, det_ring, trace_element
 from logcap.instance import build_instance, load_instance
 from logcap.lattice import Submodule, quotient_order
 from logcap.resolvent import (
     CertificateError,
     InfeasibleRelationError,
+    PrecisionModelError,
     RelationCertificate,
     _verify_certificate,
     certificate_determinants,
@@ -22,6 +24,7 @@ from logcap.resolvent import (
 )
 from logcap.verifier import CHECK_IDS, run_all, run_check
 from tests.conftest import CORPUS, FIXTURES, corpus_paths
+from tests.dual import OmegaRingElt, dual_matrix
 from tests.test_verifier import _v1_corruptions
 
 
@@ -343,6 +346,77 @@ def test_trivial_group_certificate():
     assert not delta(inst, cert).coeffs
     rep = run_all(inst)
     assert {v.check_id: v.status for v in rep.verdicts} == dict.fromkeys(CHECK_IDS, "pass")
+
+
+def _dual_delta(inst, cert):
+    """delta as minus the w-part of det(M - wN) over the dual numbers, after
+    the checks of det M in the order and with the texts of ``delta``."""
+    group, ring = inst.group, inst.ring
+    if cert.size() == 0:
+        d0, d1 = GroupRingElt.one(group, ring), GroupRingElt.zero(group, ring)
+    else:
+        d = det_ring(dual_matrix(cert.m_matrix, cert.n_matrix))
+        d0, d1 = d.r0, d.r1
+    kappa = d0.trace_multiple()
+    if kappa is None:
+        raise CertificateError("det M does not annihilate the augmentation ideal")
+    if d0.augmentation() != group.size() % ring.modulus:
+        raise PrecisionModelError(
+            f"deg det M = {d0.augmentation()} differs from |G| = {group.size()}"
+        )
+    if d0 != trace_element(group, ring):
+        raise CertificateError(f"det M = {kappa} * Tr with kappa != 1")
+    return -d1
+
+
+def _outcome(fn, inst, cert):
+    try:
+        return "value", fn(inst, cert)
+    except CertificateError as e:
+        return type(e).__name__, str(e)
+
+
+def _broken_certificates(inst, cert):
+    """cert with row 0 of M scaled by 1 + l (det M = (1 + l) Tr), and with 1
+    added to M_00 (det M = Tr + C_00)."""
+    m = cert.m_matrix
+    one = GroupRingElt.one(inst.group, inst.ring)
+    scaled = tuple(x.scale(1 + inst.prime) for x in m[0])
+    shifted = (m[0][0] + one,) + m[0][1:]
+    return [replace(cert, m_matrix=(row,) + m[1:]) for row in (scaled, shifted)]
+
+
+def test_delta_matches_the_dual_number_determinant(rank3, trivial_atilde):
+    """On the corpus, the fixtures, their seeded corruptions that have a
+    certificate, rank3, trivial_atilde and the trivial group, delta is the
+    dual-number determinant's; on two broken copies of each base
+    certificate, delta raises the error that the dual-number computation
+    raises."""
+    paths = corpus_paths() + sorted(FIXTURES.glob("*.json"))
+    families = [(load_instance(p), p.name) for p in paths]
+    trivial_group = build_instance(2, 2, [], [], [], {})
+    families += [(rank3, None), (trivial_atilde, None), (trivial_group, None)]
+    inputs = []
+    for base, seed in families:
+        copies = [] if seed is None else _v1_corruptions(base, seed)
+        for inst in [base] + copies:
+            cert = inst.frame.relations[0]
+            if cert is not None:
+                inputs.append((inst, cert))
+        cert = base.frame.relations[0]
+        if cert is not None and cert.size():
+            inputs += [(base, broken) for broken in _broken_certificates(base, cert)]
+    outcomes = []
+    for inst, cert in inputs:
+        got = _outcome(delta, inst, cert)
+        assert got == _outcome(_dual_delta, inst, cert)
+        outcomes.append(got)
+    assert Counter(kind for kind, _ in outcomes) == {
+        "value": 222,
+        "PrecisionModelError": 53,
+        "CertificateError": 65,
+    }
+    assert sum(kind != "value" and "kappa" in text for kind, text in outcomes) == 6
 
 
 def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, monkeypatch):
