@@ -4,7 +4,7 @@ logarithmic class groups, on finitely presented instances.
 The library side is organized bottom-up:
 
 * ``lattice``   exact linear algebra over Z/l^n (Howell forms, solve, kernels)
-* ``groupring`` abelian l-groups, group rings, the omega-truncated extension
+* ``groupring`` abelian l-groups, group rings, their determinants
 * ``instance``  the instance data model, validation, coboundary shifts, JSON
 * ``extension`` the extension group U on A x G: transfer, derived subgroups
 * ``resolvent`` the resolvent module B, relation certificates, delta
@@ -12,7 +12,7 @@ The library side is organized bottom-up:
 * ``forge``     instance enumeration/sampling and the brute-force oracle
 """
 
-from .groupring import AbelianLGroup, GroupRingElt, OmegaRingElt, trace_element
+from .groupring import AbelianLGroup, GroupRingElt, trace_element
 from .instance import (
     Instance,
     build_instance,
@@ -40,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianLGroup",
     "GroupRingElt",
-    "OmegaRingElt",
     "Instance",
     "RelationCertificate",
     "ResolventElt",

@@ -1,5 +1,5 @@
-"""Finite abelian l-groups, their group rings over Z/l^n, and the
-omega-truncated extension (Z/l^n)[G][w]/(w^2).
+"""Finite abelian l-groups, their group rings over Z/l^n, and determinants
+over those rings.
 
 Group elements are exponent vectors against a fixed decomposition into
 cyclic factors; the lexicographic order on those vectors is the canonical
@@ -251,44 +251,15 @@ def trace_element(group: AbelianLGroup, ring: ZModRing) -> GroupRingElt:
     return GroupRingElt(group, ring, {g: 1 for g in group.elements()})
 
 
-class OmegaRingElt:
-    """r0 + w*r1 in (Z/l^n)[G][w]/(w^2)."""
-
-    __slots__ = ("r0", "r1")
-
-    def __init__(self, r0: GroupRingElt, r1: GroupRingElt):
-        r0._check(r1)
-        self.r0 = r0
-        self.r1 = r1
-
-    def __add__(self, other: "OmegaRingElt") -> "OmegaRingElt":
-        return OmegaRingElt(self.r0 + other.r0, self.r1 + other.r1)
-
-    def __neg__(self) -> "OmegaRingElt":
-        return OmegaRingElt(-self.r0, -self.r1)
-
-    def __mul__(self, other: "OmegaRingElt") -> "OmegaRingElt":
-        # (a + wb)(c + wd) = ac + w(ad + bc); the w^2 term is discarded
-        return OmegaRingElt(self.r0 * other.r0, self.r0 * other.r1 + self.r1 * other.r0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OmegaRingElt) and self.r0 == other.r0 and self.r1 == other.r1
-
-    def __hash__(self) -> int:
-        return hash((self.r0, self.r1))
-
-    def __repr__(self) -> str:
-        return f"({self.r0}) + w*({self.r1})"
-
-
 DET_DIMENSION_BOUND = 4
 
 
 def det_ring(m: Sequence[Sequence]):
     """Determinant by cofactor expansion over a commutative coefficient ring.
 
-    Works for GroupRingElt and OmegaRingElt entries alike; fraction-free
-    elimination is not an option here because the ring has zero divisors.
+    Entries are GroupRingElt or elements of any other commutative ring with
+    +, - and *; fraction-free elimination is not an option here because the
+    ring has zero divisors.
     """
     s = len(m)
     for row in m:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from .groupring import GElt, GroupRingElt, OmegaRingElt, cofactor_row, det_ring, trace_element
+from .groupring import GElt, GroupRingElt, cofactor_row, det_ring, trace_element
 from .lattice import (
     InternalInvariantError,
     Submodule,
@@ -608,37 +608,31 @@ def _verify_certificate(inst: "Instance", cert: RelationCertificate, b: Sequence
             raise CertificateError(f"nonzero residual in gamma-form row {i}")
 
 
+def _det(inst: "Instance", rows) -> GroupRingElt:
+    """det over the plain group ring; the empty matrix of a trivial G has
+    det 1."""
+    return det_ring(rows) if rows else GroupRingElt.one(inst.group, inst.ring)
+
+
 def certificate_determinants(inst: "Instance", cert: RelationCertificate):
     """det of both certificate matrices over the plain group ring."""
-    group = inst.group
-    ring = inst.ring
-    if cert.size() == 0:
-        one = GroupRingElt.one(group, ring)
-        return one, one
-    return det_ring(cert.m_matrix), det_ring(cert.lam_matrix)
+    return _det(inst, cert.m_matrix), _det(inst, cert.lam_matrix)
 
 
 def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:
     """Extract the operator d with Tr = w d on the degree-zero part.
 
-    Computes det(M - w N) in the omega-truncated ring, asserts that its
-    degree-zero part is exactly the trace (any scalar multiple or a wrong
-    augmentation means the certificate or the precision model is broken),
-    and returns minus the omega part.
+    A determinant is linear in each row and w^2 = 0, so
+
+        det(M - wN) = det M - w * sum_i det(M with row i replaced by N_i).
+
+    Asserts that det M is exactly the trace (any scalar multiple or a wrong
+    augmentation means the certificate or the precision model is broken)
+    and returns that sum, minus the w-part of det(M - wN).
     """
-    group = inst.group
-    ring = inst.ring
-    tr = trace_element(group, ring)
-    if cert.size() == 0:
-        d0 = GroupRingElt.one(group, ring)
-        d1 = GroupRingElt.zero(group, ring)
-    else:
-        om = [
-            [OmegaRingElt(cert.m_matrix[i][j], -cert.n_matrix[i][j]) for j in range(cert.size())]
-            for i in range(cert.size())
-        ]
-        d = det_ring(om)
-        d0, d1 = d.r0, d.r1
+    group, ring = inst.group, inst.ring
+    m, n = cert.m_matrix, cert.n_matrix
+    d0 = _det(inst, m)
     kappa = d0.trace_multiple()
     if kappa is None:
         raise CertificateError("det M does not annihilate the augmentation ideal")
@@ -646,6 +640,7 @@ def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:
         raise PrecisionModelError(
             f"deg det M = {d0.augmentation()} differs from |G| = {group.size()}"
         )
-    if d0 != tr:
+    if d0 != trace_element(group, ring):
         raise CertificateError(f"det M = {kappa} * Tr with kappa != 1")
-    return -d1
+    replaced = (_det(inst, m[:i] + (n[i],) + m[i + 1 :]) for i in range(cert.size()))
+    return sum(replaced, GroupRingElt.zero(group, ring))
