@@ -699,7 +699,7 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
                 enumerate_instances(params, comp.g_orders, comp.atilde_orders, _context=context)
             )
         else:
-            seen = set()
+            sampled = set()
             n_samples = comp.samples if comp.samples is not None else params.samples
             for k in range(n_samples):
                 inst = random_instance(
@@ -708,11 +708,10 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
                     comp.atilde_orders,
                     _context=context,
                 )
-                if inst is None:
-                    continue
-                key = json.dumps(instance_to_dict(inst), sort_keys=True)
-                if key not in seen:
-                    seen.add(key)
+                # an Instance is a frozen dataclass of canonical fields, so it
+                # is equal to another exactly when their files would be
+                if inst is not None and inst not in sampled:
+                    sampled.add(inst)
                     instances.append(inst)
         for idx, inst in enumerate(instances):
             name = _instance_name(inst, idx)
