@@ -6,8 +6,10 @@ The resolvent module B = A + I_G carries the twisted action
 
 and the operator w = gamma - 1 with w^2 = 0.  For generators b_i = tau_i - 1
 the relations e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j produce a
-matrix M with det M = Tr exactly; the omega part of det(M - wN) is the
-operator delta with Tr = w delta on the degree-zero part.
+matrix M with det M = Tr exactly.  Since w^2 = 0 and a determinant is
+linear in each row, det(M - wN) = Tr - w * delta, where delta, the sum over i
+of det M with row i replaced by row i of N, is the operator with
+Tr = w delta on the degree-zero part.
 
 Here we enumerate every instance with l = 3, G = Z/3, torsion Z/3 and watch
 delta change with the arithmetic of the instance.

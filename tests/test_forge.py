@@ -545,6 +545,15 @@ def test_build_corpus_sampled_mode(tmp_path):
     assert 1 <= comp["count"] <= 2
 
 
+def test_build_corpus_writes_each_sampled_instance_once(tmp_path):
+    """Six samples of G = Z/2 over A~ = Z/2 repeat an instance; each one is
+    written once."""
+    params = SearchParams(2, 4, ((2,),), ((2,),), seed=0, samples=6)
+    manifest = build_corpus(params, [ComponentSpec((2,), (2,), mode="sample")], tmp_path)
+    files = [load_instance(tmp_path / f["name"]) for f in manifest["components"][0]["files"]]
+    assert 1 <= len(files) < 6 and len(set(files)) == len(files)
+
+
 def test_build_corpus_refuses_a_repeated_component_before_writing(tmp_path):
     params = SearchParams(2, 4, ((2,),), ((2,),))
     comps = [ComponentSpec((2,), (2,)), ComponentSpec((2,), (4,)), ComponentSpec((2,), (2,), "sample")]
