@@ -77,6 +77,29 @@ def corpus_paths():
     return out
 
 
+def span_elements(sub):
+    """Every element of a Submodule's span, each once: the coefficient of
+    basis row k runs below N / pivot_k, which the Howell form makes exact."""
+    N = sub.ring.modulus
+    vec = [0] * sub.ambient
+
+    def rec(k: int):
+        if k == len(sub.basis):
+            yield tuple(vec)
+            return
+        row = sub.basis[k]
+        col = sub.pivots[k]
+        saved = vec[:]
+        for c in range(N // row[col]):
+            if c:
+                for j in range(col, sub.ambient):
+                    vec[j] = (saved[j] + c * row[j]) % N
+            yield from rec(k + 1)
+        vec[:] = saved
+
+    yield from rec(0)
+
+
 def random_admissible_shift(inst, rng):
     """A random transversal move c (c_1 = 0, c_tau = -tau * c_{tau^-1}),
     suitable for coboundary_shift without rejection."""

@@ -221,6 +221,64 @@ def test_canonical_tables_match_the_seen_set_walk(prime, precision, g_orders, at
         assert space.canonical_tables == _seen_set_walk(space)
 
 
+def _coboundaries_pair_by_pair(space):
+    """The coboundaries written out: the shifts c that vanish on inverse
+    pairs (c_tau + tau * c_tau^-1 = 0), each mapped pair by pair to the
+    table c_s + s * c_g - c_sg, with the torsion relations o_k * e_k."""
+    shape = space.shape
+    group = shape.group
+    nonid, t = shape.nonid, shape.t
+    nshift = len(nonid) * t
+    cols, orders = [], []
+    for tau in nonid:
+        ti = group.inv(tau)
+        p_t = space._p_mats[tau]
+        for j in range(t):
+            col = [0] * nshift
+            col[nonid.index(tau) * t + j] += 1
+            for i in range(t):
+                col[nonid.index(ti) * t + i] += p_t[i][j]
+            cols.append(col)
+            orders.append(shape.d[j])
+    admissible = space._kernel_mod_orders(cols, orders, nshift)
+    gens = []
+    zero = (0,) * t
+    for c_row in admissible.basis:
+        cvals = {tau: tuple(c_row[k * t : (k + 1) * t]) for k, tau in enumerate(nonid)}
+        table = []
+        for s, g in shape.pairs:
+            moved = vec_mat(cvals[g], space._p_mats[s], shape.d)
+            c_sg = cvals.get(group.mul(s, g), zero)
+            table += [x + y - z for x, y, z in zip(cvals[s], moved, c_sg)]
+        gens.append(table)
+    width = len(shape.orders)
+    return Submodule.from_generators(shape.ring, width, gens + torsion_rows(shape.orders, width))
+
+
+def test_coboundaries_match_the_pair_by_pair_map(monkeypatch):
+    """On every torsion action of the exhaustive corpus shapes and of three
+    shapes past them (G of rank 3, A~ of rank 2 at l = 3, l = 5)."""
+    shapes = []
+    for label, (params, _) in _pinned_components().items():
+        manifest = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
+        shapes += [
+            (params.prime, params.precision, tuple(c["G"]), tuple(c["Atilde"]))
+            for c in manifest["components"]
+            if c["mode"] == "exhaustive"
+        ]
+    shapes += [(2, 4, (2, 2, 2), (2, 2)), (3, 3, (3, 3), (3,)), (5, 2, (5,), (5,))]
+    # coboundaries reads only the shape and the torsion action
+    monkeypatch.setattr(_CocycleSpace, "_solve", lambda space: None)
+    compared = 0
+    for prime, precision, g_orders, atilde_orders in shapes:
+        params = SearchParams(prime, precision, (g_orders,), (atilde_orders,))
+        shape = _Shape(params, g_orders, atilde_orders)
+        for space in {id(s): s for s in map(shape.space, shape.configs)}.values():
+            assert space.coboundaries() == _coboundaries_pair_by_pair(space)
+            compared += 1
+    assert compared == 85
+
+
 def _torsion_key(g_orders, atilde_orders, action):
     t = len(atilde_orders)
     return (tuple(g_orders), tuple(atilde_orders), tuple(tuple(r[:t] for r in m[:t]) for m in action))

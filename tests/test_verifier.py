@@ -9,7 +9,7 @@ from logcap.extension import u_order
 from logcap.instance import coboundary_shift, instance_from_dict, instance_to_dict, load_instance
 from logcap.resolvent import trace
 from logcap.verifier import CHECK_ARITHMETIC, CHECK_IDS, run_all, run_check
-from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift
+from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift, span_elements
 
 
 def test_e1_all_checks_pass(e1):
@@ -231,6 +231,64 @@ def test_v1_matches_the_walk_where_the_norm_and_the_trace_differ_on_a(monkeypatc
         v = _v1_matches_the_walk(inst)
         unit = [0] * (inst.dim_a - 1) + [1]
         assert v.witness["element"] == {"a": unit, "tau": list(inst.group.identity())}
+
+
+def _capture_oracle_facts(monkeypatch):
+    """Wrap forge.oracle_group: each call appends its facts, or None when
+    the oracle raises."""
+    from logcap import forge
+
+    oracle_group = forge.oracle_group
+    captured = []
+
+    def capturing(inst, bound=2**12):
+        captured.append(None)
+        captured[-1] = oracle_group(inst, bound=bound)
+        return captured[-1]
+
+    monkeypatch.setattr(forge, "oracle_group", capturing)
+    return captured
+
+
+def _subgroup_mismatches_by_element_sets(inst, facts):
+    """V10's derived-subgroup entries as an element-set comparison: every
+    element of the frame's submodule, reduced, against the oracle's set."""
+    mismatches = {}
+    for key in ("derived", "derived_degree_zero"):
+        formula = {inst.a_reduce(v) for v in span_elements(getattr(inst.frame, key))}
+        oracle = getattr(facts, key)
+        if formula != oracle:
+            mismatches[key] = {"formula_order": len(formula), "oracle_order": len(oracle)}
+    return mismatches
+
+
+def test_v10_subgroup_entries_match_the_element_set_comparison(monkeypatch):
+    # the corpus-oracle instances, the fixtures and their corruptions, run
+    # as forced; the reference reads the facts of V10's own oracle run.  The
+    # check is called directly, since run_check's certificate is not read
+    from logcap.verifier import _CHECKS
+
+    bases = [p for p in _V1_REFERENCE_PATHS if u_order(load_instance(p)) <= 256]
+    assert len(bases) == 42 + 3
+    captured = _capture_oracle_facts(monkeypatch)
+    compared, found = 0, set()
+    for path in bases:
+        base = load_instance(path)
+        for inst in [base, *_v1_corruptions(base, path.name)]:
+            captured.clear()
+            try:
+                v = _CHECKS["V10"](inst, 4096)
+            except Exception:
+                assert captured == [None]
+                continue
+            assert len(captured) == 1
+            want = _subgroup_mismatches_by_element_sets(inst, captured[0])
+            got = v.witness.get("mismatches", {})
+            assert {k: got[k] for k in want.keys() & got.keys()} == want
+            assert not {"derived", "derived_degree_zero"} & (got.keys() - want.keys())
+            compared += 1
+            found |= want.keys()
+    assert compared > 150 and found == {"derived_degree_zero"}
 
 
 def test_report_serialization_roundtrip(e1):
