@@ -291,6 +291,34 @@ def test_v10_subgroup_entries_match_the_element_set_comparison(monkeypatch):
     assert compared > 150 and found == {"derived_degree_zero"}
 
 
+def test_v10_fails_on_a_derived_set_that_is_not_the_whole_subgroup(inst33, monkeypatch):
+    from dataclasses import replace
+
+    from logcap import forge
+
+    facts = forge.oracle_group(inst33, bound=4096)
+    n = len(facts.derived)
+    assert n > 1 and inst33.frame.size(inst33.frame.derived) == n
+    zero = inst33.a_zero()
+    outside = next(
+        v for v in product(*(range(o) for o in inst33.frame.orders)) if v not in inst33.frame.derived
+    )
+    # dropping zero keeps the span, so only the size test sees it; adding a
+    # vector outside changes both; swapping zero for it keeps the size, so
+    # only the span test sees it
+    assert inst33.span_a(facts.derived - {zero}) == inst33.frame.derived
+    for derived, want in (
+        (facts.derived - {zero}, {"formula_order": n, "oracle_order": n - 1}),
+        (facts.derived | {outside}, {"formula_order": n, "oracle_order": n + 1}),
+        (facts.derived - {zero} | {outside}, {"formula_order": n, "oracle_order": n}),
+    ):
+        patched = replace(facts, derived=derived)
+        monkeypatch.setattr(forge, "oracle_group", lambda inst, bound: patched)
+        v = run_check(inst33, "V10", oracle_bound=4096)
+        assert v.status == "fail"
+        assert v.witness["mismatches"] == {"derived": want}
+
+
 def test_report_serialization_roundtrip(e1):
     rep = run_all(e1)
     payload = rep.to_dict()
