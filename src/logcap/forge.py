@@ -196,7 +196,9 @@ class _Shape:
     """The search state of one (G, A~) shape: its action configurations,
     the factor-set table layout and the module of each torsion action.  A
     table holds the values on the nonidentity ``pairs``, pair-major and
-    torsion-minor, over Z/exp(T); coordinate k has order ``orders[k]``."""
+    torsion-minor, over Z/exp(T); coordinate k has order ``orders[k]``.
+    ``inverse_coords`` are the coordinates of the inverse pairs (g, g^-1),
+    where the inverse convention makes a factor set vanish."""
 
     def __init__(self, params: SearchParams, g_orders, atilde_orders):
         prime = params.prime
@@ -209,6 +211,8 @@ class _Shape:
         self.pairs = [(s, g) for s in self.nonid for g in self.nonid]
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
         self.orders = self.d * len(self.pairs)
+        inverse = [self.pair_index[g, self.group.inv(g)] for g in self.nonid]
+        self.inverse_coords = [k * self.t + j for k in inverse for j in range(self.t)]
         self.configs = action_configurations(prime, params.precision, g_orders, atilde_orders)
         self.spaces: Dict[tuple, _CocycleSpace] = {}
 
@@ -232,15 +236,17 @@ class _CocycleSpace:
     """The module of convention-compliant factor sets for one torsion action.
 
     Variables are the entries of a table of the shape; the associativity
-    identity on nonidentity triples, together with vanishing on inverse
-    pairs, cuts out a submodule over Z/exp(T).  Tables are enumerated by
-    closing the reduced generators under addition, so there is no blowup
-    from torsion coordinates of smaller order.  The coboundaries are one
-    Howell form, torsion relations included, that every table reduces
-    against to its class representative.  A space keeps its solution
-    module and ``_p_mats``, the torsion blocks of the element matrices, and
-    reads the table layout from its shape; it sees the action only through
-    ``_p_mats``, so it serves every configuration with that torsion action.
+    identity on nonidentity triples, together with vanishing at the
+    inverse-pair coordinates, cuts out a submodule over Z/exp(T).  Tables
+    are enumerated by closing the reduced generators under addition, so
+    there is no blowup from torsion coordinates of smaller order.  The
+    coboundaries, the image of the coboundary matrix D on the shifts that
+    keep those coordinates zero, are one Howell form, torsion relations
+    included, that every table reduces against to its class representative.
+    A space keeps its solution module and ``_p_mats``, the torsion blocks of
+    the element matrices, and reads the table layout from its shape; it
+    sees the action only through ``_p_mats``, so it serves every
+    configuration with that torsion action.
     """
 
     def __init__(self, shape: _Shape, p_mats: Dict[GElt, tuple]):
@@ -280,11 +286,8 @@ class _CocycleSpace:
                         if gr != one:
                             col[self._var((s, gr), j)] += 1
                         col[self._var((s, g), j)] -= 1
-        for g in shape.nonid:
-            gi = group.inv(g)
-            for j in range(shape.t):
-                col = new_col(shape.d[j])
-                col[self._var((g, gi), j)] += 1
+        for k in shape.inverse_coords:
+            new_col(shape.orders[k])[k] += 1
         return self._kernel_mod_orders(cols, orders, nvars)
 
     def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
@@ -311,37 +314,31 @@ class _CocycleSpace:
         return vec_mat(coeffs, self._sub.basis, self.shape.orders)
 
     def coboundaries(self) -> Submodule:
-        """The shifts of the table by admissible transversal moves, with the
-        torsion relations o_k * e_k, in Howell form."""
+        """The coboundaries, with the torsion relations o_k * e_k, in Howell form.
+
+        The coboundary matrix D maps a shift c (a torsion value c_tau at each
+        nonidentity tau, c_1 = 0) to the table c_s + s * c_g - c_sg: one row
+        per shift coordinate (tau, i), one column per table coordinate.  The
+        admissible shifts x have x * D zero at the inverse-pair coordinates,
+        and the coboundaries are their images x * D."""
         shape = self.shape
-        group = shape.group
-        nonid, t = shape.nonid, shape.t
-        nshift = len(nonid) * t
-        cols: List[List[int]] = []
-        orders: List[int] = []
-        for tau in nonid:
-            ti = group.inv(tau)
-            p_t = self._p_mats[tau]
-            for j in range(t):
-                col = [0] * nshift
-                col[nonid.index(tau) * t + j] += 1
-                for i in range(t):
-                    col[nonid.index(ti) * t + i] += p_t[i][j]
-                cols.append(col)
-                orders.append(shape.d[j])
-        admissible = self._kernel_mod_orders(cols, orders, nshift)
-        gens = []
-        zero = (0,) * t
-        for c_row in admissible.basis:
-            cvals = {tau: tuple(c_row[k * t : (k + 1) * t]) for k, tau in enumerate(nonid)}
-            # c_s + s * c_g - c_sg, pair by pair in table order
-            table = []
-            for s, g in shape.pairs:
-                moved = vec_mat(cvals[g], self._p_mats[s], shape.d)
-                c_sg = cvals.get(group.mul(s, g), zero)
-                table += [x + y - z for x, y, z in zip(cvals[s], moved, c_sg)]
-            gens.append(table)
+        group, t = shape.group, shape.t
         width = len(shape.orders)
+        first = {tau: k * t for k, tau in enumerate(shape.nonid)}  # the row of (tau, 0)
+        D = [[0] * width for _ in range(len(first) * t)]
+        for k, (s, g) in enumerate(shape.pairs):
+            p_s, sg = self._p_mats[s], group.mul(s, g)
+            for j in range(t):
+                col = k * t + j
+                D[first[s] + j][col] += 1
+                for i in range(t):
+                    D[first[g] + i][col] += p_s[i][j]
+                if sg in first:
+                    D[first[sg] + j][col] -= 1
+        cols = [[row[c] for row in D] for c in shape.inverse_coords]
+        orders = [shape.orders[c] for c in shape.inverse_coords]
+        admissible = self._kernel_mod_orders(cols, orders, len(D))
+        gens = [vec_mat(x, D, shape.orders) for x in admissible.basis]
         return Submodule.from_generators(
             shape.ring, width, gens + torsion_rows(shape.orders, width)
         )
