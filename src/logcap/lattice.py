@@ -336,28 +336,6 @@ class Submodule:
             out *= N // row[col]
         return out
 
-    def elements(self):
-        """Iterate all span elements (coefficient ranges are exact, no dups)."""
-        N = self.ring.modulus
-        vec = [0] * self.ambient
-
-        def rec(k: int):
-            if k == len(self.basis):
-                yield tuple(vec)
-                return
-            row = self.basis[k]
-            col = self.pivots[k]
-            reps = N // row[col]
-            saved = vec[:]
-            for c in range(reps):
-                if c:
-                    for j in range(col, self.ambient):
-                        vec[j] = (saved[j] + c * row[j]) % N
-                yield from rec(k + 1)
-            vec[:] = saved
-
-        yield from rec(0)
-
 
 def torsion_rows(orders: Sequence[int], width: int) -> List[list]:
     """The relations o_i * e_i, rows of length width, for o_i in orders."""

@@ -35,7 +35,14 @@ from logcap.instance import (
     validate,
 )
 from logcap.lattice import Submodule, ZModRing, mat_mul, preimage, torsion_rows, vec_mat
-from tests.conftest import CORPUS, FIXTURES, REPO, corpus_paths, random_admissible_shift
+from tests.conftest import (
+    CORPUS,
+    FIXTURES,
+    REPO,
+    corpus_paths,
+    random_admissible_shift,
+    span_elements,
+)
 
 
 def test_enumerate_unique_instance_for_trivial_torsion():
@@ -180,7 +187,7 @@ def _seen_set_walk(space):
     group, d, t = shape.group, shape.d, shape.t
     orders = shape.orders
     inverse_pairs = [k for k, (s, g) in enumerate(shape.pairs) if g == group.inv(s)]
-    tables = sorted({tuple(x % o for x, o in zip(z, orders)) for z in space._sub.elements()})
+    tables = sorted({tuple(x % o for x, o in zip(z, orders)) for z in span_elements(space._sub)})
     shifts = set()
     for flat in itertools.product(*(range(o) for o in d * len(shape.nonid))):
         c = {tau: flat[k * t : (k + 1) * t] for k, tau in enumerate(shape.nonid)}
@@ -427,7 +434,7 @@ def test_oracle_derived_matches_formula_on_samples():
         if inst is None:
             continue
         facts = oracle_group(inst)
-        formula = {inst.a_reduce(v) for v in derived_subgroup(inst).elements()}
+        formula = {inst.a_reduce(v) for v in span_elements(derived_subgroup(inst))}
         assert formula == set(facts.derived)
 
 
@@ -736,4 +743,4 @@ def test_kernel_mod_orders_matches_the_full_diagonal_preimage(prime, precision):
                 for x in itertools.product(range(N), repeat=nvars)
                 if all(sum(a * b for a, b in zip(x, col)) % o == 0 for col, o in zip(cols, orders))
             }
-            assert set(got.elements()) == brute
+            assert set(span_elements(got)) == brute
