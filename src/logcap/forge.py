@@ -314,13 +314,12 @@ class _CocycleSpace:
         return vec_mat(coeffs, self._sub.basis, self.shape.orders)
 
     def coboundaries(self) -> Submodule:
-        """The coboundaries, with the torsion relations o_k * e_k, in Howell form.
-
-        The coboundary matrix D maps a shift c (a torsion value c_tau at each
-        nonidentity tau, c_1 = 0) to the table c_s + s * c_g - c_sg: one row
-        per shift coordinate (tau, i), one column per table coordinate.  The
-        admissible shifts x have x * D zero at the inverse-pair coordinates,
-        and the coboundaries are their images x * D."""
+        """The images x * D of the admissible shifts x, with the torsion
+        relations o_k * e_k, in Howell form.  The coboundary matrix D maps a
+        shift c (c_tau at each nonidentity tau, c_1 = 0) to the table
+        c_s + s * c_g - c_sg, one row per shift coordinate (tau, i) and one
+        column per table coordinate; x is admissible when x * D is zero at
+        the inverse-pair coordinates."""
         shape = self.shape
         group, t = shape.group, shape.t
         width = len(shape.orders)

@@ -264,7 +264,8 @@ def _coboundaries_pair_by_pair(space):
 
 def test_coboundaries_match_the_pair_by_pair_map(monkeypatch):
     """On every torsion action of the exhaustive corpus shapes and of three
-    shapes past them (G of rank 3, A~ of rank 2 at l = 3, l = 5)."""
+    shapes past them: G of rank 3 over A~ of rank 2, (Z/3)^2 over Z/3, and
+    l = 5."""
     shapes = []
     for label, (params, _) in _pinned_components().items():
         manifest = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
