@@ -287,6 +287,62 @@ def test_coboundaries_match_the_pair_by_pair_map(monkeypatch):
     assert compared == 85
 
 
+def _solve_triple_by_triple(space):
+    """The factor-set module written out: for every nonidentity triple
+    (s, g, r) the associativity identity s * f(g, r) - f(sg, r) + f(s, gr)
+    - f(s, g) = 0, a term at a pair with an identity entry being zero, and
+    f = 0 at the inverse-pair coordinates."""
+    shape = space.shape
+    group, t = shape.group, shape.t
+    one = group.identity()
+    first = {pair: k * t for k, pair in enumerate(shape.pairs)}  # the coordinate of (pair, 0)
+    nvars = len(shape.orders)
+    cols, orders = [], []
+    for s in shape.nonid:
+        p_s = space._p_mats[s]
+        for g in shape.nonid:
+            for r in shape.nonid:
+                sg, gr = group.mul(s, g), group.mul(g, r)
+                for j in range(t):
+                    col = [0] * nvars
+                    for i in range(t):
+                        col[first[g, r] + i] += p_s[i][j]
+                    if sg != one:
+                        col[first[sg, r] + j] -= 1
+                    if gr != one:
+                        col[first[s, gr] + j] += 1
+                    col[first[s, g] + j] -= 1
+                    cols.append(col)
+                    orders.append(shape.d[j])
+    for k in shape.inverse_coords:
+        cols.append([int(v == k) for v in range(nvars)])
+        orders.append(shape.orders[k])
+    return space._kernel_mod_orders(cols, orders, nvars)
+
+
+def test_factor_set_module_matches_the_triple_by_triple_identity():
+    """On every torsion action of the exhaustive corpus shapes and of three
+    shapes past them: G of rank 3, (Z/3)^2 over Z/3, and l = 5."""
+    shapes = []
+    for label, (params, _) in _pinned_components().items():
+        manifest = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
+        shapes += [
+            (params.prime, params.precision, tuple(c["G"]), tuple(c["Atilde"]))
+            for c in manifest["components"]
+            if c["mode"] == "exhaustive"
+        ]
+    shapes += [(2, 4, (2, 2, 2), (2,)), (3, 3, (3, 3), (3,)), (5, 2, (5,), (5,))]
+    compared = 0
+    for prime, precision, g_orders, atilde_orders in shapes:
+        params = SearchParams(prime, precision, (g_orders,), (atilde_orders,))
+        shape = _Shape(params, g_orders, atilde_orders)
+        for space in {id(s): s for s in map(shape.space, shape.configs)}.values():
+            want = _solve_triple_by_triple(space)
+            assert (space._sub.basis, space._sub.pivots) == (want.basis, want.pivots)
+            compared += 1
+    assert compared == 64
+
+
 def _torsion_key(g_orders, atilde_orders, action):
     t = len(atilde_orders)
     return (tuple(g_orders), tuple(atilde_orders), tuple(tuple(r[:t] for r in m[:t]) for m in action))
