@@ -209,9 +209,8 @@ class _Shape:
         self.ring = ZModRing(prime, log_ceil(max(self.d, default=prime), prime))
         self.nonid = self.group.nonidentity()
         self.pairs = [(s, g) for s in self.nonid for g in self.nonid]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
         self.orders = self.d * len(self.pairs)
-        inverse = [self.pair_index[g, self.group.inv(g)] for g in self.nonid]
+        inverse = [k for k, (s, g) in enumerate(self.pairs) if g == self.group.inv(s)]
         self.inverse_coords = [k * self.t + j for k in inverse for j in range(self.t)]
         self.configs = action_configurations(prime, params.precision, g_orders, atilde_orders)
         self.spaces: Dict[tuple, _CocycleSpace] = {}
@@ -235,18 +234,21 @@ class _Shape:
 class _CocycleSpace:
     """The module of convention-compliant factor sets for one torsion action.
 
-    Variables are the entries of a table of the shape; the associativity
-    identity on nonidentity triples, together with vanishing at the
-    inverse-pair coordinates, cuts out a submodule over Z/exp(T).  Tables
-    are enumerated by closing the reduced generators under addition, so
-    there is no blowup from torsion coordinates of smaller order.  The
-    coboundaries, the image of the coboundary matrix D on the shifts that
-    keep those coordinates zero, are one Howell form, torsion relations
-    included, that every table reduces against to its class representative.
-    A space keeps its solution module and ``_p_mats``, the torsion blocks of
-    the element matrices, and reads the table layout from its shape; it
-    sees the action only through ``_p_mats``, so it serves every
-    configuration with that torsion action.
+    Both maps of the search come from one formula, the coboundary of
+    normalized k-cochains with values in T, a term with an identity
+    argument being zero:
+
+        (dc)(g_0..g_k) = g_0 * c(g_1..g_k) + sum_q (-1)^q c(.., g_(q-1) g_q, ..)
+                         + (-1)^(k+1) c(g_0..g_(k-1)).
+
+    The factor sets are the tables (2-cochains) that d^2 kills and that
+    vanish at the inverse-pair coordinates, a submodule over Z/exp(T),
+    enumerated by closing the reduced generators under addition.  The
+    coboundaries, d^1 of the shifts that keep those coordinates zero, are
+    one Howell form, torsion relations included, that every table reduces
+    against to its class representative.  A space sees the action only
+    through ``_p_mats``, the torsion blocks of the element matrices, so it
+    serves every configuration with that torsion action.
     """
 
     def __init__(self, shape: _Shape, p_mats: Dict[GElt, tuple]):
@@ -254,40 +256,41 @@ class _CocycleSpace:
         self._p_mats = p_mats
         self._sub = self._solve()
 
-    def _var(self, pair, i) -> int:
-        return self.shape.pair_index[pair] * self.shape.t + i
+    def _coboundary_columns(self, k: int) -> List[List[int]]:
+        """d^k as columns, one per coordinate (g_0..g_k; j), each as long as
+        a k-cochain.  Both are laid out like a table: tuples of nonidentity
+        elements in product order, torsion minor.  Elements are read by
+        position, the identity at 0, so a face with an identity argument is
+        no coordinate.  Coordinate i of c(g_1..g_k) feeds j through P_(g_0)[i][j]."""
+        elements, t = self.shape.group.elements(), self.shape.t
+        _, mul = self.shape.group.product_indices()
+        nonid = range(1, len(elements))
+        first = {args: n * t for n, args in enumerate(itertools.product(nonid, repeat=k))}
+        cols = []
+        for gs in itertools.product(nonid, repeat=k + 1):
+            faces = [gs[:q] + (mul[gs[q]][gs[q + 1]],) + gs[q + 2 :] for q in range(k)]
+            signed = [((-1) ** q, first[f]) for q, f in enumerate(faces, 1) if f in first]
+            signed.append(((-1) ** (k + 1), first[gs[:-1]]))
+            p, inner = self._p_mats[elements[gs[0]]], first[gs[1:]]
+            for j in range(t):
+                col = [0] * (len(first) * t)
+                for i in range(t):
+                    col[inner + i] += p[i][j]
+                for sign, row in signed:
+                    col[row + j] += sign
+                cols.append(col)
+        return cols
 
     def _solve(self) -> Submodule:
+        """The tables x with x * d^2 = 0, each (s, g, r; j) column taken mod
+        d_j, and x = 0 at the inverse-pair coordinates, one unit column each."""
         shape = self.shape
-        group = shape.group
-        one = group.identity()
         nvars = len(shape.orders)
-        cols: List[List[int]] = []  # one coefficient column per condition coordinate
-        orders: List[int] = []
-
-        def new_col(coord_order):
-            cols.append([0] * nvars)
-            orders.append(coord_order)
-            return cols[-1]
-
-        for s in shape.nonid:
-            p_s = self._p_mats[s]
-            for g in shape.nonid:
-                for r in shape.nonid:
-                    sg = group.mul(s, g)
-                    gr = group.mul(g, r)
-                    for j in range(shape.t):
-                        col = new_col(shape.d[j])
-                        # s * a_{g,r}: value coordinate i feeds target j via P_s
-                        for i in range(shape.t):
-                            col[self._var((g, r), i)] += p_s[i][j]
-                        if sg != one:
-                            col[self._var((sg, r), j)] -= 1
-                        if gr != one:
-                            col[self._var((s, gr), j)] += 1
-                        col[self._var((s, g), j)] -= 1
+        cols = self._coboundary_columns(2)
+        orders = list(shape.d) * len(shape.nonid) ** 3
         for k in shape.inverse_coords:
-            new_col(shape.orders[k])[k] += 1
+            cols.append([int(v == k) for v in range(nvars)])
+            orders.append(shape.orders[k])
         return self._kernel_mod_orders(cols, orders, nvars)
 
     def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
@@ -315,28 +318,18 @@ class _CocycleSpace:
 
     def coboundaries(self) -> Submodule:
         """The images x * D of the admissible shifts x, with the torsion
-        relations o_k * e_k, in Howell form.  The coboundary matrix D maps a
-        shift c (c_tau at each nonidentity tau, c_1 = 0) to the table
-        c_s + s * c_g - c_sg, one row per shift coordinate (tau, i) and one
-        column per table coordinate; x is admissible when x * D is zero at
-        the inverse-pair coordinates."""
-        shape = self.shape
-        group, t = shape.group, shape.t
+        relations o_k * e_k, in Howell form.  D, the transpose of the d^1
+        columns, maps a shift c (c_tau at each nonidentity tau, c_1 = 0)
+        to the table c_s + s * c_g - c_sg, one row per shift coordinate
+        (tau, i) and one column per table coordinate; x is admissible when
+        x * D is zero at the inverse-pair coordinates."""
+        shape, inverse = self.shape, self.shape.inverse_coords
         width = len(shape.orders)
-        first = {tau: k * t for k, tau in enumerate(shape.nonid)}  # the row of (tau, 0)
-        D = [[0] * width for _ in range(len(first) * t)]
-        for k, (s, g) in enumerate(shape.pairs):
-            p_s, sg = self._p_mats[s], group.mul(s, g)
-            for j in range(t):
-                col = k * t + j
-                D[first[s] + j][col] += 1
-                for i in range(t):
-                    D[first[g] + i][col] += p_s[i][j]
-                if sg in first:
-                    D[first[sg] + j][col] -= 1
-        cols = [[row[c] for row in D] for c in shape.inverse_coords]
-        orders = [shape.orders[c] for c in shape.inverse_coords]
-        admissible = self._kernel_mod_orders(cols, orders, len(D))
+        cols = self._coboundary_columns(1)
+        D = list(zip(*cols))
+        admissible = self._kernel_mod_orders(
+            [cols[c] for c in inverse], [shape.orders[c] for c in inverse], len(D)
+        )
         gens = [vec_mat(x, D, shape.orders) for x in admissible.basis]
         return Submodule.from_generators(
             shape.ring, width, gens + torsion_rows(shape.orders, width)
