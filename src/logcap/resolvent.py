@@ -255,14 +255,6 @@ class Frame:
     # the transfer into A -------------------------------------------------------
 
     @cached_property
-    def norm_matrix(self) -> tuple:
-        """N, the sum of the action matrices of all h in G."""
-        N = self.ring.modulus
-        d = self.inst.dim_a
-        mats = self.action.values()
-        return tuple(tuple(sum(m[i][j] for m in mats) % N for j in range(d)) for i in range(d))
-
-    @cached_property
     def offsets(self) -> Dict[GElt, Vec]:
         """c(tau) = sum_g (tau g)^-1 * f(tau, g) for every tau in G."""
         inst, group = self.inst, self.inst.group
@@ -276,8 +268,9 @@ class Frame:
         return out
 
     def transfer_map(self, a: Sequence[int], tau: GElt) -> Vec:
-        """The transfer of (a, tau) into A: N * a + c(tau)."""
-        return self.inst.a_add(vec_mat(a, self.norm_matrix, self.orders), self.offsets[tau])
+        """The transfer of (a, tau) into A: N * a + c(tau).  The norm N, the
+        sum of the action matrices, is the A rows of the trace matrix."""
+        return self.inst.a_add(vec_mat(a, self.trace_matrix, self.orders), self.offsets[tau])
 
     # shared submodules -------------------------------------------------------
 

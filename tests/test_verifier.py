@@ -217,22 +217,6 @@ def test_v1_matches_the_walk_over_u_on_seeded_corruptions():
     assert {"identity", "other"} <= set(failed_at)
 
 
-def test_v1_matches_the_walk_where_the_norm_and_the_trace_differ_on_a(monkeypatch):
-    # N and Tr agree on A by construction, so only a changed N reaches the
-    # unit vectors of A: every row of N is moved, and the walk over U first
-    # fails at the last unit vector
-    from logcap import resolvent
-
-    norm_matrix = resolvent.Frame.norm_matrix.func
-    moved = property(lambda frame: tuple(tuple(x + 1 for x in row) for row in norm_matrix(frame)))
-    monkeypatch.setattr(resolvent.Frame, "norm_matrix", moved)
-    for path in (FIXTURES / "e1.json", *corpus_paths()[::11]):
-        inst = load_instance(path)
-        v = _v1_matches_the_walk(inst)
-        unit = [0] * (inst.dim_a - 1) + [1]
-        assert v.witness["element"] == {"a": unit, "tau": list(inst.group.identity())}
-
-
 def _capture_oracle_facts(monkeypatch):
     """Wrap forge.oracle_group: each call appends its facts, or None when
     the oracle raises."""
