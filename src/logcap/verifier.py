@@ -142,9 +142,9 @@ def _v4_genus(inst: Instance, oracle_bound: int) -> Verdict:
 def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
     witness: dict = {}
-    # route 1: the omega operator applied to the degree-zero part
-    gens = [row[: inst.dim_a] for row in frame.bt_rows(frame.omega)]
-    s_omega = inst.span_a(gens)
+    # route 1: the omega operator applied to the degree-zero part; its
+    # B-tilde rows on A are the (1 - tau) * gamma, which span I_G * gamma
+    s_omega = frame.ig_gamma
     # route 2: the ideal acting on gamma through the module action
     s_gamma = frame.ig_gamma
     # route 3: commutators of the gamma lift inside the extension group
