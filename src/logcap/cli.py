@@ -176,7 +176,6 @@ def cmd_search(args) -> int:
         precision=args.precision,
         g_orders_list=tuple(args.G),
         atilde_orders_list=tuple(args.Atilde),
-        oracle_bound=args.oracle_bound,
         seed=args.seed,
         ceiling=args.ceiling,
         samples=args.samples,
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.add_argument("--out", default=None)
     p.add_argument(
-        "--oracle-bound", type=_at_least(0), default=verifier.DEFAULT_ORACLE_BOUND,
+        "--oracle-bound", type=_at_least(0), default=forge.DEFAULT_ORACLE_BOUND,
         help="|U| above which V10 is skipped; no other check reads it",
     )
     p.add_argument("--workers", type=_at_least(1), default=1)
@@ -273,15 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", type=_at_least(0), default=50_000)
     p.add_argument("--samples", type=_at_least(0), default=3)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sample"), default="auto")
-    p.add_argument(
-        "--oracle-bound", type=_at_least(0), default=verifier.DEFAULT_ORACLE_BOUND,
-        help="only written into the manifest; the search does not read it",
-    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="brute-force facts about one instance's extension group")
     p.add_argument("path")
-    p.add_argument("--bound", type=_at_least(0), default=verifier.DEFAULT_ORACLE_BOUND)
+    p.add_argument("--bound", type=_at_least(0), default=forge.DEFAULT_ORACLE_BOUND)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="re-render a verification report")

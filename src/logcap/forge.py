@@ -53,6 +53,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .extension import u_order
 from .groupring import AbelianLGroup, GElt, check_l_powers
 from .instance import (
     Instance,
@@ -76,6 +77,9 @@ from .lattice import (
 
 Vec = Tuple[int, ...]
 
+# |U| above which the oracle refuses, and V10 is skipped
+DEFAULT_ORACLE_BOUND = 2**12
+
 
 class CeilingExceededError(RuntimeError):
     def __init__(self, estimate: int, ceiling: int):
@@ -96,7 +100,7 @@ class SearchParams:
     precision: int
     g_orders_list: Tuple[Tuple[int, ...], ...]
     atilde_orders_list: Tuple[Tuple[int, ...], ...]
-    oracle_bound: int = 2**12
+    oracle_bound: int = DEFAULT_ORACLE_BOUND
     seed: int = 0
     ceiling: int = 50_000
     samples: int = 3
@@ -476,7 +480,7 @@ class OracleFacts:
     gamma_commutators: frozenset = frozenset()
 
 
-def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
+def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFacts:
     """Materialize the extension group and compute everything by counting.
 
     Each element (a, g) of U is one integer, code(a)*|G| + index(g), with
@@ -496,8 +500,6 @@ def oracle_group(inst: Instance, bound: int = 2**12) -> OracleFacts:
     Transfers use the coset-product definition against the standard
     transversal.  No resolvent machinery is involved.
     """
-    from .extension import u_order
-
     n_u = u_order(inst)
     if n_u > bound:
         raise OracleBoundError(f"|U| = {n_u} exceeds the oracle bound {bound}")

@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from . import extension
+from . import extension, forge
 from .groupring import trace_element
 from .instance import Instance, ValidationReport
 from .lattice import preimage, quotient_order
 from .resolvent import certificate_determinants, omega_act, star_act, trace
-
-DEFAULT_ORACLE_BOUND = 2**12
 
 # whether the identity lives in the torsion part (exact) or involves the
 # truncated free coordinate (holds at the declared precision)
@@ -264,8 +262,6 @@ def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
             "skipped",
             {"reason": f"|U| = {extension.u_order(inst)} exceeds bound {oracle_bound}"},
         )
-    from . import forge
-
     facts = forge.oracle_group(inst, bound=oracle_bound)
     mismatches = {}
 
@@ -309,7 +305,7 @@ CHECK_IDS = tuple(_CHECKS)
 def run_check(
     inst: Instance,
     check_id: str,
-    oracle_bound: int = DEFAULT_ORACLE_BOUND,
+    oracle_bound: int = forge.DEFAULT_ORACLE_BOUND,
     force: bool = False,
 ) -> Verdict:
     """Run one catalogue check, gated on validation; a check crashing on
@@ -347,7 +343,7 @@ class InstanceReport:
 
 
 def run_all(
-    inst: Instance, oracle_bound: int = DEFAULT_ORACLE_BOUND, force: bool = False
+    inst: Instance, oracle_bound: int = forge.DEFAULT_ORACLE_BOUND, force: bool = False
 ) -> InstanceReport:
     """Validate, then run the whole catalogue with one shared certificate."""
     report = inst.frame.validation

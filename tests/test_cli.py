@@ -455,8 +455,7 @@ def test_search_with_a_repeated_component_is_an_input_error(tmp_path, capsys):
         (["search", "--prime", "2", "--precision", "4", "--G", "2", "--Atilde", "2",
           "--out", "c", "--ceiling", "-1"], "argument --ceiling: must be at least 0, got -1"),
         (["search", "--prime", "2", "--precision", "4", "--G", "2", "--Atilde", "2",
-          "--out", "c", "--oracle-bound", "-1"],
-         "argument --oracle-bound: must be at least 0, got -1"),
+          "--out", "c", "--oracle-bound", "-1"], "unrecognized arguments"),
         (["oracle", FIXTURES / "e1.json", "--bound", "-1"],
          "argument --bound: must be at least 0, got -1"),
     ],
@@ -475,8 +474,6 @@ def test_help_exits_zero(capsys):
 def test_oracle_bound_help_says_what_reads_it(capsys):
     _, out, _ = run_cli(["verify", "--help"], capsys)
     assert "V10 is skipped; no other check reads it" in " ".join(out.split())
-    _, out, _ = run_cli(["search", "--help"], capsys)
-    assert "only written into the manifest" in " ".join(out.split())
 
 
 def test_usage_error_exit_code_from_the_command_line(tmp_path):
