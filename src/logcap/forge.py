@@ -267,6 +267,8 @@ class _CocycleSpace:
         position, the identity at 0, so a face with an identity argument is
         no coordinate.  Coordinate i of c(g_1..g_k) feeds j through P_(g_0)[i][j]."""
         elements, t = self.shape.group.elements(), self.shape.t
+        if not t:  # no torsion, no coordinates: skip the walk over the tuples
+            return []
         _, mul = self.shape.group.product_indices()
         nonid = range(1, len(elements))
         first = {args: n * t for n, args in enumerate(itertools.product(nonid, repeat=k))}
@@ -288,13 +290,10 @@ class _CocycleSpace:
     def _solve(self) -> Submodule:
         """The tables x with x * d^2 = 0, each (s, g, r; j) column taken mod
         d_j, and x = 0 at the inverse-pair coordinates, one unit column each."""
-        shape = self.shape
+        shape, inverse = self.shape, self.shape.inverse_coords
         nvars = len(shape.orders)
-        cols = self._coboundary_columns(2)
-        orders = list(shape.d) * len(shape.nonid) ** 3
-        for k in shape.inverse_coords:
-            cols.append([int(v == k) for v in range(nvars)])
-            orders.append(shape.orders[k])
+        cols = self._coboundary_columns(2) + [[int(v == k) for v in range(nvars)] for k in inverse]
+        orders = list(shape.d) * len(shape.nonid) ** 3 + [shape.orders[k] for k in inverse]
         return self._kernel_mod_orders(cols, orders, nvars)
 
     def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
