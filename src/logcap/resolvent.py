@@ -269,7 +269,7 @@ class Frame:
 
     def transfer_map(self, a: Sequence[int], tau: GElt) -> Vec:
         """The transfer of (a, tau) into A: N * a + c(tau).  The norm N, the
-        sum of the action matrices, is the A rows of the trace matrix."""
+        sum of the action matrices, is read off the A rows of the trace matrix."""
         return self.inst.a_add(vec_mat(a, self.trace_matrix, self.orders), self.offsets[tau])
 
     # shared submodules -------------------------------------------------------
