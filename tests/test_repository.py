@@ -1,12 +1,13 @@
 """Repository-wide checks: the library's invariants survive ``python -O``,
-every demo script runs to completion, every name the benchmark's tracer
-wraps and every name in ``logcap.__all__`` exists, the benchmark's own
-tests pass, every committed benchmark
-record names what the benchmark measures, and no public library name is
-there for its tests alone."""
+every demo script runs to completion and prints its pinned output, every
+name the benchmark's tracer wraps and every name in ``logcap.__all__``
+exists, the benchmark's own tests pass, every committed benchmark record
+names what the benchmark measures, and no public library name is there
+for its tests alone."""
 
 import ast
 import collections
+import hashlib
 import importlib
 import json
 import os
@@ -31,15 +32,25 @@ def test_no_assert_statements_in_library():
     assert found == []
 
 
+# sha256 of each demo's stdout; every demo is deterministic, so a
+# mismatch means its printed output changed
+DEMO_DIGESTS = {
+    "01_exact_linear_algebra.py": "271d8fce19e4dc57ca28d2610e182281ad43c44a50d4522e8aec679738a5c42c",
+    "02_extension_group_and_transfer.py": "c473dece8e2c48bae79e6efc8a9c903bc833dcbcf656467cd0341508102df3e3",
+    "03_resolvent_and_certificates.py": "a6c49826ae15b111baa9bd8fa3b0c9ef79c4922a96144833f476e4992a53acd9",
+    "04_checking_the_statements.py": "c7157d06455c7bd46eaa20a9680519e38bfee88f4c8c06fba6d0633c738e5d89",
+    "05_searching_for_instances.py": "71452c7b889f575b0e0a34357d4a692230680aab68a52715f7e7a8676364e383",
+}
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(path):
     env = dict(os.environ)
     src = str(REPO / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run(
-        [sys.executable, str(path)], cwd=REPO, env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, str(path)], cwd=REPO, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[path.name], proc.stdout.decode()
 
 
 def _tracer_tables() -> dict:
