@@ -38,7 +38,7 @@ DEMO_DIGESTS = {
     "01_exact_linear_algebra.py": "271d8fce19e4dc57ca28d2610e182281ad43c44a50d4522e8aec679738a5c42c",
     "02_extension_group_and_transfer.py": "c473dece8e2c48bae79e6efc8a9c903bc833dcbcf656467cd0341508102df3e3",
     "03_resolvent_and_certificates.py": "a6c49826ae15b111baa9bd8fa3b0c9ef79c4922a96144833f476e4992a53acd9",
-    "04_checking_the_statements.py": "c7157d06455c7bd46eaa20a9680519e38bfee88f4c8c06fba6d0633c738e5d89",
+    "04_checking_the_statements.py": "3f7a82fb1e2881a73f8415756c90124d96da296488645473ac46b69716272b67",
     "05_searching_for_instances.py": "71452c7b889f575b0e0a34357d4a692230680aab68a52715f7e7a8676364e383",
 }
 
