@@ -10,8 +10,10 @@ from logcap.extension import (
     transfer,
     u_order,
 )
+from logcap.groupring import AbelianLGroup, GroupRingElt
 from logcap.instance import build_instance, coboundary_shift, load_instance, validate
-from logcap.resolvent import trace
+from logcap.lattice import ZModRing
+from logcap.resolvent import ResolventElt, trace
 from tests.conftest import FIXTURES, corpus_paths, span_elements
 
 
@@ -64,6 +66,44 @@ def test_group_axioms_exhaustive(e1):
 def test_instance_mismatch_rejected(e1, trivial_atilde):
     with pytest.raises(InstanceMismatchError):
         UElement(e1, (0, 0), (0,)) * UElement(trivial_atilde, (0,), (0,))
+
+
+# each public constructor's own input check, on e1 (G = Z/2, dim A = 2)
+_CONSTRUCTOR_REFUSALS = {
+    "group-ring-key-outside-G": (
+        lambda e1: GroupRingElt(e1.group, e1.ring, {(2,): 1}),
+        r"^\(2,\) is not an element of AbelianLGroup\(2, \(2,\)\)$",
+    ),
+    "group-ring-key-of-wrong-rank": (
+        lambda e1: GroupRingElt(e1.group, e1.ring, {(0, 0): 1}),
+        r"^\(0, 0\) is not an element of AbelianLGroup\(2, \(2,\)\)$",
+    ),
+    "u-element-a-of-wrong-length": (
+        lambda e1: UElement(e1, (0,), (0,)),
+        r"^components do not fit the instance$",
+    ),
+    "u-element-tau-outside-G": (
+        lambda e1: UElement(e1, (0, 0), (2,)),
+        r"^components do not fit the instance$",
+    ),
+    "resolvent-wrong-lambda-count": (
+        lambda e1: ResolventElt(e1, (0, 0), (0, 0)),
+        r"^coordinates do not fit the instance$",
+    ),
+    "group-of-non-prime": (lambda e1: AbelianLGroup(4, [4]), r"^4 is not prime$"),
+    "group-order-not-a-power": (
+        lambda e1: AbelianLGroup(2, [6]),
+        r"^cyclic factor order 6 is not a positive power of 2$",
+    ),
+    "ring-of-non-prime": (lambda e1: ZModRing(6, 2), r"^6 is not prime$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTRUCTOR_REFUSALS))
+def test_public_constructor_refuses_input_that_does_not_fit(e1, case):
+    build, message = _CONSTRUCTOR_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        build(e1)
 
 
 def test_derived_subgroup_e1(e1):
