@@ -31,9 +31,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .groupring import GElt, GroupRingElt, cofactor_row, det_ring, trace_element
+from .instance import Instance, ValidationReport, validate
 from .lattice import (
     InternalInvariantError,
     Submodule,
@@ -45,9 +46,6 @@ from .lattice import (
     torsion_size,
     vec_mat,
 )
-
-if TYPE_CHECKING:
-    from .instance import Instance, ValidationReport
 
 Vec = Tuple[int, ...]
 
@@ -329,9 +327,7 @@ class Frame:
     @cached_property
     def validation(self) -> "ValidationReport":
         """The validation report of the instance, shared by every check."""
-        from . import instance
-
-        return instance.validate(self.inst)
+        return validate(self.inst)
 
     @cached_property
     def ig_b(self) -> Submodule:

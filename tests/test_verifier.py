@@ -379,7 +379,7 @@ def test_each_derived_submodule_is_built_once(monkeypatch):
 
 
 def test_each_instance_is_validated_once(monkeypatch):
-    from logcap import instance
+    from logcap import instance, resolvent
 
     calls = []
     validate = instance.validate
@@ -388,7 +388,9 @@ def test_each_instance_is_validated_once(monkeypatch):
         calls.append(inst)
         return validate(inst)
 
-    monkeypatch.setattr(instance, "validate", counted)
+    # the frame calls validate through resolvent's module-level binding
+    for module in (instance, resolvent):
+        monkeypatch.setattr(module, "validate", counted)
     e1 = instance.load_instance(FIXTURES / "e1.json")
     assert run_all(e1, oracle_bound=4096).validation.ok
     # run_check reads the frame's report instead of validating again
