@@ -63,9 +63,9 @@ def _fmt_vec(v) -> list:
 
 def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
     # Both sides are affine in a with the same linear part, the norm (the A
-    # rows of Tr), so they agree on U exactly when they agree at (0, tau)
-    # for every tau.  G order finds the first failing pair of the walk over
-    # U, A coordinates outer and G inner.
+    # rows of Tr), so their difference does not depend on a: they agree on U
+    # exactly when they agree at (0, tau) for every tau, and the first failing
+    # tau is the first failure of the walk over U, A outer and G inner.
     a = inst.a_zero()
     for tau in inst.group.elements():
         via_transfer = extension.transfer(inst, a, tau)
