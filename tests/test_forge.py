@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -10,10 +11,13 @@ import pytest
 from logcap import forge
 from logcap.extension import transfer, u_order
 from logcap.forge import (
+    DEFAULT_ORACLE_BOUND,
     CeilingExceededError,
     ComponentSpec,
     OracleBoundError,
+    OracleFacts,
     SearchParams,
+    _closure,
     _CocycleSpace,
     _full_matrix,
     _generator_candidates,
@@ -27,6 +31,7 @@ from logcap.forge import (
 )
 from logcap.groupring import AbelianLGroup
 from logcap.instance import (
+    Instance,
     RejectedShiftError,
     build_instance,
     coboundary_shift,
@@ -34,7 +39,16 @@ from logcap.instance import (
     load_instance,
     validate,
 )
-from logcap.lattice import Submodule, ZModRing, mat_mul, preimage, torsion_rows, vec_mat
+from logcap.lattice import (
+    InternalInvariantError,
+    Submodule,
+    ZModRing,
+    carry_free_coder,
+    mat_mul,
+    preimage,
+    torsion_rows,
+    vec_mat,
+)
 from tests.conftest import (
     CORPUS,
     FIXTURES,
@@ -627,6 +641,175 @@ def test_oracle_independent_of_formula_code(monkeypatch):
         inst = load_instance(path)
         assert oracle_group(inst) == facts
     assert [facts.u_order for facts in want] == [32, 256]
+
+
+# The oracle as it stood with a ``mul`` closure for its group law, kept
+# verbatim as the reference that the inlined loops must reproduce.
+
+
+def _reference_oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFacts:
+    """Materialize the extension group and compute everything by counting.
+
+    Each element (a, g) of U is one integer, code(a)*|G| + index(g), with
+    the carry-free code of A from ``lattice.carry_free_coder``: its table
+    ``red`` maps a sum of two codes to the code of the sum.  One table per
+    (s, t) holds b -> red[code(s*b) + code(f(s, t))], read from the
+    instance's action and factor set on every element, so a product
+    (a, s)(b, t) = (a + s*b + f(s, t), st) is red[a + actf[s][t][b]]*|G|
+    + gmul[s][t].  Codes become coordinate tuples only in the facts
+    returned.
+
+    A commutator subgroup is the additive span of the commutators [x, s],
+    x over the whole pool and s over a generating set that the oracle finds
+    itself, by greedy closure under its own multiplication.  The span is
+    normal (x[y,s]x^-1 = [xy,s][x,s]^-1) and makes every s central, so the
+    quotient is abelian and the span is the whole derived subgroup.
+    Transfers use the coset-product definition against the standard
+    transversal.  No resolvent machinery is involved.
+    """
+    n_u = u_order(inst)
+    if n_u > bound:
+        raise OracleBoundError(f"|U| = {n_u} exceeds the oracle bound {bound}")
+
+    orders = inst.frame.orders
+    group = inst.group
+    gelts = group.elements()
+    n_g = len(gelts)
+    gidx, gmul = group.product_indices()
+    ginv = [gidx[group.inv(x)] for x in gelts]
+
+    code, red = carry_free_coder(orders)
+    a_elts = list(itertools.product(*(range(o) for o in orders)))
+    a_codes = [code(a) for a in a_elts]
+    decode = dict(zip(a_codes, a_elts))
+    size = a_codes[-1] + 1  # the codes grow with the product order
+    neg = [0] * size
+    acts = [[0] * size for _ in gelts]
+    for c, a in zip(a_codes, a_elts):
+        neg[c] = code([-x for x in a])
+        for s, g in enumerate(gelts):
+            acts[s][c] = code(inst.act(g, a))
+    coc = [[code(inst.cocycle_in_a(s, t)) for t in gelts] for s in gelts]
+    actf = [[[red[x + f] for x in acts[s]] for f in coc[s]] for s in range(n_g)]
+
+    def mul(u, v):
+        """(a, s) * (b, t) = (a + s*b + f(s, t), st), with the A part from the tables."""
+        a, s = divmod(u, n_g)
+        b, t = divmod(v, n_g)
+        return red[a + actf[s][t][b]] * n_g + gmul[s][t]
+
+    elements = [c * n_g + g for c in a_codes for g in range(n_g)]
+    one = gidx[group.identity()]
+    identity = one  # (0, 1), with code(0) = 0
+    inv = [0] * (size * n_g)
+    for u in elements:
+        a, s = divmod(u, n_g)
+        si = ginv[s]
+        cand = red[neg[acts[si][a]] + neg[acts[si][coc[s][si]]]] * n_g + si
+        if mul(u, cand) != identity:
+            raise InternalInvariantError("oracle inverse failed verification")
+        inv[u] = cand
+
+    def generating_set(pool):
+        """Walk the pool in order, keeping each element that the ones kept
+        so far do not generate; the closure grows incrementally (old
+        elements times the new generator, new elements times every one)."""
+        gens, span = [], {identity}
+        for u in pool:
+            if u in span:
+                continue
+            gens.append(u)
+            frontier = [mul(x, u) for x in span]
+            while frontier:
+                nxt = []
+                for y in frontier:
+                    if y not in span:
+                        span.add(y)
+                        nxt.extend(mul(y, s) for s in gens)
+                frontier = nxt
+        if len(span) != len(pool):
+            raise InternalInvariantError("oracle pool is not a subgroup")
+        return gens
+
+    def commutator_span(pool):
+        vals = set()
+        for s in generating_set(pool):
+            for x in pool:
+                c, g = divmod(mul(mul(x, s), inv[mul(s, x)]), n_g)
+                if g != one:
+                    raise InternalInvariantError(
+                        "commutator left the abelian normal subgroup"
+                    )
+                vals.add(decode[c])
+        return _closure(vals, orders)
+
+    derived = commutator_span(elements)
+    degree_zero = [u for u in elements if decode[u // n_g][-1] % inst.ring.modulus == 0]
+    derived_dz = commutator_span(degree_zero)
+
+    # The transversal element (0, g) is the integer index(g).
+    transfer = {}
+    for u in elements:
+        acc = identity
+        for g in range(n_g):
+            w = mul(u, g)
+            acc = mul(acc, mul(inv[w % n_g], w))
+        c, g = divmod(acc, n_g)
+        if g != one:
+            raise InternalInvariantError("transfer product left the module")
+        a, s = divmod(u, n_g)
+        transfer[decode[a], gelts[s]] = decode[c]
+
+    gamma_lift = code(inst.gamma()) * n_g + one
+    gamma_comms = set()
+    for g in range(n_g):
+        c = mul(mul(gamma_lift, g), inv[mul(g, gamma_lift)])
+        gamma_comms.add(decode[c // n_g])
+
+    return OracleFacts(
+        u_order=n_u,
+        u_tilde_order=len(degree_zero),
+        derived=frozenset(derived),
+        derived_degree_zero=frozenset(derived_dz),
+        transfer=transfer,
+        degree_zero_index=len(degree_zero) // len(derived),
+        gamma_commutators=frozenset(_closure(gamma_comms, orders)),
+    )
+
+
+_ORACLE_REFERENCE_PATHS = corpus_paths() + sorted(FIXTURES.glob("*.json"))
+
+
+def _oracle_outcome(oracle, inst):
+    """The facts, or the type and text of what the oracle raises."""
+    try:
+        return oracle(inst)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize(
+    "path",
+    _ORACLE_REFERENCE_PATHS,
+    ids=[p.relative_to(p.parent.parent).as_posix() for p in _ORACLE_REFERENCE_PATHS],
+)
+def test_oracle_matches_the_reference_oracle(path):
+    """Field by field, transfers in full, on each corpus instance and its
+    seeded corruptions, and on each fixture; where the reference raises,
+    the oracle raises the same type with the same text."""
+    from tests.test_verifier import _v1_corruptions
+
+    base = load_instance(path)
+    insts = [base] + (_v1_corruptions(base, path.name) if path.parent.parent == CORPUS else [])
+    for inst in insts:
+        got = _oracle_outcome(oracle_group, inst)
+        want = _oracle_outcome(_reference_oracle_group, inst)
+        assert type(got) is type(want)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        for f in dataclasses.fields(OracleFacts):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 # -- corpus building -------------------------------------------------------------
