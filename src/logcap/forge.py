@@ -488,8 +488,8 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     (s, t) holds b -> red[code(s*b) + code(f(s, t))], read from the
     instance's action and factor set on every element, so a product
     (a, s)(b, t) = (a + s*b + f(s, t), st) is red[a + actf[s][t][b]]*|G|
-    + gmul[s][t].  Codes become coordinate tuples only in the facts
-    returned.
+    + gmul[s][t], written out in each loop.  Codes become coordinate
+    tuples only in the facts returned.
 
     A commutator subgroup is the additive span of the commutators [x, s],
     x over the whole pool and s over a generating set that the oracle finds
@@ -524,12 +524,6 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     coc = [[code(inst.cocycle_in_a(s, t)) for t in gelts] for s in gelts]
     actf = [[[red[x + f] for x in acts[s]] for f in coc[s]] for s in range(n_g)]
 
-    def mul(u, v):
-        """(a, s) * (b, t) = (a + s*b + f(s, t), st), with the A part from the tables."""
-        a, s = divmod(u, n_g)
-        b, t = divmod(v, n_g)
-        return red[a + actf[s][t][b]] * n_g + gmul[s][t]
-
     elements = [c * n_g + g for c in a_codes for g in range(n_g)]
     one = gidx[group.identity()]
     identity = one  # (0, 1), with code(0) = 0
@@ -537,10 +531,10 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     for u in elements:
         a, s = divmod(u, n_g)
         si = ginv[s]
-        cand = red[neg[acts[si][a]] + neg[acts[si][coc[s][si]]]] * n_g + si
-        if mul(u, cand) != identity:
+        c = red[neg[acts[si][a]] + neg[acts[si][coc[s][si]]]]
+        if red[a + actf[s][si][c]] or gmul[s][si] != one:
             raise InternalInvariantError("oracle inverse failed verification")
-        inv[u] = cand
+        inv[u] = c * n_g + si
 
     def generating_set(pool):
         """Walk the pool in order, keeping each element that the ones kept
@@ -550,53 +544,60 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
         for u in pool:
             if u in span:
                 continue
-            gens.append(u)
-            frontier = [mul(x, u) for x in span]
+            gens.append(divmod(u, n_g))
+            b, t = gens[-1]
+            pairs = map(divmod, span, itertools.repeat(n_g))
+            frontier = [red[a + actf[s][t][b]] * n_g + gmul[s][t] for a, s in pairs]
             while frontier:
                 nxt = []
                 for y in frontier:
                     if y not in span:
                         span.add(y)
-                        nxt.extend(mul(y, s) for s in gens)
+                        a, s = divmod(y, n_g)
+                        nxt += [red[a + actf[s][t][b]] * n_g + gmul[s][t] for b, t in gens]
                 frontier = nxt
         if len(span) != len(pool):
             raise InternalInvariantError("oracle pool is not a subgroup")
         return gens
 
     def commutator_span(pool):
+        """The span of [x, s] = (xs)(sx)^-1, x = (a, r) over the pool."""
         vals = set()
-        for s in generating_set(pool):
+        for b, t in generating_set(pool):
             for x in pool:
-                c, g = divmod(mul(mul(x, s), inv[mul(s, x)]), n_g)
-                if g != one:
-                    raise InternalInvariantError(
-                        "commutator left the abelian normal subgroup"
-                    )
-                vals.add(decode[c])
+                a, r = divmod(x, n_g)
+                ia, ig = divmod(inv[red[b + actf[t][r][a]] * n_g + gmul[t][r]], n_g)
+                xs = gmul[r][t]
+                if gmul[xs][ig] != one:
+                    raise InternalInvariantError("commutator left the abelian normal subgroup")
+                vals.add(decode[red[red[a + actf[r][t][b]] + actf[xs][ig][ia]]])
         return _closure(vals, orders)
 
     derived = commutator_span(elements)
     degree_zero = [u for u in elements if decode[u // n_g][-1] % inst.ring.modulus == 0]
     derived_dz = commutator_span(degree_zero)
 
-    # The transversal element (0, g) is the integer index(g).
+    # The transversal element (0, g) is the integer index(g), and
+    # actf[s][g][0] is code(f(s, g)).
     transfer = {}
     for u in elements:
-        acc = identity
-        for g in range(n_g):
-            w = mul(u, g)
-            acc = mul(acc, mul(inv[w % n_g], w))
-        c, g = divmod(acc, n_g)
-        if g != one:
-            raise InternalInvariantError("transfer product left the module")
         a, s = divmod(u, n_g)
-        transfer[decode[a], gelts[s]] = decode[c]
+        ca, cg = 0, one
+        for g in range(n_g):
+            wa, wg = red[a + actf[s][g][0]], gmul[s][g]
+            ia, ig = divmod(inv[wg], n_g)
+            pa, pg = red[ia + actf[ig][wg][wa]], gmul[ig][wg]
+            ca, cg = red[ca + actf[cg][pg][pa]], gmul[cg][pg]
+        if cg != one:
+            raise InternalInvariantError("transfer product left the module")
+        transfer[decode[a], gelts[s]] = decode[ca]
 
-    gamma_lift = code(inst.gamma()) * n_g + one
+    ga = code(inst.gamma())  # the lift (gamma, 1)
     gamma_comms = set()
     for g in range(n_g):
-        c = mul(mul(gamma_lift, g), inv[mul(g, gamma_lift)])
-        gamma_comms.add(decode[c // n_g])
+        ia, ig = divmod(inv[actf[g][one][ga] * n_g + gmul[g][one]], n_g)
+        xa, xg = red[ga + actf[one][g][0]], gmul[one][g]
+        gamma_comms.add(decode[red[xa + actf[xg][ig][ia]]])
 
     return OracleFacts(
         u_order=n_u,

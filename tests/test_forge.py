@@ -623,6 +623,23 @@ def test_oracle_matches_the_tuple_group_law(rank3):
         assert facts.gamma_commutators == gamma_span
 
 
+def test_oracle_inverse_check_reads_the_group_part(monkeypatch):
+    # a G table where one generator times its inverse is the generator: the
+    # A parts still cancel, so only the G part of the check can see it
+    inst = load_instance(FIXTURES / "e1.json")
+    product_indices = AbelianLGroup.product_indices
+
+    def broken(group):
+        idx, table = product_indices(group)
+        g = group.generators()[0]
+        table[idx[g]][idx[group.inv(g)]] = idx[g]
+        return idx, table
+
+    monkeypatch.setattr(AbelianLGroup, "product_indices", broken)
+    with pytest.raises(InternalInvariantError, match="^oracle inverse failed verification$"):
+        oracle_group(inst)
+
+
 def test_oracle_independent_of_formula_code(monkeypatch):
     from logcap import extension, resolvent
 
