@@ -14,13 +14,14 @@ embedded in the verdicts so reports are reproducible end to end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from . import extension, forge
 from .groupring import trace_element
 from .instance import Instance, ValidationReport
-from .lattice import preimage, quotient_order
+from .lattice import preimage, quotient_order, vec_mat
 from .resolvent import certificate_determinants, omega_act, star_act, trace
 
 # whether the identity lives in the torsion part (exact) or involves the
@@ -259,20 +260,26 @@ def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
             {"reason": f"|U| = {extension.u_order(inst)} exceeds bound {oracle_bound}"},
         )
     facts = forge.oracle_group(inst, bound=oracle_bound)
+    frame = inst.frame
     mismatches = {}
 
     # The oracle's sets hold reduced vectors of A.  Such a set is the
     # submodule exactly when it spans the submodule, which puts it inside,
     # and has the submodule's size, which rules out a proper subset.
-    for key in ("derived", "derived_degree_zero"):
-        oracle, sub = getattr(facts, key), getattr(inst.frame, key)
-        order = inst.frame.size(sub)
+    for key, sub in (
+        ("derived", frame.derived),
+        ("derived_degree_zero", frame.derived_degree_zero),
+        ("gamma_commutators", frame.ig_gamma),
+    ):
+        oracle, order = getattr(facts, key), frame.size(sub)
         if len(oracle) != order or inst.span_a(oracle) != sub:
             mismatches[key] = {"formula_order": order, "oracle_order": len(oracle)}
+    # The transfer N*a + c(tau) of Frame.transfer_map, with N*a taken once
+    # per a: the oracle's pairs come grouped by a.
     ver_bad = 0
-    for (a, g), want in facts.transfer.items():
-        if inst.frame.transfer_map(a, g) != want:
-            ver_bad += 1
+    for a, pairs in itertools.groupby(facts.transfer.items(), key=lambda item: item[0][0]):
+        norm = vec_mat(a, frame.trace_matrix, frame.orders)
+        ver_bad += sum(inst.a_add(norm, frame.offsets[g]) != want for (_, g), want in pairs)
     if ver_bad:
         mismatches["transfer_disagreements"] = ver_bad
     if facts.degree_zero_index != inst.group.size():

@@ -9,7 +9,7 @@ from logcap.extension import u_order
 from logcap.instance import coboundary_shift, instance_from_dict, instance_to_dict, load_instance
 from logcap.resolvent import trace
 from logcap.verifier import CHECK_ARITHMETIC, CHECK_IDS, run_all, run_check
-from tests.conftest import FIXTURES, corpus_paths, random_admissible_shift, span_elements
+from tests.conftest import CORPUS, FIXTURES, corpus_paths, random_admissible_shift, span_elements
 
 
 def test_e1_all_checks_pass(e1):
@@ -301,6 +301,19 @@ def test_v10_fails_on_a_derived_set_that_is_not_the_whole_subgroup(inst33, monke
         v = run_check(inst33, "V10", oracle_bound=4096)
         assert v.status == "fail"
         assert v.witness["mismatches"] == {"derived": want}
+
+
+def test_v10_fails_on_gamma_commutators_that_do_not_span_ig_gamma():
+    # a seeded corruption whose law still has inverses and the formula's
+    # derived subgroups, but whose gamma commutators span only zero while
+    # I_G * gamma has order 4
+    path = CORPUS / "l2" / "p2_n4_G2_A4_001.json"
+    inst = _v1_corruptions(load_instance(path), path.name)[1]
+    v = run_check(inst, "V10", oracle_bound=4096, force=True)
+    assert v.status == "fail"
+    assert v.witness["mismatches"] == {
+        "gamma_commutators": {"formula_order": 4, "oracle_order": 1}
+    }
 
 
 def test_report_serialization_roundtrip(e1):
