@@ -12,7 +12,7 @@ import pytest
 from logcap import cli
 from logcap.cli import main
 from logcap.instance import SchemaError, instance_from_dict
-from tests.conftest import FIXTURES
+from tests.conftest import CORPUS, FIXTURES
 
 
 def run_cli(args, capsys):
@@ -152,10 +152,15 @@ def test_search_ceiling_refusal_exit_code(tmp_path, capsys):
 
 
 def test_oracle_command(capsys):
-    code, out, _ = run_cli(["oracle", FIXTURES / "e1.json"], capsys)
-    assert code == 0
-    assert "|U| = 32" in out
-    assert "|U'| = 2" in out
+    # the whole output, on e1 and on a corpus instance with G and A~ of rank 2
+    for path, want in (
+        (FIXTURES / "e1.json", "|U| = 32\n|U~| = 4\n|U'| = 2\n|U~'| = 1\n|U~ / U'| = 2\n"
+         "|U^omega| = 2\n"),
+        (CORPUS / "l2" / "p2_n4_G2x2_A2x2_000.json", "|U| = 256\n|U~| = 16\n|U'| = 4\n"
+         "|U~'| = 1\n|U~ / U'| = 4\n|U^omega| = 4\n"),
+    ):
+        code, out, err = run_cli(["oracle", path], capsys)
+        assert (code, out, err) == (0, want, "")
 
 
 def test_oracle_command_refuses_an_invalid_instance(capsys):
