@@ -561,7 +561,7 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
         return gens
 
     def commutator_span(pool):
-        """The span of [x, s] = (xs)(sx)^-1, x = (a, r) over the pool."""
+        """The span of [x, s] = xs(sx)^-1, x = (a, r) over the pool, s = (b, t) a generator."""
         vals = set()
         for b, t in generating_set(pool):
             for x in pool:
