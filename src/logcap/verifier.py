@@ -253,12 +253,9 @@ def _v9_index(inst: Instance, oracle_bound: int) -> Verdict:
 
 
 def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
-    if extension.u_order(inst) > oracle_bound:
-        return Verdict(
-            "V10",
-            "skipped",
-            {"reason": f"|U| = {extension.u_order(inst)} exceeds bound {oracle_bound}"},
-        )
+    n_u = extension.u_order(inst)
+    if n_u > oracle_bound:
+        return Verdict("V10", "skipped", {"reason": f"|U| = {n_u} exceeds bound {oracle_bound}"})
     facts = forge.oracle_group(inst, bound=oracle_bound)
     frame = inst.frame
     mismatches = {}
