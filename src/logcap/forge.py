@@ -53,7 +53,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .extension import u_order
 from .groupring import AbelianLGroup, GElt, check_l_powers
 from .instance import (
     Instance,
@@ -484,9 +483,11 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
 
     Each element (a, g) of U is one integer, code(a)*|G| + index(g), with
     the carry-free code of A from ``lattice.carry_free_coder``: its table
-    ``red`` maps a sum of two codes to the code of the sum.  One table per
-    (s, t) holds b -> red[code(s*b) + code(f(s, t))], read from the
-    instance's action and factor set on every element, so a product
+    ``red`` maps a sum of two codes to the code of the sum.  The action
+    tables are built from the stored generator matrices, b*M = (b - e_i)*M
+    + row i of M, and composed in generator order, so they reduce per
+    coordinate after each generator.  With f the stored factor set, a table
+    per (s, t) maps b to red[code(s*b) + code(f(s, t))], and a product
     (a, s)(b, t) = (a + s*b + f(s, t), st) is red[a + actf[s][t][b]]*|G|
     + gmul[s][t], written out in each loop.  Codes become coordinate
     tuples only in the facts returned.
@@ -499,29 +500,38 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     Transfers use the coset-product definition against the standard
     transversal.  No resolvent machinery is involved.
     """
-    n_u = u_order(inst)
-    if n_u > bound:
-        raise OracleBoundError(f"|U| = {n_u} exceeds the oracle bound {bound}")
-
-    orders = inst.frame.orders
+    orders = inst.atilde_orders + (inst.prime**inst.precision,)
     group = inst.group
     gelts = group.elements()
     n_g = len(gelts)
+    n_u = n_g * math.prod(orders)
+    if n_u > bound:
+        raise OracleBoundError(f"|U| = {n_u} exceeds the oracle bound {bound}")
     gidx, gmul = group.product_indices()
     ginv = [gidx[group.inv(x)] for x in gelts]
 
     code, red = carry_free_coder(orders)
-    a_elts = list(itertools.product(*(range(o) for o in orders)))
-    a_codes = [code(a) for a in a_elts]
-    decode = dict(zip(a_codes, a_elts))
+    steps, a_codes = [], [0]  # (code(b), code(b - e_i), i), b - e_i first; then A's codes
+    for i in reversed(range(len(orders))):
+        w = code([int(j == i) for j in range(len(orders))])
+        steps += [(c + k * w, c + k * w - w, i) for k in range(1, orders[i]) for c in a_codes]
+        a_codes = [c + k * w for k in range(orders[i]) for c in a_codes]
+    decode = dict(zip(a_codes, itertools.product(*(range(o) for o in orders))))
     size = a_codes[-1] + 1  # the codes grow with the product order
-    neg = [0] * size
-    acts = [[0] * size for _ in gelts]
-    for c, a in zip(a_codes, a_elts):
-        neg[c] = code([-x for x in a])
-        for s, g in enumerate(gelts):
-            acts[s][c] = code(inst.act(g, a))
-    coc = [[code(inst.cocycle_in_a(s, t)) for t in gelts] for s in gelts]
+    neg, acts = [0] * size, [[0] * size]  # acts[0], of the identity gelts[0], keeps each code
+    for c, a in decode.items():
+        neg[c], acts[0][c] = code([-x for x in a]), c
+    gen_acts = []
+    for m in inst.action:
+        rows, tab = [code(r) for r in m], [0] * size
+        for c, p, i in steps:
+            tab[c] = red[tab[p] + rows[i]]
+        gen_acts.append(tab)
+    for g in gelts[1:]:  # g = (g - e_k) * e_k, as AbelianLGroup.matrices multiplies
+        k = max(i for i, x in enumerate(g) if x)
+        acts.append([gen_acts[k][x] for x in acts[gidx[g[:k] + (g[k] - 1,) + g[k + 1 :]]]])
+    fcodes = {(s, t): code(v) for s, t, v in inst.cocycle}  # v has no gamma coordinate
+    coc = [[fcodes.get((s, t), 0) for t in gelts] for s in gelts]
     actf = [[[red[x + f] for x in acts[s]] for f in coc[s]] for s in range(n_g)]
 
     elements = [c * n_g + g for c in a_codes for g in range(n_g)]
@@ -574,7 +584,7 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
         return _closure(vals, orders)
 
     derived = commutator_span(elements)
-    degree_zero = [u for u in elements if decode[u // n_g][-1] % inst.ring.modulus == 0]
+    degree_zero = [u for u in elements if decode[u // n_g][-1] == 0]
     derived_dz = commutator_span(degree_zero)
 
     # The transversal element (0, g) is the integer index(g), and

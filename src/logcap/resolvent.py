@@ -116,7 +116,8 @@ class Frame:
     def action(self) -> Dict[GElt, tuple]:
         """Row-action matrix of every group element, tau_1^k_1 ... tau_s^k_s
         multiplied in generator order.  Reduced mod l^n, not per coordinate:
-        the two agree only on instances that pass action-well-defined."""
+        the two agree only on instances that pass action-well-defined.  The
+        oracle composes per coordinate, from ``inst.action`` directly."""
         inst = self.inst
         return inst.group.matrices(inst.action, (self.ring.modulus,) * inst.dim_a)
 

@@ -654,10 +654,33 @@ def test_oracle_independent_of_formula_code(monkeypatch):
     monkeypatch.setattr(resolvent.Frame, "transfer_map", refuse)
     monkeypatch.setattr(resolvent.Frame, "offsets", property(refuse))
     monkeypatch.setattr(resolvent.Frame, "trace_matrix", property(refuse))
+    for name in ("action", "cocycle_table", "orders", "ring"):
+        monkeypatch.setattr(resolvent.Frame, name, property(refuse))
     for path, facts in zip(paths, want):
         inst = load_instance(path)
         assert oracle_group(inst) == facts
     assert [facts.u_order for facts in want] == [32, 256]
+
+
+def test_per_coordinate_action_is_inst_act_on_valid_instances():
+    """The oracle's action tables reduce per coordinate after each
+    generator; on every corpus instance and fixture that validates, that
+    acts on all of A as inst.act does, whether the generators are applied
+    in turn or multiplied first by AbelianLGroup.matrices."""
+    insts = [load_instance(p) for p in corpus_paths() + sorted(FIXTURES.glob("*.json"))]
+    insts = [inst for inst in insts if validate(inst).ok]
+    for inst in insts:
+        group, orders = inst.group, inst.frame.orders
+        mats = group.matrices(inst.action, orders)
+        a_elts = list(itertools.product(*(range(o) for o in orders)))
+        images = {group.identity(): a_elts}
+        for g in group.nonidentity():  # g = (g - e_k) * e_k, as matrices multiplies
+            k = max(i for i, x in enumerate(g) if x)
+            prev = images[g[:k] + (g[k] - 1,) + g[k + 1 :]]
+            images[g] = [vec_mat(x, inst.action[k], orders) for x in prev]
+            assert images[g] == [inst.act(g, a) for a in a_elts]
+            assert images[g] == [vec_mat(a, mats[g], orders) for a in a_elts]
+    assert len(insts) == 56
 
 
 # The oracle as it stood with a ``mul`` closure for its group law, kept
