@@ -37,8 +37,8 @@ pairs commute, which yields them in ``itertools.product`` order.
 The oracle at the bottom knows nothing about any of that: it materializes
 the extension group, finds its own generating set by greedy closure, takes
 the commutators of every element with those generators, computes transfers
-by the coset-product definition, and counts.  Its only shared ingredient is
-the group law itself.
+by the coset-product definition, and counts.  It reads only the stored data
+of the instance and shares nothing but the group law itself.
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     ginv = [gidx[group.inv(x)] for x in gelts]
 
     code, red = carry_free_coder(orders)
-    steps, a_codes = [], [0]  # (code(b), code(b - e_i), i), b - e_i first; then A's codes
+    steps, a_codes = [], [0]  # steps fill b - e_i before b; a_codes ends in product order
     for i in reversed(range(len(orders))):
         w = code([int(j == i) for j in range(len(orders))])
         steps += [(c + k * w, c + k * w - w, i) for k in range(1, orders[i]) for c in a_codes]
