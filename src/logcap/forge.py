@@ -486,11 +486,13 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     ``red`` maps a sum of two codes to the code of the sum.  The action
     tables are built from the stored generator matrices, b*M = (b - e_i)*M
     + row i of M, and composed in generator order, so they reduce per
-    coordinate after each generator.  With f the stored factor set, a table
-    per (s, t) maps b to red[code(s*b) + code(f(s, t))], and a product
-    (a, s)(b, t) = (a + s*b + f(s, t), st) is red[a + actf[s][t][b]]*|G|
-    + gmul[s][t], written out in each loop.  Codes become coordinate
-    tuples only in the facts returned.
+    coordinate after each generator; negation is built the same way from
+    -I.  With f the stored factor set, the row for (s, t) maps b to
+    red[code(s*b) + code(f(s, t))], so a product (a, s)(b, t) = (a + s*b +
+    f(s, t), st) is red[a + row(s, t)[b]]*|G| + gmul[s][t].  A row is built
+    the first time a loop asks for it, and each loop reads its rows before
+    its inner loop over A.  Codes become coordinate tuples only in the
+    facts returned.
 
     A commutator subgroup is the additive span of the commutators [x, s],
     x over the whole pool and s over a generating set that the oracle finds
@@ -499,6 +501,12 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     quotient is abelian and the span is the whole derived subgroup.
     Transfers use the coset-product definition against the standard
     transversal.  No resolvent machinery is involved.
+
+    Each product of G a loop relies on is checked once, where it is read:
+    "commutator left the abelian normal subgroup" per generator and r in G,
+    "transfer product left the module" per transversal element.  Both read
+    only ``product_indices`` and ``ginv``, so only a broken G table fails
+    them; a factor set that is not a cocycle stops at the inverse check.
     """
     orders = inst.atilde_orders + (inst.prime**inst.precision,)
     group = inst.group
@@ -511,103 +519,119 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
     ginv = [gidx[group.inv(x)] for x in gelts]
 
     code, red = carry_free_coder(orders)
+    units = [code([int(j == i) for j in range(len(orders))]) for i in range(len(orders))]
     steps, a_codes = [], [0]  # steps fill b - e_i before b; a_codes ends in product order
     for i in reversed(range(len(orders))):
-        w = code([int(j == i) for j in range(len(orders))])
+        w = units[i]
         steps += [(c + k * w, c + k * w - w, i) for k in range(1, orders[i]) for c in a_codes]
         a_codes = [c + k * w for k in range(orders[i]) for c in a_codes]
     decode = dict(zip(a_codes, itertools.product(*(range(o) for o in orders))))
     size = a_codes[-1] + 1  # the codes grow with the product order
-    neg, acts = [0] * size, [[0] * size]  # acts[0], of the identity gelts[0], keeps each code
-    for c, a in decode.items():
-        neg[c], acts[0][c] = code([-x for x in a]), c
-    gen_acts = []
-    for m in inst.action:
-        rows, tab = [code(r) for r in m], [0] * size
+
+    def table(rows):
+        """The code table of b -> b*M, from the codes of the rows of M."""
+        tab = [0] * size
         for c, p, i in steps:
             tab[c] = red[tab[p] + rows[i]]
-        gen_acts.append(tab)
+        return tab
+
+    neg = table([(o - 1) * w for o, w in zip(orders, units)])
+    acts = [table(units)]  # acts[0], of the identity gelts[0], keeps each code
+    gen_acts = [table([code(r) for r in m]) for m in inst.action]
     for g in gelts[1:]:  # g = (g - e_k) * e_k, as AbelianLGroup.matrices multiplies
         k = max(i for i, x in enumerate(g) if x)
         acts.append([gen_acts[k][x] for x in acts[gidx[g[:k] + (g[k] - 1,) + g[k + 1 :]]]])
     fcodes = {(s, t): code(v) for s, t, v in inst.cocycle}  # v has no gamma coordinate
     coc = [[fcodes.get((s, t), 0) for t in gelts] for s in gelts]
-    actf = [[[red[x + f] for x in acts[s]] for f in coc[s]] for s in range(n_g)]
+    actf = [None] * (n_g * n_g)  # the rows, by s*|G| + t
 
-    elements = [c * n_g + g for c in a_codes for g in range(n_g)]
-    one = gidx[group.identity()]
-    identity = one  # (0, 1), with code(0) = 0
-    inv = [0] * (size * n_g)
-    for u in elements:
-        a, s = divmod(u, n_g)
-        si = ginv[s]
-        c = red[neg[acts[si][a]] + neg[acts[si][coc[s][si]]]]
-        if red[a + actf[s][si][c]] or gmul[s][si] != one:
+    def row(s, t):
+        r = actf[s * n_g + t]
+        if r is None:
+            f = coc[s][t]
+            r = actf[s * n_g + t] = [red[x + f] for x in acts[s]]
+        return r
+
+    one = gidx[group.identity()]  # (0, 1) is the integer one, with code(0) = 0
+    inva = []  # (c, s)^-1 = (inva[s][c], ginv[s])
+    for s, si in enumerate(ginv):
+        act, prod = acts[si], row(s, si)
+        fi = neg[act[coc[s][si]]]
+        tab = [red[neg[x] + fi] for x in act]
+        if gmul[s][si] != one or any(red[a + prod[tab[a]]] for a in a_codes):
             raise InternalInvariantError("oracle inverse failed verification")
-        inv[u] = c * n_g + si
+        inva.append(tab)
 
     def generating_set(pool):
         """Walk the pool in order, keeping each element that the ones kept
         so far do not generate; the closure grows incrementally (old
-        elements times the new generator, new elements times every one)."""
-        gens, span = [], {identity}
+        elements times the new generator, new elements times every one).
+        Right multiplication by a generator (b, t) reads, per s, the code
+        of s*b + f(s, t) and the index of st."""
+        gens, muls, span = [], [], {one}
         for u in pool:
             if u in span:
                 continue
-            gens.append(divmod(u, n_g))
-            b, t = gens[-1]
-            pairs = map(divmod, span, itertools.repeat(n_g))
-            frontier = [red[a + actf[s][t][b]] * n_g + gmul[s][t] for a, s in pairs]
+            b, t = divmod(u, n_g)
+            gens.append((b, t))
+            muls.append(([row(s, t)[b] for s in range(n_g)], [gmul[s][t] for s in range(n_g)]))
+            frontier, by = span, muls[-1:]
             while frontier:
-                nxt = []
-                for y in frontier:
-                    if y not in span:
-                        span.add(y)
-                        a, s = divmod(y, n_g)
-                        nxt += [red[a + actf[s][t][b]] * n_g + gmul[s][t] for b, t in gens]
-                frontier = nxt
+                pairs = [divmod(y, n_g) for y in frontier]
+                frontier = {red[a + cs[s]] * n_g + gs[s] for cs, gs in by for a, s in pairs} - span
+                span |= frontier
+                by = muls
         if len(span) != len(pool):
             raise InternalInvariantError("oracle pool is not a subgroup")
         return gens
 
-    def commutator_span(pool):
-        """The span of [x, s] = xs(sx)^-1, x = (a, r) over the pool, s = (b, t) a generator."""
+    def commutator_span(pool, codes):
+        """The span of [x, s] = xs(sx)^-1, x = (a, r) over the pool, whose
+        A-codes are ``codes`` for each r, and s = (b, t) a generator."""
         vals = set()
         for b, t in generating_set(pool):
-            for x in pool:
-                a, r = divmod(x, n_g)
-                ia, ig = divmod(inv[red[b + actf[t][r][a]] * n_g + gmul[t][r]], n_g)
-                xs = gmul[r][t]
-                if gmul[xs][ig] != one:
+            for r in range(n_g):
+                tr, rt = gmul[t][r], gmul[r][t]
+                ig = ginv[tr]
+                if gmul[rt][ig] != one:
                     raise InternalInvariantError("commutator left the abelian normal subgroup")
-                vals.add(decode[red[red[a + actf[r][t][b]] + actf[xs][ig][ia]]])
-        return _closure(vals, orders)
+                sx, xs, last, ia = row(t, r), row(r, t)[b], row(rt, ig), inva[tr]
+                vals.update([red[red[a + xs] + last[ia[red[b + sx[a]]]]] for a in codes])
+        return _closure([decode[c] for c in vals], orders)
 
-    derived = commutator_span(elements)
-    degree_zero = [u for u in elements if decode[u // n_g][-1] == 0]
-    derived_dz = commutator_span(degree_zero)
+    elements = [c * n_g + g for c in a_codes for g in range(n_g)]
+    derived = commutator_span(elements, a_codes)
+    dz_codes = [c for c in a_codes if decode[c][-1] == 0]
+    degree_zero = [c * n_g + g for c in dz_codes for g in range(n_g)]
+    derived_dz = commutator_span(degree_zero, dz_codes)
 
-    # The transversal element (0, g) is the integer index(g), and
-    # actf[s][g][0] is code(f(s, g)).
-    transfer = {}
-    for u in elements:
-        a, s = divmod(u, n_g)
-        ca, cg = 0, one
-        for g in range(n_g):
-            wa, wg = red[a + actf[s][g][0]], gmul[s][g]
-            ia, ig = divmod(inv[wg], n_g)
-            pa, pg = red[ia + actf[ig][wg][wa]], gmul[ig][wg]
-            ca, cg = red[ca + actf[cg][pg][pa]], gmul[cg][pg]
-        if cg != one:
+    # The transversal element (0, w) is the integer index(w), and (a, s)(0, g)
+    # is (a + f(s, g), sg).  back[w] maps the code x of (x, w) to that of
+    # (0, w)^-1 (x, w) in A, plus f(1, 1): the factor of multiplying it
+    # onto the product so far, which stays in A.
+    ident = row(one, one)
+    back = []
+    for w, iw in enumerate(ginv):
+        if gmul[iw][w] != one:
             raise InternalInvariantError("transfer product left the module")
-        transfer[decode[a], gelts[s]] = decode[ca]
+        ia, prod = inva[w][0], row(iw, w)
+        back.append([ident[red[ia + x]] for x in prod])
+    walks = [list(zip([back[w] for w in gmul[s]], coc[s])) for s in range(n_g)]
+    transfer = {}
+    for a in a_codes:
+        for s, walk in enumerate(walks):
+            ca = 0
+            for bw, f in walk:
+                ca = red[ca + bw[red[a + f]]]
+            transfer[decode[a], gelts[s]] = decode[ca]
 
     ga = code(inst.gamma())  # the lift (gamma, 1)
     gamma_comms = set()
     for g in range(n_g):
-        ia, ig = divmod(inv[actf[g][one][ga] * n_g + gmul[g][one]], n_g)
-        xa, xg = red[ga + actf[one][g][0]], gmul[one][g]
-        gamma_comms.add(decode[red[xa + actf[xg][ig][ia]]])
+        gg = gmul[g][one]
+        ia, ig = inva[gg][row(g, one)[ga]], ginv[gg]
+        xa, xg = red[ga + coc[one][g]], gmul[one][g]
+        gamma_comms.add(decode[red[xa + row(xg, ig)[ia]]])
 
     return OracleFacts(
         u_order=n_u,

@@ -14,7 +14,6 @@ embedded in the verdicts so reports are reproducible end to end.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -271,12 +270,15 @@ def _v10_oracle(inst: Instance, oracle_bound: int) -> Verdict:
         oracle, order = getattr(facts, key), frame.size(sub)
         if len(oracle) != order or inst.span_a(oracle) != sub:
             mismatches[key] = {"formula_order": order, "oracle_order": len(oracle)}
-    # The transfer N*a + c(tau) of Frame.transfer_map, with N*a taken once
-    # per a: the oracle's pairs come grouped by a.
-    ver_bad = 0
-    for a, pairs in itertools.groupby(facts.transfer.items(), key=lambda item: item[0][0]):
+    # The transfer N*a + c(tau) of Frame.transfer_map: N*a once per a, and
+    # the row {tau: N*a + c(tau)} once per distinct N*a.
+    rows, by_norm = {}, {}
+    for a in {a for a, _ in facts.transfer}:
         norm = vec_mat(a, frame.trace_matrix, frame.orders)
-        ver_bad += sum(inst.a_add(norm, frame.offsets[g]) != want for (_, g), want in pairs)
+        if norm not in by_norm:
+            by_norm[norm] = {g: inst.a_add(norm, c) for g, c in frame.offsets.items()}
+        rows[a] = by_norm[norm]
+    ver_bad = sum([rows[a][g] != want for (a, g), want in facts.transfer.items()])
     if ver_bad:
         mismatches["transfer_disagreements"] = ver_bad
     if facts.degree_zero_index != inst.group.size():

@@ -303,6 +303,43 @@ def test_v10_fails_on_a_derived_set_that_is_not_the_whole_subgroup(inst33, monke
         assert v.witness["mismatches"] == {"derived": want}
 
 
+def test_v10_verdict_does_not_depend_on_the_order_of_the_oracle_transfers(monkeypatch):
+    from dataclasses import replace
+
+    from logcap import forge
+
+    insts = [load_instance(p) for p in corpus_paths()]
+    insts = [inst for inst in insts if u_order(inst) <= 256]
+    want = [run_check(inst, "V10", oracle_bound=4096) for inst in insts]
+    assert len(insts) == 42 and all(v.status == "pass" for v in want)
+    oracle = forge.oracle_group
+
+    def reversed_transfers(inst, bound):
+        facts = oracle(inst, bound)
+        return replace(facts, transfer=dict(reversed(facts.transfer.items())))
+
+    monkeypatch.setattr(forge, "oracle_group", reversed_transfers)
+    assert [run_check(inst, "V10", oracle_bound=4096) for inst in insts] == want
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_v10_counts_each_changed_transfer_value(inst33, monkeypatch, k):
+    from dataclasses import replace
+
+    from logcap import forge
+
+    facts = forge.oracle_group(inst33, bound=4096)
+    transfer = dict(facts.transfer)
+    orders = inst33.frame.orders
+    for key in random.Random(k).sample(sorted(transfer), k):
+        transfer[key] = tuple((x + 1) % o for x, o in zip(transfer[key], orders))
+    patched = replace(facts, transfer=transfer)
+    monkeypatch.setattr(forge, "oracle_group", lambda inst, bound: patched)
+    v = run_check(inst33, "V10", oracle_bound=4096)
+    assert v.status == "fail"
+    assert v.witness["mismatches"] == {"transfer_disagreements": k}
+
+
 def test_v10_fails_on_gamma_commutators_that_do_not_span_ig_gamma():
     # a seeded corruption whose law still has inverses and the formula's
     # derived subgroups, but whose gamma commutators span only zero while
