@@ -585,11 +585,11 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
             raise InternalInvariantError("oracle pool is not a subgroup")
         return gens
 
-    def commutator_span(pool, codes):
-        """The span of [x, s] = xs(sx)^-1, x = (a, r) over the pool, whose
-        A-codes are ``codes`` for each r, and s = (b, t) a generator."""
+    def commutator_span(codes):
+        """The span of [x, s] = xs(sx)^-1, x = (a, r) over the pool of the
+        elements with A-code in ``codes``, s = (b, t) a generator."""
         vals = set()
-        for b, t in generating_set(pool):
+        for b, t in generating_set([c * n_g + g for c in codes for g in range(n_g)]):
             for r in range(n_g):
                 tr, rt = gmul[t][r], gmul[r][t]
                 ig = ginv[tr]
@@ -599,11 +599,9 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
                 vals.update([red[red[a + xs] + last[ia[red[b + sx[a]]]]] for a in codes])
         return _closure([decode[c] for c in vals], orders)
 
-    elements = [c * n_g + g for c in a_codes for g in range(n_g)]
-    derived = commutator_span(elements, a_codes)
+    derived = commutator_span(a_codes)
     dz_codes = [c for c in a_codes if decode[c][-1] == 0]
-    degree_zero = [c * n_g + g for c in dz_codes for g in range(n_g)]
-    derived_dz = commutator_span(degree_zero, dz_codes)
+    derived_dz = commutator_span(dz_codes)
 
     # The transversal element (0, w) is the integer index(w), and (a, s)(0, g)
     # is (a + f(s, g), sg).  back[w] maps the code x of (x, w) to that of
@@ -635,11 +633,11 @@ def oracle_group(inst: Instance, bound: int = DEFAULT_ORACLE_BOUND) -> OracleFac
 
     return OracleFacts(
         u_order=n_u,
-        u_tilde_order=len(degree_zero),
+        u_tilde_order=len(dz_codes) * n_g,
         derived=frozenset(derived),
         derived_degree_zero=frozenset(derived_dz),
         transfer=transfer,
-        degree_zero_index=len(degree_zero) // len(derived),
+        degree_zero_index=len(dz_codes) * n_g // len(derived),
         gamma_commutators=frozenset(_closure(gamma_comms, orders)),
     )
 
