@@ -311,7 +311,7 @@ def test_v10_verdict_does_not_depend_on_the_order_of_the_oracle_transfers(monkey
     insts = [load_instance(p) for p in corpus_paths()]
     insts = [inst for inst in insts if u_order(inst) <= 256]
     want = [run_check(inst, "V10", oracle_bound=4096) for inst in insts]
-    assert len(insts) == 42 and all(v.status == "pass" for v in want)
+    assert len(insts) >= 42 and all(v.status == "pass" for v in want)
     oracle = forge.oracle_group
 
     def reversed_transfers(inst, bound):
