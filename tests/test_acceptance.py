@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from logcap.groupring import det_ring, trace_element
 from logcap.instance import coboundary_shift, load_instance, validate
 from logcap.extension import u_order
 from logcap.verifier import run_all
@@ -88,15 +89,20 @@ def test_criterion_3_structural_identities(corpus_reports):
 
 
 def test_criterion_4_determinant_identities(corpus_instances, corpus_reports):
-    sizes = {p.name: inst.group.size() for p, inst in corpus_instances}
-    moduli = {p.name: inst.ring.modulus for p, inst in corpus_instances}
+    # read from each certificate: det M = Tr and det Lambda = Tr over the
+    # plain group ring, and deg det M = |G| mod l^n
     ok = True
-    for name, v in _statuses(corpus_reports, "V3").items():
-        ok = ok and v.status == "pass"
-        ok = ok and v.witness["det_M_is_trace"] and v.witness["det_gamma_form_is_trace"]
-        ok = ok and v.witness["augmentation"] == sizes[name] % moduli[name]
-    for v in _statuses(corpus_reports, "V6").values():
-        ok = ok and v.status == "pass" and v.witness["images_equal"]
+    for _, inst in corpus_instances:
+        cert = inst.frame.relations[0]
+        if cert is None:
+            ok = False
+            continue
+        tr, det_m = trace_element(inst.group, inst.ring), det_ring(cert.m_matrix)
+        ok = ok and det_m == tr and det_ring(cert.lam_matrix) == tr
+        ok = ok and det_m.augmentation() == inst.group.size() % inst.ring.modulus
+    for cid in ("V3", "V6"):
+        ok = ok and all(v.status == "pass" for v in _statuses(corpus_reports, cid).values())
+    ok = ok and all(v.witness["images_equal"] for v in _statuses(corpus_reports, "V6").values())
     _criterion(4, "det M = Tr with kappa = 1; trace = omega delta", ok)
 
 

@@ -837,10 +837,10 @@ def test_oracle_matches_the_reference_oracle(path):
     """Field by field, transfers in full, on each corpus instance and its
     seeded corruptions, and on each fixture; where the reference raises,
     the oracle raises the same type with the same text."""
-    from tests.test_verifier import _v1_corruptions
+    from tests.census import v1_corruptions
 
     base = load_instance(path)
-    insts = [base] + (_v1_corruptions(base, path.name) if path.parent.parent == CORPUS else [])
+    insts = [base] + (v1_corruptions(base, path.name) if path.parent.parent == CORPUS else [])
     for inst in insts:
         got = _oracle_outcome(oracle_group, inst)
         want = _oracle_outcome(_reference_oracle_group, inst)

@@ -8,7 +8,7 @@ from logcap import resolvent
 from logcap.extension import u_order
 from logcap.groupring import GroupRingElt, det_ring, trace_element
 from logcap.instance import build_instance, load_instance
-from logcap.lattice import Submodule, quotient_order
+from logcap.lattice import InternalInvariantError, Submodule, quotient_order
 from logcap.resolvent import (
     CertificateError,
     InfeasibleRelationError,
@@ -23,9 +23,10 @@ from logcap.resolvent import (
     trace,
 )
 from logcap.verifier import CHECK_IDS, run_all, run_check
+from tests import census
+from tests.census import v1_corruptions
 from tests.conftest import CORPUS, FIXTURES, corpus_paths
 from tests.dual import OmegaRingElt, dual_matrix
-from tests.test_verifier import _v1_corruptions
 
 
 def ring_elt(inst, coeffs):
@@ -100,6 +101,30 @@ def test_omega_squared_is_zero(fixture, rng, request):
     for _ in range(10):
         b = random_b_elt(inst, rng)
         assert not any(omega_act(inst, omega_act(inst, b)))
+
+
+def test_omega_squared_is_zero_on_every_census_input():
+    """Valid or not: the rows of w are zero on A and lie in A elsewhere, so
+    w^2 = 0 wherever w builds (gamma off degree 1 stops it)."""
+    built = 0
+    for _, _, inst in census.inputs():
+        try:
+            rows = inst.frame.omega
+        except InternalInvariantError:
+            continue
+        assert not any(any(omega_act(inst, row)) for row in rows)
+        built += 1
+    assert built > len(census.inputs()) // 2
+
+
+def test_derived_is_the_degree_zero_derived_plus_ig_gamma_on_every_census_input():
+    """Valid or not: the generators of U' are those of U_t' and the
+    (1 - tau_k) * gamma, and I_G * gamma holds every (1 - tau) * gamma, so
+    U' = U_t' + I_G * gamma; the expansion gamma(I - PQ) = gamma(I - P) +
+    (gamma P)(I - Q) puts the other terms of I_G * gamma in U' as well."""
+    for _, _, inst in census.inputs():
+        frame = inst.frame
+        assert frame.derived == frame.derived_degree_zero + frame.ig_gamma
 
 
 def test_omega_commutes_with_star(e1, inst33, rng):
@@ -398,7 +423,7 @@ def test_delta_matches_the_dual_number_determinant(rank3, trivial_atilde):
     families += [(rank3, None), (trivial_atilde, None), (trivial_group, None)]
     inputs = []
     for base, seed in families:
-        copies = [] if seed is None else _v1_corruptions(base, seed)
+        copies = [] if seed is None else v1_corruptions(base, seed)
         for inst in [base] + copies:
             cert = inst.frame.relations[0]
             if cert is not None:
@@ -454,7 +479,7 @@ def test_certificate_rows_equal_the_omega_form_rows():
     certified = infeasible = 0
     for path in corpus_paths() + sorted(FIXTURES.glob("*.json")):
         base = load_instance(path)
-        copies = _v1_corruptions(base, path.name) if u_order(base) <= 256 else []
+        copies = v1_corruptions(base, path.name) if u_order(base) <= 256 else []
         for inst in [base] + copies:
             cert, _, error = inst.frame.relations
             try:

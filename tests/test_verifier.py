@@ -6,9 +6,11 @@ import pytest
 
 from logcap import extension
 from logcap.extension import u_order
-from logcap.instance import coboundary_shift, instance_from_dict, instance_to_dict, load_instance
+from logcap.instance import coboundary_shift, load_instance
 from logcap.resolvent import trace
-from logcap.verifier import CHECK_ARITHMETIC, CHECK_IDS, run_all, run_check
+from logcap.verifier import CHECK_ARITHMETIC, CHECK_IDS, Verdict, run_all, run_check
+from tests import census
+from tests.census import v1_corruptions
 from tests.conftest import CORPUS, FIXTURES, corpus_paths, random_admissible_shift, span_elements
 
 
@@ -156,26 +158,6 @@ def _v1_on_all_of_u(inst):
     return "pass", None
 
 
-def _v1_corruptions(inst, seed):
-    """Copies of inst with one factor-set value (two copies, when A has
-    torsion) or one action entry (two copies) set to a seeded random value."""
-    rnd = random.Random(seed)
-    elts, modulus = inst.group.elements(), inst.ring.modulus
-    out = []
-    for _ in range(2 if inst.atilde_orders else 0):
-        data = instance_to_dict(inst)
-        s, g = rnd.choice(elts), rnd.choice(elts)
-        data["cocycle"][",".join(map(str, s + g))] = [rnd.randrange(o) for o in inst.atilde_orders]
-        out.append(instance_from_dict(data))
-    for _ in range(2):
-        data = instance_to_dict(inst)
-        matrix = rnd.choice(list(data["A"]["action"].values()))
-        row = rnd.choice(matrix)
-        row[rnd.randrange(len(row))] = rnd.randrange(modulus)
-        out.append(instance_from_dict(data))
-    return out
-
-
 def _v1_matches_the_walk(inst):
     v = run_check(inst, "V1", force=True)
     status, failure = _v1_on_all_of_u(inst)
@@ -205,7 +187,7 @@ def test_v1_matches_the_walk_over_u_on_seeded_corruptions():
         if u_order(base) > 256:
             continue
         group = base.group
-        for inst in _v1_corruptions(base, path.name):
+        for inst in v1_corruptions(base, path.name):
             v = _v1_matches_the_walk(inst)
             if v.status == "fail":
                 tau = tuple(v.witness["element"]["tau"])
@@ -258,7 +240,7 @@ def test_v10_subgroup_entries_match_the_element_set_comparison(monkeypatch):
     compared, found = 0, set()
     for path in bases:
         base = load_instance(path)
-        for inst in [base, *_v1_corruptions(base, path.name)]:
+        for inst in [base, *v1_corruptions(base, path.name)]:
             captured.clear()
             try:
                 v = _CHECKS["V10"](inst, 4096)
@@ -345,12 +327,78 @@ def test_v10_fails_on_gamma_commutators_that_do_not_span_ig_gamma():
     # derived subgroups, but whose gamma commutators span only zero while
     # I_G * gamma has order 4
     path = CORPUS / "l2" / "p2_n4_G2_A4_001.json"
-    inst = _v1_corruptions(load_instance(path), path.name)[1]
+    inst = v1_corruptions(load_instance(path), path.name)[1]
     v = run_check(inst, "V10", oracle_bound=4096, force=True)
     assert v.status == "fail"
     assert v.witness["mismatches"] == {
         "gamma_commutators": {"formula_order": 4, "oracle_order": 1}
     }
+
+
+# The conditions of the failure census that fire on some input, and those
+# that fire on none.  A condition joins one of the two in the change that
+# adds it; CHANGES.md gives the reason each never-firing one is kept.
+CENSUS_FIRES = {
+    ("V1", "element"),
+    ("V2", "lhs_basis"),
+    ("V3", "error"),
+    ("V3", "trace_values_outside_ig_gamma"),
+    ("V4", "genus"),
+    ("V5", "error"),
+    ("V5", "generation"),
+    ("V5", "routes_disagree"),
+    ("V6", "error"),
+    ("V6", "images_equal"),
+    ("V6", "mismatches"),
+    ("V7", "error"),
+    ("V7", "nonzero_traces"),
+    ("V8", "error"),
+    ("V8", "violations"),
+    ("V9", "error"),
+    ("V9", "index"),
+    ("V10", "degree_zero_index"),
+    ("V10", "derived_degree_zero"),
+    ("V10", "error"),
+    ("V10", "gamma_commutators"),
+    ("V10", "transfer_disagreements"),
+}
+CENSUS_NEVER_FIRES = {
+    ("V3", "det_M_is_trace"),
+    ("V3", "det_gamma_form_is_trace"),
+    ("V4", "full_derived_matches_sum"),
+    ("V5", "commutator_left_the_module"),
+    ("V5", "omega_square_nonzero"),
+    ("V10", "derived"),
+}
+
+
+def test_failure_census_pins_the_conditions_that_fire():
+    fired = census.fired()
+    assert set(fired) == CENSUS_FIRES
+    assert census.CONDITIONS - CENSUS_FIRES == CENSUS_NEVER_FIRES
+
+
+def test_failure_census_coboundary_shifts_keep_every_status():
+    statuses = {}
+    for (family, base, _), rep in zip(census.inputs(), census.run()):
+        if family in ("base", "coboundary"):
+            statuses.setdefault(base, []).append([v.status for v in rep.verdicts])
+    assert len(statuses) == len(census.BASE_PATHS)
+    assert all(len(pair) == 2 and pair[0] == pair[1] for pair in statuses.values())
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        Verdict("V4", "fail", {"degree_zero_derived_order": 1, "new_key": 1}),
+        Verdict("V6", "fail", {"error": "ValueError: not a known failure"}),
+        Verdict("V9", "fail", {"index": 2, "group_order": 2}),
+        Verdict("V10", "fail", {"u_order": 8, "derived_order": 2, "mismatches": {"new": 1}}),
+    ],
+)
+def test_failure_census_refuses_a_condition_it_does_not_know(verdict):
+    with pytest.raises(census.UnknownCondition):
+        census.conditions(verdict)
 
 
 def test_report_serialization_roundtrip(e1):
