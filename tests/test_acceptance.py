@@ -221,8 +221,8 @@ def test_criterion_9_negative_controls():
 # bytes changed.  Witnesses of the forced fixtures carry the certificate
 # error strings, so those are pinned too.
 GOLDEN_REPORTS = {
-    "corpus": "1f53aed82e6730762fff0ca8bb4ddfaf97fe03c292d004313c15cbbdf117221a",
-    "forced": "2bb0fafe22e65a702ff690de45e8352f5813337ad68a18edd6a28c4703391763",
+    "corpus": "49a169ef751d7a4fb32380f83704390c74b068565cb821a9db8efbb5193c0fe8",
+    "forced": "5015238b309521643c13a06365f00b9407b3ac8ce32550c6d62bb828768d5d7f",
 }
 
 

@@ -363,9 +363,6 @@ CENSUS_FIRES = {
     ("V10", "transfer_disagreements"),
 }
 CENSUS_NEVER_FIRES = {
-    ("V3", "det_M_is_trace"),
-    ("V3", "det_gamma_form_is_trace"),
-    ("V4", "full_derived_matches_sum"),
     ("V5", "commutator_left_the_module"),
     ("V5", "omega_square_nonzero"),
     ("V10", "derived"),
