@@ -16,9 +16,8 @@ delta change with the arithmetic of the instance.
 """
 
 from logcap.forge import SearchParams, enumerate_instances
-from logcap.groupring import trace_element
+from logcap.groupring import det_ring, trace_element
 from logcap.resolvent import (
-    certificate_determinants,
     delta,
     omega_act,
     relation_matrices,
@@ -32,7 +31,7 @@ print(f"{len(instances)} instances with l=3, G=Z/3, torsion Z/3 (one per cobound
 
 for k, inst in enumerate(instances):
     cert = relation_matrices(inst)
-    det_m, _ = certificate_determinants(inst, cert)
+    det_m = det_ring(cert.m_matrix)
     tr = trace_element(inst.group, inst.ring)
     d = delta(inst, cert)
     image = inst.span_a([trace(inst, inst.frame.unit(k)) for k in inst.frame.bt_index])

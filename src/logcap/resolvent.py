@@ -427,10 +427,10 @@ class RelationCertificate:
     """Verified relations e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j,
     together with the gamma-form e_i b_i = sum lam_ij * b_j + mu_i * gamma.
 
-    M has entries e_i delta_ij - mu_ij and satisfies det M = Tr exactly.
-    The solver's Lambda is M (one solve finds both); each is checked on its
-    own, as a certificate from elsewhere may differ.  Certificates are not
-    unique; every downstream identity is asserted for the one produced.
+    M has entries e_i delta_ij - mu_ij and satisfies det M = Tr exactly,
+    which ``delta`` asserts.  The solver's Lambda is M (one solve finds
+    both).  Certificates are not unique; every downstream identity is
+    asserted for the one produced.
     """
 
     m_matrix: tuple
@@ -602,11 +602,6 @@ def _det(inst: "Instance", rows) -> GroupRingElt:
     """det over the plain group ring; the empty matrix of a trivial G has
     det 1."""
     return det_ring(rows) if rows else GroupRingElt.one(inst.group, inst.ring)
-
-
-def certificate_determinants(inst: "Instance", cert: RelationCertificate):
-    """det of both certificate matrices over the plain group ring."""
-    return _det(inst, cert.m_matrix), _det(inst, cert.lam_matrix)
 
 
 def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:

@@ -8,8 +8,8 @@ only speaks about instances satisfying the structural hypotheses), unless
 ``force`` is set, which is how broken fixtures demonstrate real failure
 witnesses.
 
-V1..V9 depend on a shared relation certificate; its content hash is
-embedded in the verdicts so reports are reproducible end to end.
+V3, V6 and V8 read a shared relation certificate; its content hash is
+embedded in their verdicts so reports are reproducible end to end.
 """
 
 from __future__ import annotations
@@ -122,38 +122,28 @@ def _v4_genus(inst: Instance, oracle_bound: int) -> Verdict:
 
 def _v5_omega(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
-    witness: dict = {}
     # route 1: the ideal acting on gamma through the module action, which
     # is also the image of omega (its B-tilde rows on A are (1 - tau) * gamma)
     s_gamma = frame.ig_gamma
-    # route 2: commutators of the gamma lift inside the extension group
+    # route 2: commutators of the gamma lift inside the extension group;
+    # the lift lies over 1, so each commutator lies over 1, in A
     gamma_lift = extension.UElement(inst, inst.gamma(), inst.group.identity())
     comm_gens = []
     for tau in inst.group.elements():
         u_tau = extension.UElement(inst, inst.a_zero(), tau)
-        c = gamma_lift * u_tau * gamma_lift.inverse() * u_tau.inverse()
-        if c.tau != inst.group.identity():
-            return Verdict("V5", "fail", {"error": f"commutator with {tau} left the module"})
-        comm_gens.append(c.a)
+        comm_gens.append((gamma_lift * u_tau * gamma_lift.inverse() * u_tau.inverse()).a)
     s_comm = inst.span_a(comm_gens)
     ok = s_gamma == s_comm
-    witness["omega_image_order"] = frame.size(s_gamma)
+    witness: dict = {"omega_image_order": frame.size(s_gamma)}
     if not ok:
         witness["routes_disagree"] = {
             "ideal_on_gamma": [list(r) for r in s_gamma.basis],
             "commutators": [list(r) for r in s_comm.basis],
         }
-    # omega squared kills everything
-    twice = [omega_act(inst, row) for row in frame.omega]
-    square_bad = [_fmt_vec(v) for v in twice if any(v)]
-    if square_bad:
-        ok = False
-        witness["omega_square_nonzero"] = square_bad
-    generation = frame.generated
-    witness["generation"] = generation
-    if not generation:
-        ok = False
-    return Verdict("V5", "pass" if ok else "fail", witness)
+    # w^2 = 0 holds by construction: the rows of omega are zero on A and
+    # lie in A elsewhere
+    witness["generation"] = frame.generated
+    return Verdict("V5", "pass" if ok and frame.generated else "fail", witness)
 
 
 def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:

@@ -176,7 +176,7 @@ FAILURE_KEYS = {
     "V1": {"element": "element", "transfer": None, "trace_of_log": None},
     "V2": {"lhs_basis": "lhs_basis", "rhs_basis": None},
     "V3": {"trace_values_outside_ig_gamma": "trace_values_outside_ig_gamma"},
-    "V5": {"routes_disagree": "routes_disagree", "omega_square_nonzero": "omega_square_nonzero"},
+    "V5": {"routes_disagree": "routes_disagree"},
     "V6": {"mismatches": "mismatches"},
     "V7": {"nonzero_traces": "nonzero_traces"},
     "V8": {"violations": "violations"},
@@ -207,27 +207,14 @@ ERROR_TYPES = (
     "InternalInvariantError",
 )
 
-# Errors a check writes itself, by their text up to the element they name.
-OWN_ERRORS = {"V5": {"commutator with ": "commutator_left_the_module"}}
-
 # Every condition the census can name.
 CONDITIONS = frozenset(
     {(c, name) for c, keys in FAILURE_KEYS.items() for name in keys.values() if name}
     | {(c, key) for c, keys in FALSE_KEYS.items() for key in keys}
     | {("V4", "genus"), ("V9", "index")}
     | {("V10", key) for key in V10_MISMATCHES}
-    | {(c, name) for c, own in OWN_ERRORS.items() for name in own.values()}
     | {(c, "error") for c in ("V3", "V5", "V6", "V7", "V8", "V9", "V10")}
 )
-
-
-def _error_condition(check: str, text: str) -> str:
-    for prefix, name in OWN_ERRORS.get(check, {}).items():
-        if text.startswith(prefix):
-            return name
-    if text.split(":")[0] in ERROR_TYPES:
-        return "error"
-    raise UnknownCondition(f"{check}: unknown error {text!r}")
 
 
 def conditions(verdict) -> tuple:
@@ -238,9 +225,9 @@ def conditions(verdict) -> tuple:
         return ()
     check, witness = verdict.check_id, verdict.witness
     if "error" in witness:
-        if set(witness) != {"error"}:
-            raise UnknownCondition(f"{check}: error beside {sorted(witness)}")
-        names = {_error_condition(check, witness["error"])}
+        if set(witness) != {"error"} or witness["error"].split(":")[0] not in ERROR_TYPES:
+            raise UnknownCondition(f"{check}: unknown error witness {witness}")
+        names = {"error"}
     else:
         failure_keys = FAILURE_KEYS.get(check, {})
         unknown = set(witness) - DATA_KEYS[check] - set(failure_keys)

@@ -362,11 +362,7 @@ CENSUS_FIRES = {
     ("V10", "gamma_commutators"),
     ("V10", "transfer_disagreements"),
 }
-CENSUS_NEVER_FIRES = {
-    ("V5", "commutator_left_the_module"),
-    ("V5", "omega_square_nonzero"),
-    ("V10", "derived"),
-}
+CENSUS_NEVER_FIRES = {("V10", "derived")}
 
 
 def test_failure_census_pins_the_conditions_that_fire():
