@@ -169,18 +169,17 @@ DATA_KEYS = {
     "V10": {"u_order", "derived_order"},
 }
 
-# The keys only a failure writes, each naming its comparison; V1's failure
-# writes three, named by the first, and V10's mismatches name one
-# comparison per key of their own.
+# The keys only a failure writes; the first names the comparison, except
+# for V10, whose mismatches name one comparison per key of their own.
 FAILURE_KEYS = {
-    "V1": {"element": "element", "transfer": None, "trace_of_log": None},
-    "V2": {"lhs_basis": "lhs_basis", "rhs_basis": None},
-    "V3": {"trace_values_outside_ig_gamma": "trace_values_outside_ig_gamma"},
-    "V5": {"routes_disagree": "routes_disagree"},
-    "V6": {"mismatches": "mismatches"},
-    "V7": {"nonzero_traces": "nonzero_traces"},
-    "V8": {"violations": "violations"},
-    "V10": {"mismatches": None},
+    "V1": ("element", "transfer", "trace_of_log"),
+    "V2": ("lhs_basis", "rhs_basis"),
+    "V3": ("trace_values_outside_ig_gamma",),
+    "V5": ("routes_disagree",),
+    "V6": ("mismatches",),
+    "V7": ("nonzero_traces",),
+    "V8": ("violations",),
+    "V10": ("mismatches",),
 }
 
 # The boolean data keys that a failure sets to false.
@@ -209,7 +208,7 @@ ERROR_TYPES = (
 
 # Every condition the census can name.
 CONDITIONS = frozenset(
-    {(c, name) for c, keys in FAILURE_KEYS.items() for name in keys.values() if name}
+    {(c, keys[0]) for c, keys in FAILURE_KEYS.items() if c != "V10"}
     | {(c, key) for c, keys in FALSE_KEYS.items() for key in keys}
     | {("V4", "genus"), ("V9", "index")}
     | {("V10", key) for key in V10_MISMATCHES}
@@ -229,20 +228,20 @@ def conditions(verdict) -> tuple:
             raise UnknownCondition(f"{check}: unknown error witness {witness}")
         names = {"error"}
     else:
-        failure_keys = FAILURE_KEYS.get(check, {})
-        unknown = set(witness) - DATA_KEYS[check] - set(failure_keys)
+        keys = FAILURE_KEYS.get(check, ())
+        unknown = set(witness) - DATA_KEYS[check] - set(keys)
         if unknown:
             raise UnknownCondition(f"{check}: unknown witness keys {sorted(unknown)}")
-        names = {failure_keys[k] for k in witness if failure_keys.get(k)}
-        names |= {k for k in FALSE_KEYS.get(check, ()) if witness.get(k) is False}
+        names = {k for k in FALSE_KEYS.get(check, ()) if witness[k] is False}
         if check == "V10":
-            mismatches = witness.get("mismatches", {})
-            if set(mismatches) - set(V10_MISMATCHES):
-                raise UnknownCondition(f"V10: unknown mismatches {sorted(mismatches)}")
-            names |= set(mismatches)
+            names |= set(witness.get("mismatches", {}))
+            if names - set(V10_MISMATCHES):
+                raise UnknownCondition(f"V10: unknown mismatches {sorted(names)}")
+        elif keys and keys[0] in witness:
+            names.add(keys[0])
         if check == "V9" and witness["index"] != witness["group_order"]:
             names.add("index")
-        if check == "V4" and not names:
+        if check == "V4":
             names.add("genus")
     if not names:
         raise UnknownCondition(f"{check}: a failure that names no condition: {witness}")
