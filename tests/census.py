@@ -65,7 +65,7 @@ def v1_corruptions(inst, seed):
 
 def _unnormalized(inst, seed):
     orders = inst.atilde_orders
-    if not orders or inst.group.size() == 1:
+    if not orders:
         return []
     rnd = random.Random(seed)
     data = instance_to_dict(inst)
@@ -97,8 +97,6 @@ def _ill_defined(inst, seed):
 
 
 def _gamma_degree(inst, seed):
-    if not inst.action:
-        return []
     rnd = random.Random(seed)
     t = inst.torsion_rank
     data = instance_to_dict(inst)

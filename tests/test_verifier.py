@@ -167,7 +167,7 @@ def _v1_matches_the_walk(inst):
     return v
 
 
-_V1_REFERENCE_PATHS = corpus_paths() + sorted(FIXTURES.glob("*.json"))
+_V1_REFERENCE_PATHS = census.BASE_PATHS
 
 
 @pytest.mark.parametrize(
