@@ -13,9 +13,9 @@ T = Z/2 = <alpha>, tau fixing alpha and moving gamma to gamma + alpha.
 from itertools import product
 from pathlib import Path
 
-from logcap.extension import UElement, log_iso, transfer
+from logcap.extension import UElement, transfer
 from logcap.instance import load_instance, validate
-from logcap.resolvent import trace
+from logcap.resolvent import log_iso, trace
 
 inst = load_instance(Path(__file__).resolve().parent.parent / "fixtures" / "e1.json")
 

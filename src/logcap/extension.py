@@ -5,12 +5,14 @@ is exactly the factor-set identity, so these functions are meaningful on
 validated instances only (the verifier exercises them on broken data too,
 where failures are the point).
 
-The transfer and the logarithm take an element of U as its coordinates
-(a, tau); only the group law wraps them in a ``UElement``.  The transfer
-is computed against the fixed transversal u_t = (0, t); other transversals
-are reachable through coboundary shifts of the instance.  Into the abelian
-normal subgroup A it is an affine map, a norm plus a factor-set correction
-(Neukirch, Schmidt & Wingberg, *Cohomology of Number Fields*):
+The transfer takes an element of U as its coordinates (a, tau), as does
+the logarithm ``resolvent.log_iso``, which lives next to the
+``ResolventElt`` it returns; only the group law wraps them in a
+``UElement``.  The transfer is computed against the fixed transversal
+u_t = (0, t); other transversals are reachable through coboundary shifts
+of the instance.  Into the abelian normal subgroup A it is an affine map,
+a norm plus a factor-set correction (Neukirch, Schmidt & Wingberg,
+*Cohomology of Number Fields*):
 
     transfer(a, tau) = N * a + c(tau),   N = sum_h h,
     c(tau) = sum_g (tau g)^-1 * f(tau, g).
@@ -26,13 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, TYPE_CHECKING
 
+from .groupring import GElt
 from .lattice import Submodule
-from .resolvent import ResolventElt
 
 if TYPE_CHECKING:
     from .instance import Instance
-
-from .groupring import GElt
 
 Vec = Tuple[int, ...]
 
@@ -114,12 +114,3 @@ def transfer(inst: "Instance", a: Vec, tau: GElt) -> Vec:
     there, on instances whose action is well defined on A.
     """
     return inst.frame.transfer_map(a, tau)
-
-
-def log_iso(inst: "Instance", a: Vec, tau: GElt) -> ResolventElt:
-    """(a, tau) -> a + (tau - 1), a representative of the logarithm class.
-
-    Descends to an isomorphism from U modulo its derived subgroup onto the
-    resolvent module modulo its augmentation submodule.
-    """
-    return ResolventElt(inst, a, inst.frame.lam_vec([(tau, 1)]))

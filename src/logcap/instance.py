@@ -356,12 +356,12 @@ def validate(inst: Instance) -> ValidationReport:
 
     # consequence of H1, checked explicitly: the degree-zero quotient has order |G|
     u_t = inst.atilde_order() * group.size()
-    ok = u_prime_order != 0 and u_t // u_prime_order == group.size()
+    ok = u_t // u_prime_order == group.size()  # a span has order at least 1
     checks.append(
         CheckResult(
             "degree-zero-index",
             ok,
-            "" if ok else f"index {u_t // max(u_prime_order, 1)} != |G| = {group.size()}",
+            "" if ok else f"index {u_t // u_prime_order} != |G| = {group.size()}",
         )
     )
 

@@ -408,9 +408,15 @@ def kernel(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> Submodu
 
 
 def preimage(map_rows: Sequence[Sequence[int]], sub: Submodule, ring: ZModRing) -> Submodule:
-    """{x : x * map_rows lies in sub}, with map_rows of shape k x sub.ambient."""
+    """{x : x * map_rows lies in sub}, with map_rows of shape k x sub.ambient.
+
+    It is the kernel of [map_rows; sub.basis] cut to k coordinates.  The
+    kernel rows with pivots before k, cut, are already its Howell form: by
+    the Howell property a member with zeros before column j < k lifts to a
+    kernel element spanned by the rows with pivots from j on.
+    """
     k = len(map_rows)
     stacked = list(map_rows) + [list(r) for r in sub.basis]
     ker = kernel(stacked, sub.ambient, ring)
-    gens = [row[:k] for row in ker.basis]
-    return Submodule.from_generators(ring, k, gens)
+    n = sum(col < k for col in ker.pivots)  # pivots increase
+    return Submodule(ring, k, tuple(row[:k] for row in ker.basis[:n]), ker.pivots[:n])

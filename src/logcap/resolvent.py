@@ -4,8 +4,9 @@ Coordinates of B are fixed once per instance, by its ``Frame``: the
 torsion generators of A, then gamma, then the augmentation-ideal basis
 (tau - 1) for tau != 1 in the canonical element order.  A vector of B is a
 tuple in these coordinates, reduced by ``Frame.b_reduce``; ``ResolventElt``
-is only the named view of one such tuple that ``extension.log_iso``
-returns.  The G-action is the linearized twist
+is only the named view of one such tuple that ``log_iso``, the logarithm
+of an element (a, tau) of U, returns.  The G-action is the linearized
+twist
 
     sigma * a = a^sigma,     sigma * (tau - 1) = f(sigma, tau) + sigma(tau - 1),
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import extension
 from .groupring import GElt, GroupRingElt, cofactor_row, det_ring, trace_element
 from .instance import Instance, ValidationReport, validate
 from .lattice import (
@@ -81,6 +83,15 @@ class ResolventElt:
 
     def to_vec(self) -> Vec:
         return self.a + self.lam
+
+
+def log_iso(inst: "Instance", a: Vec, tau: GElt) -> ResolventElt:
+    """(a, tau) -> a + (tau - 1), a representative of the logarithm class.
+
+    Descends to an isomorphism from U modulo its derived subgroup onto the
+    resolvent module modulo its augmentation submodule.
+    """
+    return ResolventElt(inst, a, inst.frame.lam_vec([(tau, 1)]))
 
 
 # -- the per-instance frame ----------------------------------------------------
@@ -239,17 +250,15 @@ class Frame:
     @cached_property
     def trace_matrix(self) -> tuple:
         """The matrix of Tr, the sum of the star matrices, as a map B -> A:
-        its (tau - 1) columns cancel, which is checked here, once."""
+        only its A columns are summed.  The (tau - 1) columns cancel on
+        every input: row (tau - 1) of star[sigma] holds (sigma tau - 1) -
+        (sigma - 1) there, and sigma -> sigma tau permutes G."""
         inst = self.inst
         d = inst.dim_a
-        N = self.ring.modulus
-        rows = []
-        for k in range(self.dim_b):
-            row = [sum(m[k][j] for m in self.star.values()) % N for j in range(self.dim_b)]
-            if any(row[d:]):
-                raise InternalInvariantError("trace left a nonzero I_G component")
-            rows.append(inst.a_reduce(row[:d]))
-        return tuple(rows)
+        mats = self.star.values()
+        return tuple(
+            inst.a_reduce([sum(m[k][j] for m in mats) for j in range(d)]) for k in range(self.dim_b)
+        )
 
     # the transfer into A -------------------------------------------------------
 
@@ -314,15 +323,11 @@ class Frame:
     @cached_property
     def derived(self) -> Submodule:
         """U', the derived subgroup of the extension group, inside A."""
-        from . import extension
-
         return extension.derived_subgroup(self.inst)
 
     @cached_property
     def derived_degree_zero(self) -> Submodule:
         """The derived subgroup of the degree-zero subgroup, inside A."""
-        from . import extension
-
         return extension.derived_subgroup(self.inst, degree_zero=True)
 
     @cached_property
@@ -369,7 +374,9 @@ class Frame:
     @cached_property
     def generated(self) -> bool:
         """Whether the b_i = tau_i - 1 generate the degree-zero part over the
-        omega-extended group ring."""
+        omega-extended group ring.  The span lies in B-tilde, so it is all
+        of B-tilde exactly when its order is l^(n * dim_bt); no Howell form
+        of B-tilde itself is needed."""
         inst = self.inst
         gens = []
         for tau_i in inst.group.generators():
@@ -378,8 +385,7 @@ class Frame:
                 moved = self.b_reduce(self.star[g][k])
                 gens.append(self.bt_vec(moved))
                 gens.append(self.bt_vec(omega_act(inst, moved)))
-        span = self.span(gens, self.dim_bt)
-        return span == self.span([self.bt_vec(self.unit(k)) for k in self.bt_index], self.dim_bt)
+        return self.span(gens, self.dim_bt).order() == self.ring.modulus**self.dim_bt
 
     @cached_property
     def relations(self) -> tuple:

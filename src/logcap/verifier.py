@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 from . import extension, forge
 from .instance import Instance, ValidationReport
 from .lattice import preimage, quotient_order, vec_mat
-from .resolvent import omega_act, star_act, trace
+from .resolvent import log_iso, omega_act, star_act, trace
 
 # whether the identity lives in the torsion part (exact) or involves the
 # truncated free coordinate (holds at the declared precision)
@@ -68,7 +68,7 @@ def _v1_diagram(inst: Instance, oracle_bound: int) -> Verdict:
     a = inst.a_zero()
     for tau in inst.group.elements():
         via_transfer = extension.transfer(inst, a, tau)
-        via_trace = trace(inst, extension.log_iso(inst, a, tau).to_vec())
+        via_trace = trace(inst, log_iso(inst, a, tau).to_vec())
         if via_transfer != via_trace:
             return Verdict(
                 "V1",
@@ -156,8 +156,9 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
     for k in frame.bt_index:
         e_k = frame.unit(k)
         lhs = frame.trace_matrix[k]
+        # the rows of w lie in A, so only the A part of w * (delta * e_k) can differ
         rhs = omega_act(inst, star_act(inst, delta_op, e_k))
-        if any(rhs[d:]) or lhs != rhs[:d]:
+        if lhs != rhs[:d]:
             bad.append({"element": _fmt_vec(e_k), "trace": _fmt_vec(lhs), "omega_delta": _fmt_vec(rhs[:d])})
     trace_image = inst.span_a(frame.bt_rows(frame.trace_matrix))
     delta_image = inst.span_a([inst.act_ring(delta_op, r) for r in frame.ig_gamma.basis])

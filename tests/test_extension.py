@@ -6,14 +6,13 @@ from logcap.extension import (
     InstanceMismatchError,
     UElement,
     derived_subgroup,
-    log_iso,
     transfer,
     u_order,
 )
 from logcap.groupring import AbelianLGroup, GroupRingElt
 from logcap.instance import build_instance, coboundary_shift, load_instance, validate
 from logcap.lattice import ZModRing
-from logcap.resolvent import ResolventElt, trace
+from logcap.resolvent import ResolventElt, log_iso, trace
 from tests.conftest import FIXTURES, corpus_paths, span_elements
 
 

@@ -35,6 +35,7 @@ from logcap.instance import (
     RejectedShiftError,
     build_instance,
     coboundary_shift,
+    instance_from_dict,
     instance_to_dict,
     load_instance,
     validate,
@@ -49,6 +50,7 @@ from logcap.lattice import (
     torsion_rows,
     vec_mat,
 )
+from logcap.verifier import run_check
 from tests.conftest import (
     CORPUS,
     FIXTURES,
@@ -638,6 +640,25 @@ def test_oracle_inverse_check_reads_the_group_part(monkeypatch):
     monkeypatch.setattr(AbelianLGroup, "product_indices", broken)
     with pytest.raises(InternalInvariantError, match="^oracle inverse failed verification$"):
         oracle_group(inst)
+
+
+def test_oracle_pool_check_fires_on_an_action_that_is_not_one():
+    # e1 with tau_1 sending e_0 to e_0 + gamma: the matrix breaks block
+    # structure and has order 8, so the pool is not closed under the law
+    data = json.loads((FIXTURES / "e1.json").read_text(encoding="utf-8"))
+    data["A"]["action"]["tau_1"] = [[1, 1], [0, 1]]
+    inst = instance_from_dict(data)
+    assert validate(inst).failed_names() == (
+        "action-block-structure",
+        "action-order",
+        "H1",
+        "degree-zero-index",
+    )
+    with pytest.raises(InternalInvariantError, match="^oracle pool is not a subgroup$"):
+        oracle_group(inst)
+    assert run_check(inst, "V10", force=True).witness == {
+        "error": "InternalInvariantError: oracle pool is not a subgroup"
+    }
 
 
 def test_oracle_independent_of_formula_code(monkeypatch):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 
@@ -293,6 +294,39 @@ def test_annihilator_of_augmentation_ideal_is_trace_line(orders, precision):
         assert kills == in_line
         count += 1
     assert count == ring.modulus ** g.size()
+
+
+def _groups_up_to(prime, bound):
+    """Every AbelianLGroup of order at most bound: each ordered tuple of
+    cyclic orders, powers of prime above 1, with product at most bound."""
+    out, level = [], [()]
+    while level:
+        out += [AbelianLGroup(prime, orders) for orders in level]
+        level = [
+            o + (q,)
+            for o in level
+            for q in (prime**k for k in range(1, bound.bit_length()))
+            if math.prod(o) * q <= bound
+        ]
+    return out
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_product_indices_and_inv_are_an_abelian_group_law(prime):
+    """The oracle reads G only through product_indices and inv: it takes
+    index 0 as the identity, rt = tr and (t^-1)t = 1 without checking."""
+    groups = _groups_up_to(prime, 32)
+    assert len(groups) == {2: 32, 3: 8, 5: 4}[prime]
+    for group in groups:
+        elts = group.elements()
+        idx, table = group.product_indices()
+        inv = [idx[group.inv(g)] for g in elts]
+        n = range(len(elts))
+        assert [idx[g] for g in elts] == list(n) and idx[group.identity()] == 0
+        assert all(table[0][x] == table[x][0] == x for x in n)
+        assert all(table[x][y] == table[y][x] for x in n for y in n)
+        assert all(table[x][inv[x]] == table[inv[x]][x] == 0 for x in n)
+        assert all(table[table[x][y]][z] == table[x][table[y][z]] for x in n for y in n for z in n)
 
 
 

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from logcap import lattice
+from logcap import lattice, resolvent, verifier
+from logcap.instance import load_instance
 from logcap.lattice import (
     ContainmentError,
     ShapeError,
@@ -18,7 +19,7 @@ from logcap.lattice import (
     solve,
     vec_mat,
 )
-from tests.conftest import span_elements
+from tests.conftest import corpus_paths, span_elements
 
 Z8 = ZModRing(2, 3)
 Z4 = ZModRing(2, 2)
@@ -338,6 +339,55 @@ def test_preimage_matches_enumeration(ring):
             if times(x, rows, ring) in members
         }
         assert set(span_elements(preimage(rows, sub, ring))) == brute
+
+
+# -- preimage pinned to the Howell form of its cut kernel rows --------------------
+
+
+def preimage_by_howell(map_rows, sub, ring):
+    """The preimage as it was computed before: every kernel row cut to k
+    coordinates, then brought to Howell form again."""
+    k = len(map_rows)
+    ker = kernel(list(map_rows) + [list(r) for r in sub.basis], sub.ambient, ring)
+    return Submodule.from_generators(ring, k, [row[:k] for row in ker.basis])
+
+
+def sparse_rows(rnd, ring, nrows, width):
+    """Random rows with many zeros and many multiples of l."""
+    choices = [0, 0, 1, ring.prime, ring.prime**2 % ring.modulus]
+    return [
+        [rnd.choice(choices) * rnd.randrange(1, ring.modulus) % ring.modulus for _ in range(width)]
+        for _ in range(nrows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring", [ZModRing(p, k) for p, ks in ((2, range(1, 7)), (3, range(1, 5))) for k in ks], ids=repr
+)
+def test_preimage_is_the_howell_form_of_the_cut_kernel(ring):
+    rnd = random.Random(800 + ring.modulus)
+    for trial in range(40):
+        rows_of = sparse_rows if trial % 2 else random_rows
+        k, width = rnd.randint(1, 5), rnd.randint(1, 4)
+        map_rows = rows_of(rnd, ring, k, width)
+        sub = Submodule.from_generators(ring, width, rows_of(rnd, ring, rnd.randint(0, 3), width))
+        assert preimage(map_rows, sub, ring) == preimage_by_howell(map_rows, sub, ring)
+
+
+def test_preimage_is_the_howell_form_of_the_cut_kernel_on_a_corpus_pass(monkeypatch):
+    calls = []
+
+    def checked(map_rows, sub, ring):
+        got = preimage(map_rows, sub, ring)
+        assert got == preimage_by_howell(map_rows, sub, ring)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(resolvent, "preimage", checked)
+    monkeypatch.setattr(verifier, "preimage", checked)
+    for path in corpus_paths():
+        verifier.run_all(load_instance(path), oracle_bound=0)
+    assert len(calls) == 2 * len(corpus_paths())
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():

@@ -2,8 +2,8 @@
 every demo script runs to completion and prints its pinned output, every
 name the benchmark's tracer wraps and every name in ``logcap.__all__``
 exists, the benchmark's own tests pass, every committed benchmark record
-names what the benchmark measures, and no public library name is there
-for its tests alone."""
+names what the benchmark measures, no public library name is there for
+its tests alone, and the package's imports follow one layer order."""
 
 import ast
 import collections
@@ -224,3 +224,60 @@ def test_every_public_method_has_a_user_outside_the_tests():
         )
     ]
     assert defined and unused == []
+
+
+# Each module of src/logcap imports only modules before it in this order.
+LAYER_ORDER = ("lattice", "groupring", "instance", "extension", "resolvent", "forge", "verifier", "cli")
+
+IMPORT_GRAPH = {
+    "lattice": set(),
+    "groupring": {"lattice"},
+    "instance": {"lattice", "groupring"},
+    "extension": {"lattice", "groupring"},
+    "resolvent": {"lattice", "groupring", "instance", "extension"},
+    "forge": {"lattice", "groupring", "instance"},
+    "verifier": {"lattice", "instance", "extension", "resolvent", "forge"},
+    "cli": {"lattice", "groupring", "instance", "forge", "verifier"},
+}
+
+
+def _relative_imports(tree):
+    """(module-level targets, [(function, target)]) of the relative imports
+    of a module, outside ``if TYPE_CHECKING:`` blocks."""
+    type_only = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for stmt in node.body
+        for n in ast.walk(stmt)
+    }
+    owner = {id(n): name for name, f in _functions(tree).items() for n in ast.walk(f)}
+    module_level, in_functions = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in type_only:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            if id(node) in owner:
+                in_functions += [(owner[id(node)], t) for t in targets]
+            else:
+                module_level.update(targets)
+    return module_level, in_functions
+
+
+def test_import_graph_follows_the_layer_order():
+    """The module-level relative imports of src/logcap are exactly
+    IMPORT_GRAPH, each pointing to an earlier module of LAYER_ORDER (so the
+    package has no import cycle); the oracle in forge reads neither
+    extension nor resolvent; and Instance.frame, which builds the Frame of
+    resolvent on first use, holds the only function-level import."""
+    src = REPO / "src" / "logcap"
+    assert {p.stem for p in src.glob("*.py")} == set(LAYER_ORDER) | {"__init__"}
+    graph, in_functions = {}, []
+    for name in LAYER_ORDER:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        graph[name], calls = _relative_imports(tree)
+        in_functions += [(name, function, target) for function, target in calls]
+    assert graph == IMPORT_GRAPH
+    for name, targets in graph.items():
+        assert all(LAYER_ORDER.index(t) < LAYER_ORDER.index(name) for t in targets), name
+    assert not graph["forge"] & {"extension", "resolvent"}
+    assert in_functions == [("instance", "Instance.frame", "resolvent")]

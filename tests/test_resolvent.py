@@ -116,6 +116,22 @@ def test_omega_squared_is_zero_on_every_census_input():
     assert built > len(census.inputs()) // 2
 
 
+def test_star_sum_has_zero_ig_columns_on_every_census_input():
+    """Valid or not: row (tau - 1) of star[sigma] holds (sigma tau - 1) -
+    (sigma - 1) in the (tau - 1) columns, and sigma -> sigma tau permutes
+    G, so the sum of the star matrices is zero there; its A columns are
+    the trace matrix, which sums only those."""
+    for _, _, inst in census.inputs():
+        frame = inst.frame
+        d, N = inst.dim_a, inst.ring.modulus
+        total = [
+            [sum(m[k][j] for m in frame.star.values()) % N for j in range(frame.dim_b)]
+            for k in range(frame.dim_b)
+        ]
+        assert not any(any(row[d:]) for row in total)
+        assert tuple(inst.a_reduce(row[:d]) for row in total) == frame.trace_matrix
+
+
 def test_derived_is_the_degree_zero_derived_plus_ig_gamma_on_every_census_input():
     """Valid or not: the generators of U' are those of U_t' and the
     (1 - tau_k) * gamma, and I_G * gamma holds every (1 - tau) * gamma, so

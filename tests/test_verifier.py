@@ -7,7 +7,7 @@ import pytest
 from logcap import extension
 from logcap.extension import u_order
 from logcap.instance import coboundary_shift, load_instance
-from logcap.resolvent import trace
+from logcap.resolvent import log_iso, trace
 from logcap.verifier import CHECK_ARITHMETIC, CHECK_IDS, Verdict, run_all, run_check
 from tests import census
 from tests.census import v1_corruptions
@@ -146,7 +146,7 @@ def _v1_on_all_of_u(inst):
         a_coords = product(*(range(o) for o in inst.frame.orders))
         for a, tau in product(a_coords, inst.group.elements()):
             via_transfer = extension.transfer(inst, a, tau)
-            via_trace = trace(inst, extension.log_iso(inst, a, tau).to_vec())
+            via_trace = trace(inst, log_iso(inst, a, tau).to_vec())
             if via_transfer != via_trace:
                 return "fail", {
                     "element": {"a": list(a), "tau": list(tau)},
