@@ -3,10 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 malformed input or usage, 2 a
 mathematical check failed (validation failure or a fail/hypothesis-failed
 verdict), 3 a resource refusal (search space above the ceiling, oracle
-bound exceeded, group order or coefficient modulus above its limit,
-relation matrix above the determinant bound).  ``main`` maps the errors to
-codes, so no traceback reaches the user.  All configuration comes from
-flags; reports are byte stable for fixed inputs and seeds.
+bound exceeded, group order or coefficient modulus above its limit).
+``main`` maps the errors to codes, so no traceback reaches the user.  All
+configuration comes from flags; reports are byte stable for fixed inputs and
+seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import forge, verifier
-from .groupring import GroupSizeError, RingSizeError
+from .groupring import GroupSizeError
 from .instance import SchemaError, load_instance, read_json, validate
 from .lattice import ModulusSizeError
 
@@ -301,7 +301,6 @@ def main(argv=None) -> int:
     except (
         GroupSizeError,
         ModulusSizeError,
-        RingSizeError,
         forge.CeilingExceededError,
         forge.OracleBoundError,
     ) as e:

@@ -12,13 +12,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Sequence, Tuple
 
-from .lattice import ModulusMismatchError, ZModRing, _is_prime, mat_mul
+from .lattice import ModulusMismatchError, ShapeError, ZModRing, _is_prime, mat_mul
 
 GElt = Tuple[int, ...]
-
-
-class RingSizeError(ValueError):
-    """Raised when a determinant is requested above the configured bound."""
 
 
 # Validation walks every triple of group elements: at this order
@@ -251,9 +247,6 @@ def trace_element(group: AbelianLGroup, ring: ZModRing) -> GroupRingElt:
     return GroupRingElt(group, ring, {g: 1 for g in group.elements()})
 
 
-DET_DIMENSION_BOUND = 4
-
-
 def det_ring(m: Sequence[Sequence]):
     """Determinant by cofactor expansion over a commutative coefficient ring.
 
@@ -264,11 +257,9 @@ def det_ring(m: Sequence[Sequence]):
     s = len(m)
     for row in m:
         if len(row) != s:
-            raise RingSizeError("determinant of a non-square matrix")
-    if s > DET_DIMENSION_BOUND:
-        raise RingSizeError(f"matrix dimension {s} exceeds determinant bound {DET_DIMENSION_BOUND}")
+            raise ShapeError("determinant of a non-square matrix")
     if s == 0:
-        raise RingSizeError("cannot infer the ring of an empty matrix; use a 1x1 or larger")
+        raise ShapeError("cannot infer the ring of an empty matrix; use a 1x1 or larger")
     return _det_rec([list(r) for r in m])
 
 

@@ -393,8 +393,7 @@ class Frame:
         operator delta, or None for each that could not be found, with the
         error that stopped it as text: an infeasible system, a broken
         certificate, or an identity that fails on an instance that does not
-        validate.  Other errors, such as a refused determinant size,
-        propagate."""
+        validate.  Other errors propagate."""
         cert = None
         try:
             cert = relation_matrices(self.inst)

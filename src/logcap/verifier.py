@@ -286,9 +286,7 @@ def run_check(
     force: bool = False,
 ) -> Verdict:
     """Run one catalogue check, gated on validation; a check crashing on
-    forced bad data is a failure.  The shared certificate is computed
-    first, outside the crash guard, so that a refused determinant size
-    reaches the caller."""
+    forced bad data is a failure."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
     report = inst.frame.validation
@@ -296,7 +294,6 @@ def run_check(
         return Verdict(
             check_id, "hypothesis-failed", {"failed_validation": list(report.failed_names())}
         )
-    inst.frame.relations
     try:
         return _CHECKS[check_id](inst, oracle_bound)
     except Exception as e:

@@ -53,6 +53,20 @@ def rank3():
 
 
 @pytest.fixture(scope="session")
+def rank5():
+    """A sampled l=2, n=3, G=(Z/2)^5 instance with trivial torsion: the one
+    rank-5 group the group-order limit admits, and a 5x5 relation matrix."""
+    params = SearchParams(
+        prime=2,
+        precision=3,
+        g_orders_list=((2,) * 5,),
+        atilde_orders_list=((),),
+        seed=0,
+    )
+    return random_instance(params, (2,) * 5, ())
+
+
+@pytest.fixture(scope="session")
 def h1_violating():
     return load_instance(FIXTURES / "h1_violating.json")
 

@@ -319,15 +319,18 @@ def test_boolean_integer_field_is_an_input_error(tmp_path, capsys):
     assert "integers" in err and "Traceback" not in err
 
 
-def test_relation_matrix_above_determinant_bound_is_refused(tmp_path, capsys):
-    # G = (Z/2)^5 has a 5x5 relation matrix, one above the determinant bound
+def test_rank_five_group_verifies_end_to_end(tmp_path, capsys):
+    # G = (Z/2)^5, the one rank-5 group of order at most 32: a 5x5 relation
+    # matrix, and |U| = 256, so V10 runs at the default oracle bound
     payload = _c2_payload(
         G={"orders": [2] * 5},
         A={"atilde_orders": [], "action": {f"tau_{k}": [[1]] for k in range(1, 6)}},
     )
-    code, _, err = run_cli(["verify", _write(tmp_path, payload), "--oracle-bound", "0"], capsys)
-    assert code == 3
-    assert err.startswith("refused:") and "Traceback" not in err
+    code, out, err = run_cli(["verify", _write(tmp_path, payload)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["summary"]["pass"] == 10
+    assert [c["status"] for c in report["instances"][0]["checks"]] == ["pass"] * 10
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

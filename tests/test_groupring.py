@@ -9,12 +9,11 @@ import pytest
 from logcap.groupring import (
     AbelianLGroup,
     GroupRingElt,
-    RingSizeError,
     cofactor_row,
     det_ring,
     trace_element,
 )
-from logcap.lattice import ModulusMismatchError, ZModRing
+from logcap.lattice import ModulusMismatchError, ShapeError, ZModRing
 from tests.dual import OmegaRingElt, dual_matrix
 
 Z8 = ZModRing(2, 3)
@@ -172,7 +171,10 @@ _DET_CASES = [
 ]
 
 
-@pytest.mark.parametrize("size, group_args, ring_args", _DET_CASES)
+# size 5 is the rank of G = (Z/2)^5, the largest the group-order limit admits
+@pytest.mark.parametrize(
+    "size, group_args, ring_args", _DET_CASES + [pytest.param(5, (2, [2]), (2, 3), id="5")]
+)
 def test_det_cofactor_matches_permutation_sum(size, group_args, ring_args):
     rnd = random.Random(size)
     g = AbelianLGroup(*group_args)
@@ -247,11 +249,11 @@ def test_cofactor_row_expands_along_a_last_row(size, omega):
             assert _dot(row, cof) == zero
 
 
-def test_det_dimension_bound():
+def test_det_ring_rejects_a_non_square_or_empty_matrix():
     one = GroupRingElt.one(C2, Z8)
-    m = [[one] * 5 for _ in range(5)]
-    with pytest.raises(RingSizeError):
-        det_ring(m)
+    for m in ([[one, one]], []):
+        with pytest.raises(ShapeError):
+            det_ring(m)
 
 
 def test_augmentation_commutes_with_det():

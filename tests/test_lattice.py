@@ -203,14 +203,32 @@ def test_quotient_order_containment_error():
         quotient_order(outer, inner)
 
 
-def test_quotient_order_times_inner_is_outer():
+def test_quotient_order_times_inner_is_outer(monkeypatch):
     rnd = random.Random(3)
-    for _ in range(25):
-        rows_inner = [[rnd.randrange(8) * 2 for _ in range(2)]]
-        rows_outer = rows_inner + [[rnd.randrange(8) for _ in range(2)]]
-        outer = Submodule.from_generators(Z8, 2, rows_outer)
-        inner = Submodule.from_generators(Z8, 2, rows_inner)
-        assert quotient_order(outer, inner) * inner.order() == outer.order()
+    for ring in (Z8, Z9, Z27):
+        N = ring.modulus
+        for _ in range(25):
+            rows_inner = [[rnd.randrange(N) * ring.prime for _ in range(2)]]
+            rows_outer = rows_inner + [[rnd.randrange(N) for _ in range(2)]]
+            outer = Submodule.from_generators(ring, 2, rows_outer)
+            inner = Submodule.from_generators(ring, 2, rows_inner)
+            assert quotient_order(outer, inner) * inner.order() == outer.order()
+
+    # and on every index a bound-0 corpus pass takes
+    calls = []
+
+    def checked(outer, inner):
+        q = quotient_order(outer, inner)
+        assert q * inner.order() == outer.order()
+        calls.append(q)
+        return q
+
+    monkeypatch.setattr(resolvent, "quotient_order", checked)
+    monkeypatch.setattr(verifier, "quotient_order", checked)
+    for path in corpus_paths():
+        verifier.run_all(load_instance(path), oracle_bound=0)
+    # Frame.ambiguous_index and V7, once each per instance
+    assert len(calls) == 2 * len(corpus_paths())
 
 
 def test_kernel_annihilates():
@@ -588,6 +606,20 @@ def solve_systems(rnd, ring):
         yield rows + lattice.torsion_rows([rnd.choice(orders) for _ in range(width)], width)
 
 
+def checked_solve(rows, target, ring):
+    """solve's answer, once every row (h | t) of the augmented Howell form
+    of [rows | I] is seen to have t * rows = h, and the answer x to have
+    x * rows = target."""
+    width = len(target)
+    basis, _ = lattice._augmented_howell(rows, width, ring)
+    for row in basis:
+        assert times(row[width:], rows, ring) == row[:width]
+    x = solve(rows, target, ring)
+    if x is not None:
+        assert times(x, rows, ring) == tuple(y % ring.modulus for y in target)
+    return x
+
+
 @SOLVE_RINGS
 def test_solve_matches_the_pivot_loop(ring):
     rnd = random.Random(1100 + ring.modulus)
@@ -599,11 +631,28 @@ def test_solve_matches_the_pivot_loop(ring):
         N = ring.modulus
         targets += [[rnd.randrange(-N, N) for _ in range(width)] for _ in range(3)]
         for target in targets:
-            got = solve(rows, target, ring)
+            got = checked_solve(rows, target, ring)
             assert got == pivot_loop_solve(rows, target, ring)
             found += got is not None
             missed += got is None
     assert found and missed
+
+
+def test_solve_answers_the_system_on_a_corpus_pass(monkeypatch):
+    calls = []
+
+    def checked(rows, target, ring):
+        x = checked_solve(rows, target, ring)
+        calls.append(x)
+        return x
+
+    monkeypatch.setattr(resolvent, "solve", checked)
+    insts = [load_instance(path) for path in corpus_paths()]
+    for inst in insts:
+        verifier.run_all(inst, oracle_bound=0)
+    # one solve per row of M and one per row of N, each with an answer
+    assert len(calls) == sum(2 * inst.group.rank for inst in insts) == 172
+    assert None not in calls
 
 
 @SOLVE_RINGS

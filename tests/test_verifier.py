@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from logcap import extension
+from logcap import extension, resolvent
 from logcap.extension import u_order
 from logcap.instance import coboundary_shift, load_instance
 from logcap.resolvent import log_iso, trace
@@ -48,6 +48,14 @@ def test_rank_three_group_passes_every_check(rank3):
     assert len(m_matrix) == 3 and all(len(row) == 3 for row in m_matrix)
 
 
+def test_rank_five_group_passes_every_check(rank5):
+    assert u_order(rank5) == 256
+    rep = run_all(rank5, oracle_bound=4096)
+    assert {v.check_id: v.status for v in rep.verdicts} == dict.fromkeys(CHECK_IDS, "pass")
+    m_matrix = rank5.frame.relations[0].m_matrix
+    assert len(m_matrix) == 5 and all(len(row) == 5 for row in m_matrix)
+
+
 def test_trivial_torsion_everything_vacuous(trivial_atilde):
     rep = run_all(trivial_atilde)
     assert rep.validation.ok
@@ -73,6 +81,18 @@ def test_single_check_gating(h1_violating):
 def test_single_check_runs(e1):
     v = run_check(e1, "V9")
     assert v.status == "pass" and v.witness["index"] == 2
+
+
+def test_single_check_does_not_build_the_certificate(monkeypatch):
+    """Only V3, V6 and V8 read the relation certificate, so V1 alone
+    solves no relation system."""
+
+    def no_solve(*args):
+        raise AssertionError("the certificate was built")
+
+    monkeypatch.setattr(resolvent, "solve", no_solve)
+    v = run_check(load_instance(CORPUS / "l3" / "p3_n3_G3_A3_000.json"), "V1")
+    assert v.status == "pass"
 
 
 def test_unknown_check_id_rejected(e1):
