@@ -18,6 +18,7 @@ from logcap.groupring import det_ring, trace_element
 from logcap.instance import coboundary_shift, load_instance, validate
 from logcap.extension import u_order
 from logcap.verifier import run_all
+from tests import census
 from tests.conftest import CORPUS, FIXTURES, corpus_paths, random_admissible_shift
 
 ORACLE_BOUND = 2**12
@@ -219,10 +220,14 @@ def test_criterion_9_negative_controls():
 
 # sha256 of the verification reports below; a mismatch means the report
 # bytes changed.  Witnesses of the forced fixtures carry the certificate
-# error strings, so those are pinned too.
+# error strings, so those are pinned too.  The census pins the certificates
+# and error texts of its seeded corruptions; the sampled rank-3 and rank-5
+# instances pin certificates whose M has three or more rows.
 GOLDEN_REPORTS = {
     "corpus": "49a169ef751d7a4fb32380f83704390c74b068565cb821a9db8efbb5193c0fe8",
     "forced": "5015238b309521643c13a06365f00b9407b3ac8ce32550c6d62bb828768d5d7f",
+    "census": "4eb5aa7f0b9aeaf9a1b04656bf44efa2295593597d3e37662f3a7e4fc6c6b807",
+    "sampled": "2ebe80d8afda34660a53592dce466cc46f589d281b01fae7cf32d276d08e41bf",
 }
 
 
@@ -230,7 +235,7 @@ def _digest(reports) -> str:
     return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
 
 
-def test_golden_report_hashes(corpus_reports):
+def test_golden_report_hashes(corpus_reports, rank3, rank5):
     corpus = {f"{p.parent.name}/{p.name}": rep.to_dict() for p, rep in corpus_reports.items()}
     forced = {
         name: run_all(
@@ -238,5 +243,14 @@ def test_golden_report_hashes(corpus_reports):
         ).to_dict()
         for name in ("corrupted_cocycle.json", "h1_violating.json")
     }
-    got = {"corpus": _digest(corpus), "forced": _digest(forced)}
+    sampled = {
+        name: run_all(inst, oracle_bound=ORACLE_BOUND).to_dict()
+        for name, inst in (("rank3", rank3), ("rank5", rank5))
+    }
+    got = {
+        "corpus": _digest(corpus),
+        "forced": _digest(forced),
+        "census": _digest([rep.to_dict() for rep in census.run()]),
+        "sampled": _digest(sampled),
+    }
     assert got == GOLDEN_REPORTS
