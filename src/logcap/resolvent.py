@@ -18,6 +18,8 @@ e_i b_i = sum mu_ij * b_j + w * sum nu_ij * b_j, normalized so that det M
 is exactly the trace.  As w (tau - 1) = (1 - tau) * gamma, this form and
 the gamma form e_i b_i = sum lam_ij * b_j + mu_i * gamma reduce the same
 rows modulo w * B-tilde = I_G * gamma, so one solve gives Lambda = M.
+The certificate is built from two systems per instance: one M system,
+whose last row adds the det = Tr columns, and one N system.
 
 The ``Frame`` is the one owner of everything derived from an instance:
 besides the coordinates and matrices above, the validation report and
@@ -32,7 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import extension
 from .groupring import GElt, GroupRingElt, cofactor_row, det_ring, trace_element
@@ -459,15 +461,6 @@ class RelationCertificate:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _ring_vec(inst: "Instance", x: GroupRingElt) -> Vec:
-    return tuple(x.coefficient(g) % inst.ring.modulus for g in inst.group.elements())
-
-
-def _ig_elt(inst: "Instance", tau: GElt) -> GroupRingElt:
-    """tau - 1 in the group ring."""
-    return GroupRingElt(inst.group, inst.ring, {tau: 1, inst.group.identity(): -1})
-
-
 def _ig_combination(inst: "Instance", coeffs: Sequence[int]) -> GroupRingElt:
     """sum c_tau (tau - 1) over the tau != 1, in the canonical order."""
     group = inst.group
@@ -477,87 +470,67 @@ def _ig_combination(inst: "Instance", coeffs: Sequence[int]) -> GroupRingElt:
 
 
 def _row_act(inst: "Instance", row: Sequence[GroupRingElt], b: Sequence[int]) -> Vec:
-    """sum_j row[j] * e_{b_j}, a vector of B, each entry acting through the
-    star action."""
+    """sum_j row[j] * e_{b_j}, a vector of B: the rows star[g][b_j], weighted
+    by the coefficients of row[j]."""
     frame = inst.frame
-    moved = [star_act(inst, x, frame.unit(k)) for x, k in zip(row, b)]
-    return vec_mat([1] * len(moved), moved, frame.b_orders)
-
-
-def _solve_mu_row(
-    inst: "Instance",
-    i: int,
-    b: List[int],
-    complement: List[Vec],
-    cofactors: Optional[List[GroupRingElt]] = None,
-) -> Tuple[List[GroupRingElt], Vec]:
-    """Solve relation row i for the I_G entries mu_ij modulo the complement
-    rows and torsion; return the matrix row o_i * delta_ij - mu_ij and the
-    coefficients on the complement rows.  b holds the B coordinates of the
-    b_j.
-
-    With cofactors, appends the group-ring coordinates of the determinant
-    constraint sum_j mu_ij * C_ij = e_i * C_ii - Tr so the certificate's
-    matrix has determinant exactly the trace.
-    """
-    frame = inst.frame
-    group = inst.group
-    nonid = group.nonidentity()
-    o_i = group.orders[i]
-    det_cols = group.size() if cofactors is not None else 0
-
-    rows = []
-    for j, k in enumerate(b):
-        for tau in nonid:
-            contrib = list(frame.bt_vec(frame.ig_unit(tau, k)))
-            if cofactors is not None:
-                contrib += list(_ring_vec(inst, _ig_elt(inst, tau) * cofactors[j]))
-            rows.append(contrib)
-    mu_block = len(rows)
-    for r in complement + torsion_rows(inst.atilde_orders, frame.dim_bt):
-        rows.append(list(r) + [0] * det_cols)
-
-    target = [o_i * x for x in frame.bt_vec(frame.unit(b[i]))]
-    if cofactors is not None:
-        rhs = cofactors[i].scale(o_i) - trace_element(group, inst.ring)
-        target += list(_ring_vec(inst, rhs))
-
-    sol = solve(rows, target, inst.ring)
-    if sol is None:
-        where = " with det = Tr" if cofactors is not None else ""
-        raise InfeasibleRelationError(f"relation row {i} has no solution{where}")
-    m = len(nonid)
-    out = [
-        GroupRingElt.scalar(group, inst.ring, o_i if i == j else 0)
-        - _ig_combination(inst, sol[j * m : (j + 1) * m])
-        for j in range(len(b))
-    ]
-    return out, sol[mu_block : mu_block + len(complement)]
+    coeffs = [c for x in row for c in x.coeffs.values()]
+    rows = [frame.star[g][k] for x, k in zip(row, b) for g in x.coeffs]
+    return vec_mat(coeffs, rows, frame.b_orders)
 
 
 def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
     """The rows of M (= Lambda), each with its coefficients on the
-    complement rows, with det = Tr imposed on the last row.
+    complement rows; b holds the B coordinates of the b_j.
 
-    Rows 0..s-2 are solved first without the constraint; the last row then
-    absorbs det = Tr as extra linear conditions on their cofactors.
+    One M system serves every row: the (tau - 1) * b_j in B-tilde
+    coordinates, then the complement rows, then the torsion relations.
+    Row i solves o_i * e_{b_i} against it for the I_G entries mu_ij and
+    becomes o_i * delta_ij - mu_ij.  The last row appends the det = Tr
+    columns, the group-ring coordinates of (tau - 1) * C_j with C the
+    cofactors of the rows above, and its target gains those of
+    o_i * C_ii - Tr, so the certificate's matrix has determinant exactly
+    the trace.
     """
-    s = inst.group.rank
-    form = [_solve_mu_row(inst, i, b, complement) for i in range(s - 1)]
-    if s:
-        rows = [row for row, _ in form]
-        cof = cofactor_row(rows) if rows else [GroupRingElt.one(inst.group, inst.ring)]
-        form.append(_solve_mu_row(inst, s - 1, b, complement, cof))
+    frame, group, ring = inst.frame, inst.group, inst.ring
+    nonid, elts = group.nonidentity(), group.elements()
+    s, m, N = group.rank, len(nonid), ring.modulus
+    mu_rows = [frame.bt_vec(frame.ig_unit(tau, k)) for k in b for tau in nonid]
+    rest = complement + torsion_rows(inst.atilde_orders, frame.dim_bt)
+    system = mu_rows + rest
+    form = []
+    for i, o_i in enumerate(group.orders):
+        target = [o_i * x for x in frame.bt_vec(frame.unit(b[i]))]
+        if i == s - 1:
+            cof = cofactor_row([row for row, _ in form]) if form else [GroupRingElt.one(group, ring)]
+            # coefficient g of (tau - 1) * C_j is C_j(tau^-1 g) - C_j(g)
+            det_cols = [
+                tuple((c.coefficient(group.mul(t, g)) - c.coefficient(g)) % N for g in elts)
+                for c in cof
+                for t in map(group.inv, nonid)
+            ]
+            system = [r + d for r, d in zip(mu_rows, det_cols)]
+            system += [tuple(r) + (0,) * len(elts) for r in rest]
+            rhs = cof[i].scale(o_i) - trace_element(group, ring)
+            target += [rhs.coefficient(g) for g in elts]
+        sol = solve(system, target, ring)
+        if sol is None:
+            where = " with det = Tr" if i == s - 1 else ""
+            raise InfeasibleRelationError(f"relation row {i} has no solution{where}")
+        row = [
+            GroupRingElt.scalar(group, ring, o_i if i == j else 0)
+            - _ig_combination(inst, sol[j * m : (j + 1) * m])
+            for j in range(s)
+        ]
+        form.append((row, sol[len(mu_rows) : len(mu_rows) + len(complement)]))
     return form
 
 
 def relation_matrices(inst: "Instance") -> RelationCertificate:
     """Solve the defining relations of the b_i = tau_i - 1 and return the
-    verified certificate: one solve modulo the (tau - 1) * gamma, which span
-    w * B-tilde, gives the rows of M = Lambda and, as their coefficients on
-    those rows, the mu_i; each M row is then solved for its N row."""
-    frame = inst.frame
-    group = inst.group
+    verified certificate: row i of the M system, solved modulo the
+    (tau - 1) * gamma, which span w * B-tilde, gives row i of M = Lambda and,
+    as its coefficients on them, mu_i; the N system then gives row i of N."""
+    frame, group = inst.frame, inst.group
     s = group.rank
     if s > 0 and not frame.generated:
         raise InfeasibleRelationError(
