@@ -423,13 +423,12 @@ def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None,
     context that ``build_corpus`` passes, the count reads the spaces that
     the component's own count already built."""
     context = {} if _context is None else _context
-    shapes = _shapes(params, g_orders, atilde_orders)
-    total = 0
-    for g, a in shapes:
-        total += estimate_space(params, g, a, abort_above=params.ceiling - total, _context=context)
-        if total > params.ceiling:
-            raise CeilingExceededError(total, params.ceiling)
-    for g, a in shapes:
+    total = estimate_space(
+        params, g_orders, atilde_orders, abort_above=params.ceiling, _context=context
+    )
+    if total > params.ceiling:
+        raise CeilingExceededError(total, params.ceiling)
+    for g, a in _shapes(params, g_orders, atilde_orders):
         shape = _shape(context, params, g, a)
         for action in shape.configs:
             for table_vec in shape.space(action).canonical_tables:

@@ -100,6 +100,13 @@ def test_ceiling_refusal_carries_estimate():
     with pytest.raises(CeilingExceededError) as exc:
         list(enumerate_instances(params))
     assert exc.value.estimate > 1000
+    # Two shapes, the first under the ceiling: they count 10 and 208, and
+    # the count stops, at 102, inside the second.
+    params = SearchParams(2, 4, ((2,), (2, 2)), ((2, 2),), ceiling=100)
+    assert [estimate_space(params, g, (2, 2)) for g in params.g_orders_list] == [10, 208]
+    with pytest.raises(CeilingExceededError) as exc:
+        list(enumerate_instances(params))
+    assert exc.value.estimate == 102
 
 
 def test_emitted_instances_not_coboundary_related():
