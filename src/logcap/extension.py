@@ -25,7 +25,6 @@ exactly when the action respects the torsion orders (validation's
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Tuple, TYPE_CHECKING
 
@@ -87,9 +86,10 @@ def derived_subgroup(inst: "Instance", degree_zero: bool = False) -> Submodule:
 
     Generated by (1 - tau) * a over the group generators and module
     generators, together with the antisymmetrized factor set values
-    f(s, g) - f(g, s) over unordered pairs {s, g}; with ``degree_zero``
-    the module generators are restricted to the torsion part (commutators
-    taken inside the degree-zero subgroup).
+    f(s, g) - f(g, s) over unordered pairs {s, g}, which the frame builds
+    once for both calls; with ``degree_zero`` the module generators are
+    restricted to the torsion part (commutators taken inside the
+    degree-zero subgroup).
     """
     gens = []
     t = inst.torsion_rank
@@ -99,10 +99,7 @@ def derived_subgroup(inst: "Instance", degree_zero: bool = False) -> Submodule:
     for tau in inst.group.generators():
         for a in module_gens:
             gens.append(inst.a_sub(a, inst.act(tau, a)))
-    # (g, s) gives the negative of (s, g), and (s, s) gives zero.
-    for s, g in itertools.combinations(inst.group.elements(), 2):
-        gens.append(inst.a_sub(inst.cocycle_in_a(s, g), inst.cocycle_in_a(g, s)))
-    return inst.span_a(gens)
+    return inst.span_a(gens + list(inst.frame.factor_set_commutators))
 
 
 def transfer(inst: "Instance", a: Vec, tau: GElt) -> Vec:

@@ -130,23 +130,39 @@ def check_l_powers(prime: int, orders: Sequence[int], what: str) -> None:
 
 
 class GroupRingElt:
-    """An element of (Z/l^n)[G]; absent coefficients are zero."""
+    """An element of (Z/l^n)[G]; absent coefficients are zero.
+
+    Membership is checked where data enters: the public constructor
+    rejects a key that is not an element of G.  Arithmetic takes its keys
+    from its operands or from ``group.mul``, so its results stay inside G
+    by construction and are built by ``_of``, which only reduces the
+    coefficients.
+    """
 
     __slots__ = ("group", "ring", "coeffs")
 
     def __init__(self, group: AbelianLGroup, ring: ZModRing, coeffs: Dict[GElt, int] | None = None):
         if group.prime != ring.prime:
             raise ModulusMismatchError("group and coefficient ring use different primes")
-        self.group = group
-        self.ring = ring
-        clean: Dict[GElt, int] = {}
-        for g, c in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for g in coeffs:
             if not group.contains(g):
                 raise ValueError(f"{g} is not an element of {group}")
-            c %= ring.modulus
-            if c:
-                clean[g] = c
-        self.coeffs = clean
+        self._set(group, ring, coeffs)
+
+    def _set(self, group: AbelianLGroup, ring: ZModRing, coeffs: Dict[GElt, int]) -> None:
+        N = ring.modulus
+        self.group = group
+        self.ring = ring
+        self.coeffs = {g: r for g, c in coeffs.items() if (r := c % N)}
+
+    @classmethod
+    def _of(cls, group: AbelianLGroup, ring: ZModRing, coeffs: Dict[GElt, int]) -> "GroupRingElt":
+        """The element with these coefficients, whose keys are elements of
+        G by construction: no membership check."""
+        out = cls.__new__(cls)
+        out._set(group, ring, coeffs)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -173,17 +189,17 @@ class GroupRingElt:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c
-        return GroupRingElt(self.group, self.ring, out)
+        return GroupRingElt._of(self.group, self.ring, out)
 
     def __sub__(self, other: "GroupRingElt") -> "GroupRingElt":
         self._check(other)
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) - c
-        return GroupRingElt(self.group, self.ring, out)
+        return GroupRingElt._of(self.group, self.ring, out)
 
     def __neg__(self) -> "GroupRingElt":
-        return GroupRingElt(self.group, self.ring, {g: -c for g, c in self.coeffs.items()})
+        return GroupRingElt._of(self.group, self.ring, {g: -c for g, c in self.coeffs.items()})
 
     def __mul__(self, other: "GroupRingElt") -> "GroupRingElt":
         self._check(other)
@@ -193,10 +209,10 @@ class GroupRingElt:
             for h, d in other.coeffs.items():
                 k = mul(g, h)
                 out[k] = out.get(k, 0) + c * d
-        return GroupRingElt(self.group, self.ring, out)
+        return GroupRingElt._of(self.group, self.ring, out)
 
     def scale(self, c: int) -> "GroupRingElt":
-        return GroupRingElt(self.group, self.ring, {g: c * v for g, v in self.coeffs.items()})
+        return GroupRingElt._of(self.group, self.ring, {g: c * v for g, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,7 +260,7 @@ class GroupRingElt:
 
 def trace_element(group: AbelianLGroup, ring: ZModRing) -> GroupRingElt:
     """The full trace: coefficient 1 on every group element."""
-    return GroupRingElt(group, ring, {g: 1 for g in group.elements()})
+    return GroupRingElt._of(group, ring, {g: 1 for g in group.elements()})
 
 
 def det_ring(m: Sequence[Sequence]):

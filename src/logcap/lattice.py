@@ -9,7 +9,9 @@ pivots, re-inject the annihilator multiple of every pivot row, then reduce
 entries above each pivot below the pivot's valuation.
 
 Conventions are row-based throughout: vectors are rows, ``solve`` finds
-``x`` with ``x * M = v``, and ``kernel`` is the left kernel.  The products
+``x`` with ``x * M = v``, and ``kernel`` is the left kernel.  A system
+with several targets is factored once and each target reduced against
+it (``solve_many``); ``solve`` is its one-target case.  The products
 ``vec_mat`` and ``mat_mul`` take one order per coordinate, since a module
 such as A = T + Z/l^n has coordinates of different orders: coordinate j of
 a product is reduced mod ``orders[j]``, which divides l^n.
@@ -370,23 +372,39 @@ def _augmented_howell(rows: Sequence[Sequence[int]], width: int, ring: ZModRing)
     return _howell(aug, width + n, ring)
 
 
-def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) -> Optional[tuple]:
-    """Some x with x * rows = target over Z/l^n, or None if there is none.
+def solve_many(
+    rows: Sequence[Sequence[int]], targets: Sequence[Sequence[int]], ring: ZModRing
+) -> List[Optional[tuple]]:
+    """For each target, some x with x * rows = target over Z/l^n, or None
+    where there is none; the targets share one length, the width.
 
-    Deterministic: (target | 0) is reduced against the rows of the augmented
-    Howell form [rows | I] whose pivots lie before width, which are not a
-    Howell form of their own span and so no Submodule.  Every row (h | t)
-    of that form has t * rows = h, so a solution exists exactly when the
-    residual is (0 | -x), and then x * rows = target.
+    Deterministic: the system is factored once, and each (target | 0) is
+    reduced against the rows of the augmented Howell form [rows | I] whose
+    pivots lie before width, which are not a Howell form of their own span
+    and so no Submodule.  Every row (h | t) of that form has t * rows = h,
+    so a solution exists exactly when the residual is (0 | -x), and then
+    x * rows = target.
     """
-    width = len(target)
+    if not targets:
+        return []
+    width = len(targets[0])
     basis, pivots = _augmented_howell(rows, width, ring)
     N = ring.modulus
     k = sum(col < width for col in pivots)
-    resid = _reduce(basis[:k], pivots[:k], list(target) + [0] * len(rows), N)
-    if any(resid[:width]):
-        return None
-    return tuple(-y % N for y in resid[width:])
+    basis, pivots, pad = basis[:k], pivots[:k], [0] * len(rows)
+    out = []
+    for target in targets:
+        if len(target) != width:
+            raise ShapeError(f"target of length {len(target)}, expected {width}")
+        resid = _reduce(basis, pivots, list(target) + pad, N)
+        out.append(None if any(resid[:width]) else tuple(-y % N for y in resid[width:]))
+    return out
+
+
+def solve(rows: Sequence[Sequence[int]], target: Sequence[int], ring: ZModRing) -> Optional[tuple]:
+    """Some x with x * rows = target over Z/l^n, or None if there is none:
+    ``solve_many`` with the one target."""
+    return solve_many(rows, [target], ring)[0]
 
 
 def kernel(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> Submodule:

@@ -19,7 +19,10 @@ is exactly the trace.  As w (tau - 1) = (1 - tau) * gamma, this form and
 the gamma form e_i b_i = sum lam_ij * b_j + mu_i * gamma reduce the same
 rows modulo w * B-tilde = I_G * gamma, so one solve gives Lambda = M.
 The certificate is built from two systems per instance: one M system,
-whose last row adds the det = Tr columns, and one N system.
+whose last row adds the det = Tr columns, and one N system.  Each system
+is factored once and every row's target reduced against it
+(``lattice.solve_many``); only the last row of M, whose system no other
+row shares, is a one-target ``solve``.
 
 The ``Frame`` is the one owner of everything derived from an instance:
 besides the coordinates and matrices above, the validation report and
@@ -46,6 +49,7 @@ from .lattice import (
     preimage,
     quotient_order,
     solve,
+    solve_many,
     torsion_rows,
     torsion_size,
     vec_mat,
@@ -103,14 +107,14 @@ class Frame:
     """The derived state of one instance, each member computed on first use.
 
     Holds the coefficient ring, the coordinate orders, the factor-set
-    lookup and the G-action of A, the star, omega and trace matrices of B,
-    the transfer as an affine map of A, the validation report, the
-    submodules the checks read, and the relation certificate with delta.
-    Every instance owns one, as ``inst.frame``; the data it is derived from
-    is immutable, so nothing here is ever invalidated.  Coordinates of B:
-    the torsion generators of A, then gamma, then the (tau - 1); B-tilde
-    drops gamma.  Torsion comes first in all three, so ``span`` and
-    ``size`` serve each of them.
+    lookup, its antisymmetrized values and the G-action of A, the star,
+    omega and trace matrices of B, the transfer as an affine map of A, the
+    validation report, the submodules the checks read, and the relation
+    certificate with delta.  Every instance owns one, as ``inst.frame``;
+    the data it is derived from is immutable, so nothing here is ever
+    invalidated.  Coordinates of B: the torsion generators of A, then
+    gamma, then the (tau - 1); B-tilde drops gamma.  Torsion comes first
+    in all three, so ``span`` and ``size`` serve each of them.
     """
 
     def __init__(self, inst: "Instance"):
@@ -323,6 +327,16 @@ class Frame:
         return self.inst.span_a([self.unit(i)[:d] for i in range(self.inst.torsion_rank)])
 
     @cached_property
+    def factor_set_commutators(self) -> Tuple[Vec, ...]:
+        """f(s, g) - f(g, s) over the unordered pairs {s, g} of the factor
+        set's entries, the factor-set part of both derived subgroups.  A
+        pair with no entry has both values zero; (g, s) gives the negative
+        of (s, g)."""
+        inst = self.inst
+        pairs = sorted({tuple(sorted((s, g))) for s, g, _ in inst.cocycle})
+        return tuple(inst.a_sub(inst.cocycle_in_a(s, g), inst.cocycle_in_a(g, s)) for s, g in pairs)
+
+    @cached_property
     def derived(self) -> Submodule:
         """U', the derived subgroup of the extension group, inside A."""
         return extension.derived_subgroup(self.inst)
@@ -466,7 +480,7 @@ def _ig_combination(inst: "Instance", coeffs: Sequence[int]) -> GroupRingElt:
     group = inst.group
     out = dict(zip(group.nonidentity(), coeffs))
     out[group.identity()] = -sum(coeffs)
-    return GroupRingElt(group, inst.ring, out)
+    return GroupRingElt._of(group, inst.ring, out)
 
 
 def _row_act(inst: "Instance", row: Sequence[GroupRingElt], b: Sequence[int]) -> Vec:
@@ -485,43 +499,45 @@ def _solve_form(inst: "Instance", b: List[int], complement: List[Vec]) -> list:
     One M system serves every row: the (tau - 1) * b_j in B-tilde
     coordinates, then the complement rows, then the torsion relations.
     Row i solves o_i * e_{b_i} against it for the I_G entries mu_ij and
-    becomes o_i * delta_ij - mu_ij.  The last row appends the det = Tr
-    columns, the group-ring coordinates of (tau - 1) * C_j with C the
-    cofactors of the rows above, and its target gains those of
-    o_i * C_ii - Tr, so the certificate's matrix has determinant exactly
-    the trace.
+    becomes o_i * delta_ij - mu_ij; the system is factored once for rows
+    0..s-2.  The last row appends the det = Tr columns, the group-ring
+    coordinates of (tau - 1) * C_j with C the cofactors of the rows above,
+    and its target gains those of o_i * C_ii - Tr, so the certificate's
+    matrix has determinant exactly the trace.
     """
     frame, group, ring = inst.frame, inst.group, inst.ring
     nonid, elts = group.nonidentity(), group.elements()
     s, m, N = group.rank, len(nonid), ring.modulus
     mu_rows = [frame.bt_vec(frame.ig_unit(tau, k)) for k in b for tau in nonid]
     rest = complement + torsion_rows(inst.atilde_orders, frame.dim_bt)
-    system = mu_rows + rest
-    form = []
-    for i, o_i in enumerate(group.orders):
-        target = [o_i * x for x in frame.bt_vec(frame.unit(b[i]))]
-        if i == s - 1:
-            cof = cofactor_row([row for row, _ in form]) if form else [GroupRingElt.one(group, ring)]
-            # coefficient g of (tau - 1) * C_j is C_j(tau^-1 g) - C_j(g)
-            det_cols = [
-                tuple((c.coefficient(group.mul(t, g)) - c.coefficient(g)) % N for g in elts)
-                for c in cof
-                for t in map(group.inv, nonid)
-            ]
-            system = [r + d for r, d in zip(mu_rows, det_cols)]
-            system += [tuple(r) + (0,) * len(elts) for r in rest]
-            rhs = cof[i].scale(o_i) - trace_element(group, ring)
-            target += [rhs.coefficient(g) for g in elts]
-        sol = solve(system, target, ring)
+    targets = [[o * x for x in frame.bt_vec(frame.unit(k))] for k, o in zip(b, group.orders)]
+
+    def form_row(i: int, sol) -> tuple:
         if sol is None:
             where = " with det = Tr" if i == s - 1 else ""
             raise InfeasibleRelationError(f"relation row {i} has no solution{where}")
         row = [
-            GroupRingElt.scalar(group, ring, o_i if i == j else 0)
+            GroupRingElt.scalar(group, ring, group.orders[i] if i == j else 0)
             - _ig_combination(inst, sol[j * m : (j + 1) * m])
             for j in range(s)
         ]
-        form.append((row, sol[len(mu_rows) : len(mu_rows) + len(complement)]))
+        return row, sol[len(mu_rows) : len(mu_rows) + len(complement)]
+
+    form = [form_row(i, sol) for i, sol in enumerate(solve_many(mu_rows + rest, targets[:-1], ring))]
+    if s:
+        i = s - 1
+        cof = cofactor_row([row for row, _ in form]) if form else [GroupRingElt.one(group, ring)]
+        # coefficient g of (tau - 1) * C_j is C_j(tau^-1 g) - C_j(g)
+        det_cols = [
+            tuple((c.coefficient(group.mul(t, g)) - c.coefficient(g)) % N for g in elts)
+            for c in cof
+            for t in map(group.inv, nonid)
+        ]
+        system = [r + d for r, d in zip(mu_rows, det_cols)]
+        system += [tuple(r) + (0,) * len(elts) for r in rest]
+        rhs = cof[i].scale(group.orders[i]) - trace_element(group, ring)
+        target = targets[i] + [rhs.coefficient(g) for g in elts]
+        form.append(form_row(i, solve(system, target, ring)))
     return form
 
 
@@ -529,7 +545,8 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
     """Solve the defining relations of the b_i = tau_i - 1 and return the
     verified certificate: row i of the M system, solved modulo the
     (tau - 1) * gamma, which span w * B-tilde, gives row i of M = Lambda and,
-    as its coefficients on them, mu_i; the N system then gives row i of N."""
+    as its coefficients on them, mu_i; the N system, factored once, then
+    gives every row of N."""
     frame, group = inst.frame, inst.group
     s = group.rank
     if s > 0 and not frame.generated:
@@ -544,14 +561,14 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
     m_rows = tuple(tuple(row) for row, _ in form)
     nu_system = [frame.bt_vec(omega_act(inst, frame.star[g][k])) for k in b for g in elts]
     nu_system += torsion_rows(inst.atilde_orders, frame.dim_bt)
+    targets = [frame.bt_vec(_row_act(inst, m_row, b)) for m_row in m_rows]
     n = len(elts)
     n_rows = []
-    for i, m_row in enumerate(m_rows):
-        sol = solve(nu_system, frame.bt_vec(_row_act(inst, m_row, b)), inst.ring)
+    for i, sol in enumerate(solve_many(nu_system, targets, inst.ring)):
         if sol is None:
             raise InfeasibleRelationError(f"omega complement of row {i} is infeasible")
         chunks = (sol[j * n : (j + 1) * n] for j in range(s))
-        n_rows.append(tuple(GroupRingElt(group, inst.ring, dict(zip(elts, c))) for c in chunks))
+        n_rows.append(tuple(GroupRingElt._of(group, inst.ring, dict(zip(elts, c))) for c in chunks))
     cert = RelationCertificate(
         m_matrix=m_rows,
         n_matrix=tuple(n_rows),
@@ -566,13 +583,16 @@ def _verify_certificate(inst: "Instance", cert: RelationCertificate, b: Sequence
     """Check both forms by substitution, reading only the instance and the
     certificate: sum_j M_ij * b_j = w * sum_j N_ij * b_j and
     sum_j Lambda_ij * b_j = mu_i * gamma for every row i, where b holds the
-    B coordinates of the b_j."""
+    B coordinates of the b_j.  A row of Lambda equal to the row of M
+    shares its product."""
     gamma = inst.frame.unit(inst.torsion_rank)
     for i in range(cert.size()):
-        omega_side = omega_act(inst, _row_act(inst, cert.n_matrix[i], b))
-        if _row_act(inst, cert.m_matrix[i], b) != omega_side:
+        m_side = _row_act(inst, cert.m_matrix[i], b)
+        if m_side != omega_act(inst, _row_act(inst, cert.n_matrix[i], b)):
             raise CertificateError(f"nonzero residual in omega-form row {i}")
-        if _row_act(inst, cert.lam_matrix[i], b) != star_act(inst, cert.mu_vector[i], gamma):
+        lam_row = cert.lam_matrix[i]
+        lam_side = m_side if lam_row == cert.m_matrix[i] else _row_act(inst, lam_row, b)
+        if lam_side != star_act(inst, cert.mu_vector[i], gamma):
             raise CertificateError(f"nonzero residual in gamma-form row {i}")
 
 

@@ -13,6 +13,7 @@ from logcap.groupring import AbelianLGroup, GroupRingElt
 from logcap.instance import build_instance, coboundary_shift, load_instance, validate
 from logcap.lattice import ZModRing
 from logcap.resolvent import ResolventElt, log_iso, trace
+from tests import census
 from tests.conftest import FIXTURES, corpus_paths, span_elements
 
 
@@ -122,6 +123,32 @@ def test_derived_subgroup_degree_zero_e1(e1):
 def test_derived_subgroup_trivial_case():
     inst = build_instance(2, 3, [2], [], [[[1]]], {})
     assert derived_subgroup(inst) == inst.frame.zero_a
+
+
+def derived_by_all_pairs(inst, degree_zero=False):
+    """The derived subgroup as it was computed before: the factor-set part
+    spanned over every unordered pair of G, for each of the two calls."""
+    gens = []
+    module_gens = [tuple(int(j == i) for j in range(inst.dim_a)) for i in range(inst.torsion_rank)]
+    if not degree_zero:
+        module_gens.append(inst.gamma())
+    for tau in inst.group.generators():
+        gens += [inst.a_sub(a, inst.act(tau, a)) for a in module_gens]
+    for s, g in itertools.combinations(inst.group.elements(), 2):
+        gens.append(inst.a_sub(inst.cocycle_in_a(s, g), inst.cocycle_in_a(g, s)))
+    return inst.span_a(gens)
+
+
+def test_derived_subgroups_equal_the_all_pairs_formula(e1, inst33, rank3, rank5):
+    """The factor-set part read off the entries of the factor set, built
+    once per instance, spans the same submodules as every pair of G: on the
+    fixtures, the samples and every census input (corpus bases included),
+    valid or not."""
+    insts = [e1, inst33, rank3, rank5] + [inst for _, _, inst in census.inputs()]
+    for inst in insts:
+        assert inst.frame.derived == derived_by_all_pairs(inst)
+        assert inst.frame.derived_degree_zero == derived_by_all_pairs(inst, degree_zero=True)
+    assert len(insts) > 500
 
 
 def test_transfer_trivial_group_is_identity():

@@ -105,6 +105,14 @@ def test_mixed_group_or_ring_rejected():
         elt({(0,): 1}) + GroupRingElt(AbelianLGroup(2, [4]), Z8, {(0,): 1})
 
 
+@pytest.mark.parametrize("key", [(2,), (-1,), (0, 0), (), "0"])
+def test_public_constructor_rejects_a_key_outside_the_group(key):
+    """Membership is checked where data enters; arithmetic builds its
+    results without the check."""
+    with pytest.raises(ValueError, match="is not an element of"):
+        GroupRingElt(C2, Z8, {key: 1})
+
+
 def test_det_of_scalar_diagonal_is_product_of_orders():
     g = AbelianLGroup(2, [2, 4])
     ring = ZModRing(2, 4)

@@ -620,6 +620,14 @@ def checked_solve(rows, target, ring):
     return x
 
 
+def checked_solve_many(rows, targets, ring):
+    """solve_many's answers, once each is seen to be checked_solve's answer
+    for its target alone, in order."""
+    xs = lattice.solve_many(rows, targets, ring)
+    assert xs == [checked_solve(rows, target, ring) for target in targets]
+    return xs
+
+
 @SOLVE_RINGS
 def test_solve_matches_the_pivot_loop(ring):
     rnd = random.Random(1100 + ring.modulus)
@@ -630,29 +638,39 @@ def test_solve_matches_the_pivot_loop(ring):
         targets = [times(x, rows, ring)]
         N = ring.modulus
         targets += [[rnd.randrange(-N, N) for _ in range(width)] for _ in range(3)]
+        answers = []
         for target in targets:
             got = checked_solve(rows, target, ring)
             assert got == pivot_loop_solve(rows, target, ring)
             found += got is not None
             missed += got is None
+            answers.append(got)
+        # one factoring for every target, feasible and infeasible mixed
+        assert checked_solve_many(rows, targets, ring) == answers
     assert found and missed
 
 
 def test_solve_answers_the_system_on_a_corpus_pass(monkeypatch):
-    calls = []
+    answers = []
 
     def checked(rows, target, ring):
         x = checked_solve(rows, target, ring)
-        calls.append(x)
+        answers.append(x)
         return x
 
+    def checked_many(rows, targets, ring):
+        xs = checked_solve_many(rows, targets, ring)
+        answers.extend(xs)
+        return xs
+
     monkeypatch.setattr(resolvent, "solve", checked)
+    monkeypatch.setattr(resolvent, "solve_many", checked_many)
     insts = [load_instance(path) for path in corpus_paths()]
     for inst in insts:
         verifier.run_all(inst, oracle_bound=0)
-    # one solve per row of M and one per row of N, each with an answer
-    assert len(calls) == sum(2 * inst.group.rank for inst in insts) == 172
-    assert None not in calls
+    # one answer per row of M and one per row of N, each a solution
+    assert len(answers) == sum(2 * inst.group.rank for inst in insts) == 172
+    assert None not in answers
 
 
 @SOLVE_RINGS

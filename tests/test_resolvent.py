@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from logcap import resolvent
+from logcap import lattice, resolvent
 from logcap.extension import u_order
 from logcap.groupring import GroupRingElt, det_ring, trace_element
 from logcap.instance import build_instance, load_instance
@@ -300,6 +300,21 @@ def test_certificate_check_reads_only_the_certificate(path, field, form):
         _verify_certificate(inst, replace(cert, **{field: changed}), b)
 
 
+def test_a_lambda_row_apart_from_m_is_checked_on_its_own(rank3):
+    """Where a row of Lambda differs from the row of M, the gamma form is
+    checked with Lambda's own product: a wrong row names its index, with M
+    and the omega form left intact."""
+    cert = relation_matrices(rank3)
+    b = [rank3.frame.tau_coord(tau) for tau in rank3.group.generators()]
+    one = GroupRingElt.one(rank3.group, rank3.ring)
+    for i in range(cert.size()):
+        row = cert.lam_matrix[i][:-1] + (cert.lam_matrix[i][-1] + one,)
+        lam = cert.lam_matrix[:i] + (row,) + cert.lam_matrix[i + 1 :]
+        assert lam[i] != cert.m_matrix[i]
+        with pytest.raises(CertificateError, match=f"nonzero residual in gamma-form row {i}"):
+            _verify_certificate(rank3, replace(cert, lam_matrix=lam), b)
+
+
 def test_certificate_residuals_verify_by_substitution(inst33):
     cert = relation_matrices(inst33)
     gens = inst33.group.generators()
@@ -458,21 +473,34 @@ def test_delta_matches_the_dual_number_determinant(rank3, trivial_atilde):
     assert sum(kind != "value" and "kappa" in text for kind, text in outcomes) == 6
 
 
-def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, monkeypatch):
-    """One solve per row of M (= Lambda) and one per row of N: no row is
-    solved twice."""
-    solve = resolvent.solve
-    calls = []
+def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, rank3, rank5, monkeypatch):
+    """Every row of M (= Lambda) and of N is answered exactly once, and each
+    distinct system is factored once: the M system shared by rows 0..s-2,
+    the last row's system with the det = Tr columns, and the N system."""
+    solve_many, augmented_howell = lattice.solve_many, lattice._augmented_howell
+    answered, factored = [], []
 
-    def counting_solve(*args):
-        calls.append(args)
-        return solve(*args)
+    def counting_solve_many(rows, targets, ring):
+        answered.append((tuple(map(tuple, rows)), len(targets)))
+        return solve_many(rows, targets, ring)
 
-    monkeypatch.setattr(resolvent, "solve", counting_solve)
-    for inst in [e1, inst33] + [load_instance(p) for p in corpus_paths()]:
-        calls.clear()
+    def counting_howell(rows, width, ring):
+        factored.append(tuple(map(tuple, rows)))
+        return augmented_howell(rows, width, ring)
+
+    # solve reaches solve_many through the lattice module
+    monkeypatch.setattr(lattice, "solve_many", counting_solve_many)
+    monkeypatch.setattr(resolvent, "solve_many", counting_solve_many)
+    monkeypatch.setattr(lattice, "_augmented_howell", counting_howell)
+    for inst in [e1, inst33, rank3, rank5] + [load_instance(p) for p in corpus_paths()]:
+        answered.clear()
+        factored.clear()
         relation_matrices(inst)
-        assert len(calls) == 2 * inst.group.rank
+        s = inst.group.rank
+        assert sum(n for _, n in answered) == 2 * s
+        systems = [rows for rows, n in answered if n]
+        assert len(systems) == len(set(systems)) == 2 + (s > 1)
+        assert sorted(factored) == sorted(systems)
 
 
 def _omega_form_rows(inst):
