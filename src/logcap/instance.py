@@ -9,9 +9,9 @@ associativity identity, and vanishes on inverse pairs (the transversal
 convention u_{t^-1} = u_t^-1).
 
 An ``Instance`` holds that data and nothing derived from it.  Everything
-derived, from the coefficient ring and the factor-set lookup to the
-submodules the checks read, belongs to its ``Frame`` (``inst.frame``, see
-``resolvent``), each value built once on first use.  The coordinate
+derived, from the coefficient ring and the factor set embedded in A to
+the submodules the checks read, belongs to its ``Frame`` (``inst.frame``,
+see ``resolvent``), each value built once on first use.  The coordinate
 helpers here read the frame.
 
 Validation failures are data, not exceptions: ``validate`` returns a named
@@ -123,11 +123,8 @@ class Instance:
         full = self.act(g, self.atilde_embed(t_vec))
         return full[: self.torsion_rank]
 
-    def cocycle_value(self, sigma: GElt, tau: GElt) -> Vec:
-        return self.frame.cocycle_table.get((sigma, tau), (0,) * self.torsion_rank)
-
     def cocycle_in_a(self, sigma: GElt, tau: GElt) -> Vec:
-        return self.atilde_embed(self.cocycle_value(sigma, tau))
+        return self.frame.factor_set.get((sigma, tau), self.a_zero())
 
     # -- submodules of A ---------------------------------------------------
 
@@ -394,7 +391,7 @@ def coboundary_shift(inst: Instance, c: Dict[GElt, Sequence[int]]) -> Instance:
     for s in group.elements():
         for g in group.elements():
             terms = zip(
-                inst.cocycle_value(s, g),
+                inst.cocycle_in_a(s, g),  # zip drops its gamma coordinate
                 cval(s),
                 inst.atilde_act(s, cval(g)),
                 cval(group.mul(s, g)),

@@ -34,6 +34,7 @@ per instance.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,8 +107,8 @@ def log_iso(inst: "Instance", a: Vec, tau: GElt) -> ResolventElt:
 class Frame:
     """The derived state of one instance, each member computed on first use.
 
-    Holds the coefficient ring, the coordinate orders, the factor-set
-    lookup, its antisymmetrized values and the G-action of A, the star,
+    Holds the coefficient ring, the coordinate orders, the factor set
+    embedded in A, its antisymmetrized values and the G-action of A, the star,
     omega and trace matrices of B, the transfer as an affine map of A, the
     validation report, the submodules the checks read, and the relation
     certificate with delta.  Every instance owns one, as ``inst.frame``;
@@ -139,10 +140,10 @@ class Frame:
         return inst.group.matrices(inst.action, (self.ring.modulus,) * inst.dim_a)
 
     @cached_property
-    def cocycle_table(self) -> Dict[Tuple[GElt, GElt], Vec]:
-        """The factor set as a lookup (sigma, tau) -> value; a pair it does
-        not hold has value zero."""
-        return {(s, t): v for s, t, v in self.inst.cocycle}
+    def factor_set(self) -> Dict[Tuple[GElt, GElt], Vec]:
+        """The stored values f(sigma, tau), embedded in A once; a pair it
+        does not hold has value zero (``inst.cocycle_in_a`` reads it)."""
+        return {(s, t): self.inst.atilde_embed(v) for s, t, v in self.inst.cocycle}
 
     @cached_property
     def nonid_index(self) -> Dict[GElt, int]:
@@ -220,19 +221,16 @@ class Frame:
 
     @cached_property
     def star(self) -> Dict[GElt, tuple]:
-        """The matrix of the twisted action of every sigma on B."""
-        inst = self.inst
-        group = inst.group
-        N = self.ring.modulus
-        d = inst.dim_a
+        """The matrix of the twisted action of every sigma on B, rows canonical."""
+        inst, group = self.inst, self.inst.group
         zeros = (0,) * len(self.nonid_index)
         out = {}
-        for sigma in group.elements():
-            rows = [inst.act(sigma, tuple(int(i == j) for j in range(d))) + zeros for i in range(d)]
+        for sigma, mat in self.action.items():
+            rows = [self.b_reduce(r + zeros) for r in mat]
             for tau in group.nonidentity():
                 lam = self.lam_vec(((group.mul(sigma, tau), 1), (sigma, -1)))
-                rows.append(inst.cocycle_in_a(sigma, tau) + lam)
-            out[sigma] = tuple(tuple(x % N for x in r) for r in rows)
+                rows.append(self.b_reduce(inst.cocycle_in_a(sigma, tau) + lam))
+            out[sigma] = tuple(rows)
         return out
 
     def ig_unit(self, tau: GElt, k: int) -> Vec:
@@ -270,15 +268,11 @@ class Frame:
 
     @cached_property
     def offsets(self) -> Dict[GElt, Vec]:
-        """c(tau) = sum_g (tau g)^-1 * f(tau, g) for every tau in G."""
+        """c(tau) = sum_g (tau g)^-1 * f(tau, g) for every tau, over f's entries."""
         inst, group = self.inst, self.inst.group
-        out = {}
-        for tau in group.elements():
-            c = inst.a_zero()
-            for g in group.elements():
-                tg_inv = group.inv(group.mul(tau, g))
-                c = inst.a_add(c, inst.act(tg_inv, inst.cocycle_in_a(tau, g)))
-            out[tau] = c
+        out = {tau: inst.a_zero() for tau in group.elements()}
+        for (tau, g), v in self.factor_set.items():
+            out[tau] = inst.a_add(out[tau], inst.act(group.inv(group.mul(tau, g)), v))
         return out
 
     def transfer_map(self, a: Sequence[int], tau: GElt) -> Vec:
@@ -373,19 +367,21 @@ class Frame:
 
     @cached_property
     def boundary(self) -> Submodule:
-        """The span of the antisymmetrized factor-set values on generator pairs."""
+        """The span of f(s, g) - f(g, s) over pairs of the chosen generators
+        of G only, so it depends on the presentation: on 3 of the 55 corpus
+        instances the span over all pairs of G is larger."""
         inst = self.inst
-        gens = []
-        ggens = inst.group.generators()
-        for i in range(len(ggens)):
-            for j in range(i + 1, len(ggens)):
-                gens.append(
-                    inst.a_sub(
-                        inst.cocycle_in_a(ggens[i], ggens[j]),
-                        inst.cocycle_in_a(ggens[j], ggens[i]),
-                    )
-                )
-        return inst.span_a(gens)
+        pairs = itertools.combinations(inst.group.generators(), 2)
+        f = inst.cocycle_in_a
+        return inst.span_a([inst.a_sub(f(s, g), f(g, s)) for s, g in pairs])
+
+    @cached_property
+    def omega_b_rows(self) -> Tuple[Vec, ...]:
+        """w * (g * b_j) in B-tilde coordinates, for each b_j and then each g
+        in G: the N system's rows, and half of what ``generated`` spans."""
+        inst, elts = self.inst, self.inst.group.elements()
+        rows = [self.star[g][self.tau_coord(t)] for t in inst.group.generators() for g in elts]
+        return tuple(self.bt_vec(omega_act(inst, r)) for r in rows)
 
     @cached_property
     def generated(self) -> bool:
@@ -393,14 +389,10 @@ class Frame:
         omega-extended group ring.  The span lies in B-tilde, so it is all
         of B-tilde exactly when its order is l^(n * dim_bt); no Howell form
         of B-tilde itself is needed."""
-        inst = self.inst
-        gens = []
-        for tau_i in inst.group.generators():
-            k = self.tau_coord(tau_i)
-            for g in inst.group.elements():
-                moved = self.b_reduce(self.star[g][k])
-                gens.append(self.bt_vec(moved))
-                gens.append(self.bt_vec(omega_act(inst, moved)))
+        group = self.inst.group
+        b = [self.tau_coord(tau) for tau in group.generators()]
+        gens = [self.bt_vec(self.star[g][k]) for k in b for g in group.elements()]
+        gens += self.omega_b_rows
         return self.span(gens, self.dim_bt).order() == self.ring.modulus**self.dim_bt
 
     @cached_property
@@ -559,8 +551,7 @@ def relation_matrices(inst: "Instance") -> RelationCertificate:
     complement = [frame.bt_vec(frame.ig_unit(tau, t)) for tau in group.nonidentity()]
     form = _solve_form(inst, b, complement)
     m_rows = tuple(tuple(row) for row, _ in form)
-    nu_system = [frame.bt_vec(omega_act(inst, frame.star[g][k])) for k in b for g in elts]
-    nu_system += torsion_rows(inst.atilde_orders, frame.dim_bt)
+    nu_system = list(frame.omega_b_rows) + torsion_rows(inst.atilde_orders, frame.dim_bt)
     targets = [frame.bt_vec(_row_act(inst, m_row, b)) for m_row in m_rows]
     n = len(elts)
     n_rows = []

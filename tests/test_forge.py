@@ -682,7 +682,7 @@ def test_oracle_independent_of_formula_code(monkeypatch):
     monkeypatch.setattr(resolvent.Frame, "transfer_map", refuse)
     monkeypatch.setattr(resolvent.Frame, "offsets", property(refuse))
     monkeypatch.setattr(resolvent.Frame, "trace_matrix", property(refuse))
-    for name in ("action", "cocycle_table", "orders", "ring"):
+    for name in ("action", "factor_set", "omega", "orders", "ring", "star"):
         monkeypatch.setattr(resolvent.Frame, name, property(refuse))
     for path, facts in zip(paths, want):
         inst = load_instance(path)

@@ -132,6 +132,87 @@ def test_star_sum_has_zero_ig_columns_on_every_census_input():
         assert tuple(inst.a_reduce(row[:d]) for row in total) == frame.trace_matrix
 
 
+def factor_set_by_pairs(inst):
+    """f(s, t) in A, as it was looked up before: the stored torsion value
+    of the pair, or zero, embedded on each call."""
+    table = {(s, t): v for s, t, v in inst.cocycle}
+    return lambda s, t: inst.atilde_embed(table.get((s, t), (0,) * inst.torsion_rank))
+
+
+def star_by_unit_vectors(inst):
+    """Frame.star as it was computed before: the A rows by inst.act on unit
+    vectors, the factor-set rows pair by pair, every entry reduced mod l^n."""
+    frame, group, N, d = inst.frame, inst.group, inst.ring.modulus, inst.dim_a
+    f = factor_set_by_pairs(inst)
+    zeros = (0,) * len(frame.nonid_index)
+    out = {}
+    for sigma in group.elements():
+        rows = [inst.act(sigma, tuple(int(i == j) for j in range(d))) + zeros for i in range(d)]
+        for tau in group.nonidentity():
+            lam = frame.lam_vec(((group.mul(sigma, tau), 1), (sigma, -1)))
+            rows.append(f(sigma, tau) + lam)
+        out[sigma] = tuple(tuple(x % N for x in r) for r in rows)
+    return out
+
+
+def offsets_by_all_pairs(inst):
+    """Frame.offsets as it was computed before: c(tau) summed over every g."""
+    group, f = inst.group, factor_set_by_pairs(inst)
+    out = {}
+    for tau in group.elements():
+        c = inst.a_zero()
+        for g in group.elements():
+            c = inst.a_add(c, inst.act(group.inv(group.mul(tau, g)), f(tau, g)))
+        out[tau] = c
+    return out
+
+
+def boundary_by_index_loops(inst):
+    """Frame.boundary as it was computed before, over i < j of the generators."""
+    ggens, f = inst.group.generators(), factor_set_by_pairs(inst)
+    gens = []
+    for i in range(len(ggens)):
+        for j in range(i + 1, len(ggens)):
+            gens.append(inst.a_sub(f(ggens[i], ggens[j]), f(ggens[j], ggens[i])))
+    return inst.span_a(gens)
+
+
+def generated_by_interleaved_rows(inst):
+    """Frame.generated as it was computed before: each star row of a b_j,
+    reduced, followed by its w-image; the error text where it raises."""
+    frame = inst.frame
+    gens = []
+    try:
+        for tau_i in inst.group.generators():
+            k = frame.tau_coord(tau_i)
+            for g in inst.group.elements():
+                moved = frame.b_reduce(frame.star[g][k])
+                gens += [frame.bt_vec(moved), frame.bt_vec(omega_act(inst, moved))]
+    except InternalInvariantError as e:
+        return str(e)
+    return frame.span(gens, frame.dim_bt).order() == inst.ring.modulus**frame.dim_bt
+
+
+def test_factor_set_readers_equal_the_pair_by_pair_formulas(e1, inst33, rank3, rank5):
+    """Star, offsets, boundary and generation read the factor set from the
+    frame's one table in A, and star its A rows from the action matrices:
+    on the fixtures, the samples and every census input (corpus bases
+    included), valid or not, they equal the formulas that looked each pair
+    up and embedded it on every call."""
+    insts = [e1, inst33, rank3, rank5] + [inst for _, _, inst in census.inputs()]
+    for inst in insts:
+        frame = inst.frame
+        assert frame.star == star_by_unit_vectors(inst)
+        assert frame.offsets == offsets_by_all_pairs(inst)
+        assert frame.boundary == boundary_by_index_loops(inst)
+        try:
+            generated = frame.generated
+        except InternalInvariantError as e:
+            generated = str(e)
+        assert generated == generated_by_interleaved_rows(inst)
+    assert len(insts) > 500
+
+
 def test_derived_is_the_degree_zero_derived_plus_ig_gamma_on_every_census_input():
     """Valid or not: the generators of U' are those of U_t' and the
     (1 - tau_k) * gamma, and I_G * gamma holds every (1 - tau) * gamma, so
