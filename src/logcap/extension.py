@@ -54,6 +54,16 @@ class UElement:
             raise ValueError("components do not fit the instance")
         object.__setattr__(self, "a", self.instance.a_reduce(self.a))
 
+    @classmethod
+    def _of(cls, instance: "Instance", a: Vec, tau: GElt) -> "UElement":
+        """(a, tau) without the constructor's check: products and inverses
+        take a from the reducing a_add and a_neg, tau from group.mul and
+        group.inv, so both fit the instance by construction."""
+        out = object.__new__(cls)
+        for name, value in (("instance", instance), ("a", a), ("tau", tau)):
+            object.__setattr__(out, name, value)
+        return out
+
     def _check(self, other: "UElement") -> None:
         if self.instance != other.instance:
             raise InstanceMismatchError("elements of different extension groups")
@@ -63,7 +73,7 @@ class UElement:
         inst = self.instance
         a = inst.a_add(self.a, inst.act(self.tau, other.a))
         a = inst.a_add(a, inst.cocycle_in_a(self.tau, other.tau))
-        return UElement(inst, a, inst.group.mul(self.tau, other.tau))
+        return UElement._of(inst, a, inst.group.mul(self.tau, other.tau))
 
     def inverse(self) -> "UElement":
         inst = self.instance
@@ -74,7 +84,7 @@ class UElement:
                 inst.act(ti, inst.cocycle_in_a(self.tau, ti)),
             )
         )
-        return UElement(inst, b, ti)
+        return UElement._of(inst, b, ti)
 
 
 def u_order(inst: "Instance") -> int:

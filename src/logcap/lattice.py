@@ -6,7 +6,10 @@ Because this ring has zero divisors, ordinary echelon forms are neither
 canonical nor sufficient for membership tests; the Howell form is both.
 The routines here follow the usual recipe: echelonize with minimal-valuation
 pivots, re-inject the annihilator multiple of every pivot row, then reduce
-entries above each pivot below the pivot's valuation.
+entries above each pivot below the pivot's valuation.  Each system gets
+one elimination, and each caller back-reduces only the rows it reads:
+``kernel`` those with pivots past the width, ``solve_many`` those before
+it, ``Submodule.from_generators`` all.
 
 Conventions are row-based throughout: vectors are rows, ``solve`` finds
 ``x`` with ``x * M = v``, and ``kernel`` is the left kernel.  A system
@@ -120,35 +123,6 @@ class ZModRing:
     def __repr__(self) -> str:
         return f"ZModRing({self.prime}, {self.precision})"
 
-    def val(self, x: int) -> int:
-        """l-adic valuation of x mod l^n; val(0) = n by convention."""
-        x %= self.modulus
-        if x == 0:
-            return self.precision
-        v = 0
-        while x % self.prime == 0:
-            x //= self.prime
-            v += 1
-        return v
-
-    def unit_part(self, x: int) -> int:
-        """The unit u with x = u * l^val(x); unit_part(0) = 1."""
-        x %= self.modulus
-        if x == 0:
-            return 1
-        while x % self.prime == 0:
-            x //= self.prime
-        return x
-
-    def is_unit(self, x: int) -> bool:
-        return x % self.prime != 0
-
-    def inv(self, x: int) -> int:
-        x %= self.modulus
-        if not self.is_unit(x):
-            raise ZeroDivisionError(f"{x} is not a unit mod {self.modulus}")
-        return pow(x, -1, self.modulus)
-
 
 def vec_mat(vec: Sequence[int], mat: Sequence[Sequence[int]], orders: Sequence[int]) -> tuple:
     """The row vector vec * mat, coordinate j reduced mod orders[j].  Zero
@@ -199,7 +173,7 @@ def carry_free_coder(orders: Sequence[int]):
     return code, red
 
 
-def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
+def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing, reduce: bool = True):
     """Howell form of a row lattice; returns (rows, pivot_columns).
 
     Pivot entries are normalized to powers of l, entries above a pivot are
@@ -209,7 +183,9 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
 
     Rows stay reduced in [0, N), so the zero columns of a pivot row change
     nothing and are skipped, and only the rows just updated can vanish.  The
-    pivot is the first row of least valuation, so the scan stops at a unit.
+    pivot is the first row of least gcd(x, N) = l^val(x), so the scan stops
+    at a unit.  With ``reduce`` false it returns the forward elimination,
+    rows as lists, for a caller that back-reduces the rows it reads.
     """
     N = ring.modulus
     work = []
@@ -220,28 +196,26 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
         if any(rr):
             work.append(rr)
 
-    result: list[list[int]] = []
-    pivots: list[int] = []
+    result, pivots = [], []
     for col in range(width):
+        if not work:
+            break
         # rows in `work` have zeros in all previously pivoted columns
-        best = -1
-        best_val = ring.precision + 1
+        best, p = -1, N
         for idx, r in enumerate(work):
             x = r[col]
             if x:
-                v = ring.val(x)
-                if v < best_val:
-                    best_val = v
-                    best = idx
-                    if not v:
+                g = math.gcd(x, N)
+                if g < p:
+                    best, p = idx, g
+                    if g == 1:
                         break
         if best < 0:
             continue
         piv = work.pop(best)
-        u_inv = ring.inv(ring.unit_part(piv[col]))
-        if u_inv != 1:
-            piv = [(u_inv * x) % N for x in piv]
-        p = piv[col]  # now exactly l^best_val
+        if (u := piv[col] // p) != 1:
+            u_inv = pow(u, -1, N)
+            piv = [(u_inv * x) % N for x in piv]  # now piv[col] == p
         nz = [(j, piv[j]) for j in range(col, width) if piv[j]]
         kept = []
         for r in work:
@@ -260,19 +234,30 @@ def _howell(rows: Iterable[Sequence[int]], width: int, ring: ZModRing):
                 work.append(extra)
         result.append(piv)
         pivots.append(col)
+    if not reduce:
+        return result, tuple(pivots)
+    return tuple(tuple(r) for r in _back_reduce(result, pivots, N)), tuple(pivots)
 
-    # reduce entries above each pivot below the pivot value
-    for k in range(1, len(result)):
-        jk = pivots[k]
-        row_k = result[k]
+
+def _back_reduce(rows: list, pivots: Sequence[int], N: int, lo: int = 0, hi: Optional[int] = None):
+    """rows[lo:hi] of a forward elimination, each with the entries above
+    every later pivot reduced below it, in place; the other rows are left
+    as they are.  Row k reduces the rows above it before any later row
+    reduces it, so the rows left out change no other row, and the rows
+    returned are those of the Howell form."""
+    hi = len(rows) if hi is None else hi
+    for k in range(lo + 1, len(rows)):
+        row_k, jk = rows[k], pivots[k]
         p = row_k[jk]
-        nz = [(j, row_k[j]) for j in range(jk, width) if row_k[j]]
-        for row_i in result[:k]:
+        nz = None
+        for row_i in rows[lo : min(k, hi)]:
             q = row_i[jk] // p
             if q:
+                if nz is None:  # built for a reducer some row above needs
+                    nz = [(j, y) for j in range(jk, len(row_k)) if (y := row_k[j])]
                 for j, y in nz:
                     row_i[j] = (row_i[j] - q * y) % N
-    return tuple(tuple(r) for r in result), tuple(pivots)
+    return rows[lo:hi]
 
 
 def _reduce(basis, pivots: Sequence[int], vec: Sequence[int], N: int) -> tuple:
@@ -363,13 +348,15 @@ def quotient_order(outer: Submodule, inner: Submodule) -> int:
 
 
 def _augmented_howell(rows: Sequence[Sequence[int]], width: int, ring: ZModRing):
+    """The forward elimination of [rows | I], rows as lists: the one
+    factoring of a system, whose caller back-reduces the rows it reads."""
     n = len(rows)
     aug = []
     for i, r in enumerate(rows):
         if len(r) != width:
             raise ShapeError(f"row of length {len(r)}, expected {width}")
         aug.append(list(r) + [1 if j == i else 0 for j in range(n)])
-    return _howell(aug, width + n, ring)
+    return _howell(aug, width + n, ring, reduce=False)
 
 
 def solve_many(
@@ -378,12 +365,12 @@ def solve_many(
     """For each target, some x with x * rows = target over Z/l^n, or None
     where there is none; the targets share one length, the width.
 
-    Deterministic: the system is factored once, and each (target | 0) is
+    Deterministic: the system is eliminated once, and each (target | 0) is
     reduced against the rows of the augmented Howell form [rows | I] whose
-    pivots lie before width, which are not a Howell form of their own span
-    and so no Submodule.  Every row (h | t) of that form has t * rows = h,
-    so a solution exists exactly when the residual is (0 | -x), and then
-    x * rows = target.
+    pivots lie before width, the only rows back-reduced; they are not a
+    Howell form of their own span and so no Submodule.  Every row (h | t)
+    of that form has t * rows = h, so a solution exists exactly when the
+    residual is (0 | -x), and then x * rows = target.
     """
     if not targets:
         return []
@@ -391,7 +378,7 @@ def solve_many(
     basis, pivots = _augmented_howell(rows, width, ring)
     N = ring.modulus
     k = sum(col < width for col in pivots)
-    basis, pivots, pad = basis[:k], pivots[:k], [0] * len(rows)
+    basis, pivots, pad = _back_reduce(basis, pivots, N, hi=k), pivots[:k], [0] * len(rows)
     out = []
     for target in targets:
         if len(target) != width:
@@ -411,11 +398,12 @@ def kernel(rows: Sequence[Sequence[int]], width: int, ring: ZModRing) -> Submodu
     """Left kernel {x : x * rows = 0} as a Submodule of (Z/l^n)^len(rows).
 
     The rows of the augmented Howell form whose pivots lie past width, cut
-    to their identity part, are already the Howell form of the kernel.
+    to their identity part, are already the Howell form of the kernel; the
+    elimination back-reduces only those.
     """
     basis, pivots = _augmented_howell(rows, width, ring)
     k = sum(col < width for col in pivots)  # pivots increase: the kernel rows come last
-    tails = tuple(row[width:] for row in basis[k:])
+    tails = tuple(tuple(row[width:]) for row in _back_reduce(basis, pivots, ring.modulus, lo=k))
     return Submodule(ring, len(rows), tails, tuple(col - width for col in pivots[k:]))
 
 

@@ -462,7 +462,9 @@ class RelationCertificate:
             "mu": [x.to_dict() for x in self.mu_vector],
         }
 
+    @cached_property
     def content_hash(self) -> str:
+        """sha256 of the canonical JSON, once per certificate (V3, V6, report)."""
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -101,7 +101,7 @@ def _v3_determinant(inst: Instance, oracle_bound: int) -> Verdict:
     cert, delta_op, error = frame.relations
     if delta_op is None:
         return Verdict("V3", "fail", {"error": error})
-    witness = {"certificate": cert.content_hash()}
+    witness = {"certificate": cert.content_hash}
     outside = [_fmt_vec(tv) for tv in frame.bt_rows(frame.trace_matrix) if tv not in frame.ig_gamma]
     if outside:
         witness["trace_values_outside_ig_gamma"] = outside
@@ -168,7 +168,7 @@ def _v6_delta(inst: Instance, oracle_bound: int) -> Verdict:
         "delta": delta_op.to_dict(),
         "trace_image_order": frame.size(trace_image),
         "images_equal": images_equal,
-        "certificate": cert.content_hash(),
+        "certificate": cert.content_hash,
     }
     if bad:
         witness["mismatches"] = bad[:4]
@@ -328,6 +328,6 @@ def run_all(
     return InstanceReport(
         report,
         verdicts,
-        cert.content_hash() if cert else None,
+        cert.content_hash if cert else None,
         delta_op.to_dict() if delta_op is not None else None,
     )

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from logcap import lattice, resolvent, verifier
+from logcap.forge import ComponentSpec, SearchParams, build_corpus
 from logcap.instance import load_instance
 from logcap.lattice import (
     ContainmentError,
@@ -38,6 +39,29 @@ def span_brute(rows, ring):
         )
         out.add(v)
     return out
+
+
+def val(x, ring):
+    """l-adic valuation of x mod l^n by repeated division; val(0) = n."""
+    x %= ring.modulus
+    if x == 0:
+        return ring.precision
+    v = 0
+    while x % ring.prime == 0:
+        x, v = x // ring.prime, v + 1
+    return v
+
+
+def unit_inverse(x, ring):
+    """The inverse mod l^n of the unit u with x = u * l^val(x), x nonzero."""
+    return pow(x % ring.modulus // ring.prime ** val(x, ring), -1, ring.modulus)
+
+
+def augmented_howell(rows, width, ring):
+    """The Howell form of [rows | I] with every row back-reduced."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    return lattice._howell(aug, width + n, ring)
 
 
 def test_normal_form_identity_already_canonical():
@@ -317,7 +341,7 @@ def test_howell_form_is_canonical_by_enumeration(ring):
         # Howell shape: l-power pivots, zeros before them, entries above them reduced
         assert list(sub.pivots) == sorted(set(sub.pivots))
         for k, (row, col) in enumerate(zip(sub.basis, sub.pivots)):
-            assert not any(row[:col]) and row[col] == ring.prime ** ring.val(row[col])
+            assert not any(row[:col]) and row[col] == ring.prime ** val(row[col], ring)
             assert all(sub.basis[i][col] < row[col] for i in range(k))
         # Howell property: the members vanishing on the first k coordinates
         # are spanned by the basis rows with pivots at k or later
@@ -408,6 +432,40 @@ def test_preimage_is_the_howell_form_of_the_cut_kernel_on_a_corpus_pass(monkeypa
     assert len(calls) == 2 * len(corpus_paths())
 
 
+def test_kernel_is_the_cut_tail_of_the_full_howell_form_on_builds_and_a_corpus_pass(
+    tmp_path, monkeypatch
+):
+    """kernel back-reduces only the rows it returns.  Each answer is the
+    rows of the fully reduced Howell form of [rows | I] with pivots past
+    the width, cut to the identity part, on the factor-set kernels of two
+    sampled builds (up to 27 x 90 and 64 x 520, past every howell_cases
+    shape) and on a bound-0 corpus pass."""
+    shapes = []
+
+    def checked(rows, width, ring):
+        got = kernel(rows, width, ring)
+        basis, pivots = augmented_howell(rows, width, ring)
+        k = sum(col < width for col in pivots)
+        assert got.basis == tuple(row[width:] for row in basis[k:])
+        assert got.pivots == tuple(col - width for col in pivots[k:])
+        shapes.append((len(rows), width))
+        return got
+
+    monkeypatch.setattr(lattice, "kernel", checked)
+    builds = [  # the sampled components (Z/4) x (2,2,2) and (Z/3)^2 x (3,) of the corpus
+        (SearchParams(2, 4, ((4,),), ((2, 2, 2),), seed=2024), (4,), (2, 2, 2)),
+        (SearchParams(3, 3, ((3, 3),), ((3,),), seed=307), (3, 3), (3,)),
+    ]
+    for i, (params, g_orders, atilde_orders) in enumerate(builds):
+        comp = ComponentSpec(g_orders, atilde_orders, "sample", 2)
+        assert build_corpus(params, [comp], tmp_path / str(i))["components"][0]["count"] == 2
+    built = len(shapes)
+    for path in corpus_paths():
+        verifier.run_all(load_instance(path), oracle_bound=0)
+    assert {(27, 90), (64, 520)} <= set(shapes[:built])
+    assert len(shapes) - built == 2 * len(corpus_paths())
+
+
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
     def trial(n):
         return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
@@ -468,12 +526,12 @@ def dense_howell(rows, width, ring):
     for col in range(width):
         best, best_val = -1, ring.precision + 1
         for idx, r in enumerate(work):
-            if r[col] and ring.val(r[col]) < best_val:
-                best_val, best = ring.val(r[col]), idx
+            if r[col] and val(r[col], ring) < best_val:
+                best_val, best = val(r[col], ring), idx
         if best < 0:
             continue
         piv = work.pop(best)
-        u_inv = ring.inv(ring.unit_part(piv[col]))
+        u_inv = unit_inverse(piv[col], ring)
         piv = [(u_inv * x) % N for x in piv]
         p = piv[col]
         for r in work:
@@ -556,7 +614,7 @@ def pivot_loop_solve(rows, target, ring):
     """Reference: solve's own loop over the augmented Howell form, which
     subtracts each pivot row from the target and adds its identity part to x."""
     width = len(target)
-    basis, pivots = lattice._augmented_howell(rows, width, ring)
+    basis, pivots = augmented_howell(rows, width, ring)
     N = ring.modulus
     resid = [x % N for x in target]
     x = [0] * len(rows)
@@ -611,7 +669,7 @@ def checked_solve(rows, target, ring):
     of [rows | I] is seen to have t * rows = h, and the answer x to have
     x * rows = target."""
     width = len(target)
-    basis, _ = lattice._augmented_howell(rows, width, ring)
+    basis, _ = augmented_howell(rows, width, ring)
     for row in basis:
         assert times(row[width:], rows, ring) == row[:width]
     x = solve(rows, target, ring)

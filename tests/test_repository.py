@@ -161,8 +161,6 @@ def test_every_public_library_name_has_a_user_outside_the_tests():
 SHARED_METHOD_USERS = {
     ("AbelianLGroup", "contains"): ("groupring.py", "GroupRingElt.__init__"),
     ("Submodule", "contains"): ("lattice.py", "Submodule.__contains__"),  # every `in`
-    ("AbelianLGroup", "inv"): ("forge.py", "oracle_group"),
-    ("ZModRing", "inv"): ("lattice.py", "_howell"),
     ("Instance", "ring"): ("extension.py", "u_order"),
     ("Frame", "ring"): ("resolvent.py", "Frame.orders"),
     ("AbelianLGroup", "size"): ("extension.py", "u_order"),

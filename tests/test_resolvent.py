@@ -343,7 +343,7 @@ def test_certificate_determinism(e1, inst33):
         c1 = relation_matrices(inst)
         c2 = relation_matrices(inst)
         assert c1 == c2
-        assert c1.content_hash() == c2.content_hash()
+        assert c1.content_hash == c2.content_hash
 
 
 def test_certificate_augmentation_pattern(inst33):
