@@ -99,16 +99,15 @@ def derived_subgroup(inst: "Instance", degree_zero: bool = False) -> Submodule:
     f(s, g) - f(g, s) over unordered pairs {s, g}, which the frame builds
     once for both calls; with ``degree_zero`` the module generators are
     restricted to the torsion part (commutators taken inside the
-    degree-zero subgroup).
+    degree-zero subgroup).  tau * e_i is row i of tau's action matrix, so
+    (1 - tau) * e_i is read off the frame's action rows.
     """
     gens = []
-    t = inst.torsion_rank
-    module_gens = [tuple(1 if j == i else 0 for j in range(inst.dim_a)) for i in range(t)]
-    if not degree_zero:
-        module_gens.append(inst.gamma())
+    coords = range(inst.torsion_rank if degree_zero else inst.dim_a)
     for tau in inst.group.generators():
-        for a in module_gens:
-            gens.append(inst.a_sub(a, inst.act(tau, a)))
+        rows = inst.frame.action[tau]
+        for i in coords:
+            gens.append(inst.a_reduce([int(j == i) - x for j, x in enumerate(rows[i])]))
     return inst.span_a(gens + list(inst.frame.factor_set_commutators))
 
 

@@ -201,7 +201,8 @@ class _Shape:
     table holds the values on the nonidentity ``pairs``, pair-major and
     torsion-minor, over Z/exp(T); coordinate k has order ``orders[k]``.
     ``inverse_coords`` are the coordinates of the inverse pairs (g, g^-1),
-    where the inverse convention makes a factor set vanish."""
+    where the inverse convention makes a factor set vanish; ``mul`` is the
+    group's product table by element position, shared by every module."""
 
     def __init__(self, params: SearchParams, g_orders, atilde_orders):
         prime = params.prime
@@ -211,6 +212,7 @@ class _Shape:
         self.t = len(self.d)
         self.ring = ZModRing(prime, log_ceil(max(self.d, default=prime), prime))
         self.nonid = self.group.nonidentity()
+        _, self.mul = self.group.product_indices()
         self.pairs = [(s, g) for s in self.nonid for g in self.nonid]
         self.orders = self.d * len(self.pairs)
         inverse = [k for k, (s, g) in enumerate(self.pairs) if g == self.group.inv(s)]
@@ -249,9 +251,12 @@ class _CocycleSpace:
     enumerated by closing the reduced generators under addition.  The
     coboundaries, d^1 of the shifts that keep those coordinates zero, are
     one Howell form, torsion relations included, that every table reduces
-    against to its class representative.  A space sees the action only
-    through ``_p_mats``, the torsion blocks of the element matrices, so it
-    serves every configuration with that torsion action.
+    against to its class representative.  Every matrix here is a list of
+    rows, as ``lattice`` reads a map: a row per variable, a column per
+    condition or image coordinate, and a solution is a left kernel.  A
+    space sees the action only through ``_p_mats``, the torsion blocks of
+    the element matrices, so it serves every configuration with that
+    torsion action.
     """
 
     def __init__(self, shape: _Shape, p_mats: Dict[GElt, tuple]):
@@ -259,53 +264,56 @@ class _CocycleSpace:
         self._p_mats = p_mats
         self._sub = self._solve()
 
-    def _coboundary_columns(self, k: int) -> List[List[int]]:
-        """d^k as columns, one per coordinate (g_0..g_k; j), each as long as
-        a k-cochain.  Both are laid out like a table: tuples of nonidentity
-        elements in product order, torsion minor.  Elements are read by
-        position, the identity at 0, so a face with an identity argument is
-        no coordinate.  Coordinate i of c(g_1..g_k) feeds j through P_(g_0)[i][j]."""
-        elements, t = self.shape.group.elements(), self.shape.t
+    def _coboundary_rows(self, k: int) -> List[List[int]]:
+        """d^k as the matrix that acts on row vectors, as ``lattice`` reads
+        a map: one row per k-cochain coordinate, one column per coordinate
+        (g_0..g_k; j) of a (k+1)-cochain.  Both are laid out like a table:
+        tuples of nonidentity elements in product order, torsion minor.
+        Elements are read by position, the identity at 0, so a face with an
+        identity argument is no coordinate.  Coordinate i of c(g_1..g_k)
+        feeds j through P_(g_0)[i][j]."""
+        elements, t, mul = self.shape.group.elements(), self.shape.t, self.shape.mul
         if not t:  # no torsion, no coordinates: skip the walk over the tuples
             return []
-        _, mul = self.shape.group.product_indices()
         nonid = range(1, len(elements))
         first = {args: n * t for n, args in enumerate(itertools.product(nonid, repeat=k))}
-        cols = []
+        rows = [[0] * (len(nonid) ** (k + 1) * t) for _ in range(len(first) * t)]
+        col = 0
         for gs in itertools.product(nonid, repeat=k + 1):
             faces = [gs[:q] + (mul[gs[q]][gs[q + 1]],) + gs[q + 2 :] for q in range(k)]
             signed = [((-1) ** q, first[f]) for q, f in enumerate(faces, 1) if f in first]
             signed.append(((-1) ** (k + 1), first[gs[:-1]]))
             p, inner = self._p_mats[elements[gs[0]]], first[gs[1:]]
             for j in range(t):
-                col = [0] * (len(first) * t)
                 for i in range(t):
-                    col[inner + i] += p[i][j]
+                    rows[inner + i][col] += p[i][j]
                 for sign, row in signed:
-                    col[row + j] += sign
-                cols.append(col)
-        return cols
+                    rows[row + j][col] += sign
+                col += 1
+        return rows
 
     def _solve(self) -> Submodule:
         """The tables x with x * d^2 = 0, each (s, g, r; j) column taken mod
         d_j, and x = 0 at the inverse-pair coordinates, one unit column each."""
         shape, inverse = self.shape, self.shape.inverse_coords
-        nvars = len(shape.orders)
-        cols = self._coboundary_columns(2) + [[int(v == k) for v in range(nvars)] for k in inverse]
+        rows = self._coboundary_rows(2)
+        for v, row in enumerate(rows):
+            row += [int(v == k) for k in inverse]
         orders = list(shape.d) * len(shape.nonid) ** 3 + [shape.orders[k] for k in inverse]
-        return self._kernel_mod_orders(cols, orders, nvars)
+        return self._kernel_mod_orders(rows, orders)
 
-    def _kernel_mod_orders(self, cols, orders, nvars: int) -> Submodule:
-        """The x in (Z/exp T)^nvars with x . cols[c] = 0 mod orders[c] for
-        every condition column c.  There are no conditions only when there
-        are no variables."""
+    def _kernel_mod_orders(self, rows, orders) -> Submodule:
+        """The x in (Z/exp T)^len(rows) with (x * rows)[c] = 0 mod orders[c]
+        for every condition column c.  The rows are the variables and the
+        columns the conditions, as ``lattice`` reads a map.  A column of
+        order N = exp(T) needs no relation row, since x * rows is taken mod
+        N; each other column c gets the relation orders[c] * e_c."""
         ring = self.shape.ring
-        width = len(cols)
-        rows = [[cols[c][v] % ring.modulus for c in range(width)] for v in range(nvars)]
-        # a row of order N = exp(T) is zero mod N
-        small = [r for r, o in zip(torsion_rows(orders, width), orders) if o < ring.modulus]
-        relations = Submodule.from_generators(ring, width, small)
-        return preimage(rows, relations, ring)
+        width = len(orders)
+        relations = [
+            [0] * c + [o] + [0] * (width - c - 1) for c, o in enumerate(orders) if o < ring.modulus
+        ]
+        return preimage(rows, Submodule.from_generators(ring, width, relations), ring)
 
     def count(self) -> int:
         # the solution module holds every torsion multiple o_k e_k, which
@@ -320,17 +328,16 @@ class _CocycleSpace:
 
     def coboundaries(self) -> Submodule:
         """The images x * D of the admissible shifts x, with the torsion
-        relations o_k * e_k, in Howell form.  D, the transpose of the d^1
-        columns, maps a shift c (c_tau at each nonidentity tau, c_1 = 0)
-        to the table c_s + s * c_g - c_sg, one row per shift coordinate
-        (tau, i) and one column per table coordinate; x is admissible when
-        x * D is zero at the inverse-pair coordinates."""
+        relations o_k * e_k, in Howell form.  D, the d^1 rows, maps a shift
+        c (c_tau at each nonidentity tau, c_1 = 0) to the table c_s + s *
+        c_g - c_sg, one row per shift coordinate (tau, i) and one column
+        per table coordinate; x is admissible when x * D is zero at the
+        inverse-pair coordinates."""
         shape, inverse = self.shape, self.shape.inverse_coords
         width = len(shape.orders)
-        cols = self._coboundary_columns(1)
-        D = list(zip(*cols))
+        D = self._coboundary_rows(1)
         admissible = self._kernel_mod_orders(
-            [cols[c] for c in inverse], [shape.orders[c] for c in inverse], len(D)
+            [[r[c] for c in inverse] for r in D], [shape.orders[c] for c in inverse]
         )
         gens = [vec_mat(x, D, shape.orders) for x in admissible.basis]
         return Submodule.from_generators(
@@ -393,17 +400,15 @@ def _shape(context: dict, params: SearchParams, g_orders, atilde_orders) -> _Sha
     return context[key]
 
 
-def estimate_space(
-    params: SearchParams, g_orders, atilde_orders, abort_above=None, *, _context=None
-) -> int:
+def estimate_space(params: SearchParams, g_orders, atilde_orders, *, _context=None) -> int:
     """The number of factor sets the enumeration must walk, 0 below the
     precision floor.
 
-    With ``abort_above`` set, counting stops once the running total passes
-    it, so a result above ``abort_above`` is a lower bound and one at or
-    below it is exact.  The spaces counted are left in the search context
-    that ``build_corpus`` or ``enumerate_instances`` passes, for its walk
-    or samples to reuse.
+    Counting stops once the running total passes ``params.ceiling``, so a
+    result above the ceiling is a lower bound and one at or below it is
+    exact.  The spaces counted are left in the search context that
+    ``build_corpus`` or ``enumerate_instances`` passes, for its walk or
+    samples to reuse.
     """
     context = {} if _context is None else _context
     total = 0
@@ -411,7 +416,7 @@ def estimate_space(
         shape = _shape(context, params, g, a)
         for action in shape.configs:
             total += shape.space(action).count()
-            if abort_above is not None and total > abort_above:
+            if total > params.ceiling:
                 return total
     return total
 
@@ -423,9 +428,7 @@ def enumerate_instances(params: SearchParams, g_orders=None, atilde_orders=None,
     context that ``build_corpus`` passes, the count reads the spaces that
     the component's own count already built."""
     context = {} if _context is None else _context
-    total = estimate_space(
-        params, g_orders, atilde_orders, abort_above=params.ceiling, _context=context
-    )
+    total = estimate_space(params, g_orders, atilde_orders, _context=context)
     if total > params.ceiling:
         raise CeilingExceededError(total, params.ceiling)
     for g, a in _shapes(params, g_orders, atilde_orders):
@@ -694,9 +697,7 @@ def build_corpus(params: SearchParams, components: Sequence[ComponentSpec], out_
             continue
         # one context for the component's count, walk and samples
         context: dict = {}
-        estimate = estimate_space(
-            params, comp.g_orders, comp.atilde_orders, abort_above=params.ceiling, _context=context
-        )
+        estimate = estimate_space(params, comp.g_orders, comp.atilde_orders, _context=context)
         entry["estimate"] = estimate
         entry["estimate_exact"] = estimate <= params.ceiling
         mode = comp.mode

@@ -114,9 +114,9 @@ class Instance:
         return vec_mat(list(x.coeffs.values()), moved, self.frame.orders)
 
     def a_tau(self, tau: GElt) -> Vec:
-        """(1 - tau) * gamma, the basic commutator of the Gamma-lift."""
-        g = self.gamma()
-        return self.a_sub(g, self.act(tau, g))
+        """(1 - tau) * gamma, the basic commutator of the Gamma-lift: gamma
+        minus the gamma row of tau's action matrix."""
+        return self.a_sub(self.gamma(), self.frame.action[tau][-1])
 
     def atilde_act(self, g: GElt, t_vec: Sequence[int]) -> Vec:
         """The action restricted to the torsion part (block structure)."""
@@ -282,11 +282,11 @@ def validate(inst: Instance) -> ValidationReport:
                     bad.append(f"tau_{k + 1}[{i}][{j}] breaks torsion")
     checks.append(CheckResult("action-well-defined", not bad, "; ".join(bad)))
 
-    # row i of a product of these matrices is the image of e_i, reduced
-    # per coordinate as inst.act reduces it
+    # each matrix reduced per coordinate, as inst.act reduces an image, so
+    # row i of a product of them is the image of e_i
     a_orders = inst.frame.orders
     one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    mats = [mat_mul(one, m, a_orders) for m in inst.action]
+    mats = [tuple(tuple(x % o for x, o in zip(row, a_orders)) for row in m) for m in inst.action]
     bad = []
     for a, b in itertools.combinations(range(len(mats)), 2):
         ab = mat_mul(mats[a], mats[b], a_orders)

@@ -193,11 +193,6 @@ class Frame:
             raise InternalInvariantError("element has nonzero degree")
         return tuple(vec[:t]) + tuple(vec[t + 1 :])
 
-    def bt_embed(self, vec: Sequence[int]) -> Vec:
-        """A vector in B-tilde coordinates as a vector of B."""
-        t = self.inst.torsion_rank
-        return self.b_reduce(tuple(vec[:t]) + (0,) + tuple(vec[t:]))
-
     def span(self, gens: Sequence[Sequence[int]], width: int) -> Submodule:
         """The span of gens and the torsion relations d_i * e_i, in the
         coordinates of A, B or B-tilde (told apart by the width)."""

@@ -179,13 +179,14 @@ def _v7_main_theorem(inst: Instance, oracle_bound: int) -> Verdict:
     frame = inst.frame
     amb = frame.ambiguous
     zero = frame.zero_a
+    bt_trace = frame.bt_rows(frame.trace_matrix)
     bad = []
     for row in amb.basis:
-        tv = trace(inst, frame.bt_embed(row))
+        tv = vec_mat(row, bt_trace, frame.orders)
         if tv not in zero:
             bad.append({"element": list(row), "trace": _fmt_vec(tv)})
     # reported as data: the order of the full trace kernel in the quotient
-    tr_kernel = preimage(frame.bt_rows(frame.trace_matrix), zero, inst.ring)
+    tr_kernel = preimage(bt_trace, zero, inst.ring)
     ig_bt = frame.ig_bt
     kernel_index = quotient_order(tr_kernel, ig_bt) if tr_kernel.contains_submodule(ig_bt) else None
     witness = {

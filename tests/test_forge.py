@@ -103,7 +103,8 @@ def test_ceiling_refusal_carries_estimate():
     # Two shapes, the first under the ceiling: they count 10 and 208, and
     # the count stops, at 102, inside the second.
     params = SearchParams(2, 4, ((2,), (2, 2)), ((2, 2),), ceiling=100)
-    assert [estimate_space(params, g, (2, 2)) for g in params.g_orders_list] == [10, 208]
+    above = dataclasses.replace(params, ceiling=1000)  # counts each shape in full
+    assert [estimate_space(above, g, (2, 2)) for g in params.g_orders_list] == [10, 208]
     with pytest.raises(CeilingExceededError) as exc:
         list(enumerate_instances(params))
     assert exc.value.estimate == 102
@@ -259,18 +260,18 @@ def _coboundaries_pair_by_pair(space):
     group = shape.group
     nonid, t = shape.nonid, shape.t
     nshift = len(nonid) * t
-    cols, orders = [], []
+    rows = [[0] * nshift for _ in range(nshift)]  # one condition column per (tau, j)
+    orders = []
     for tau in nonid:
         ti = group.inv(tau)
         p_t = space._p_mats[tau]
         for j in range(t):
-            col = [0] * nshift
-            col[nonid.index(tau) * t + j] += 1
+            c = len(orders)
+            rows[nonid.index(tau) * t + j][c] += 1
             for i in range(t):
-                col[nonid.index(ti) * t + i] += p_t[i][j]
-            cols.append(col)
+                rows[nonid.index(ti) * t + i][c] += p_t[i][j]
             orders.append(shape.d[j])
-    admissible = space._kernel_mod_orders(cols, orders, nshift)
+    admissible = space._kernel_mod_orders(rows, orders)
     gens = []
     zero = (0,) * t
     for c_row in admissible.basis:
@@ -285,10 +286,32 @@ def _coboundaries_pair_by_pair(space):
     return Submodule.from_generators(shape.ring, width, gens + torsion_rows(shape.orders, width))
 
 
+def _first_spaces_of_sampled_components(skip, first=6):
+    """The first ``first`` torsion actions, in configuration order, of each
+    sampled corpus component whose (l, n, G, A~) is not in skip."""
+    out = []
+    for params, components in _pinned_components().values():
+        for c in components:
+            key = (params.prime, params.precision, c.g_orders, c.atilde_orders)
+            if c.mode != "sample" or key in skip:
+                continue
+            shape = _Shape(SearchParams(*key[:2], (c.g_orders,), (c.atilde_orders,)), *key[2:])
+            spaces = {}
+            for action in shape.configs:
+                space = shape.space(action)
+                spaces.setdefault(id(space), space)
+                if len(spaces) == first:
+                    break
+            out += spaces.values()
+    return out
+
+
 def test_coboundaries_match_the_pair_by_pair_map(monkeypatch):
     """On every torsion action of the exhaustive corpus shapes and of three
     shapes past them: G of rank 3 over A~ of rank 2, (Z/3)^2 over Z/3, and
-    l = 5."""
+    l = 5; then on the first six torsion actions of each sampled component
+    not among them: Z/4 over (2,2,2), (Z/2)^2 over (2,4) and over (2,2,2),
+    and Z/3 over (3,3)."""
     shapes = []
     for label, (params, _) in _pinned_components().items():
         manifest = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
@@ -308,6 +331,11 @@ def test_coboundaries_match_the_pair_by_pair_map(monkeypatch):
             assert space.coboundaries() == _coboundaries_pair_by_pair(space)
             compared += 1
     assert compared == 85
+    sampled = 0
+    for space in _first_spaces_of_sampled_components(shapes):
+        assert space.coboundaries() == _coboundaries_pair_by_pair(space)
+        sampled += 1
+    assert sampled == 24
 
 
 def _solve_triple_by_triple(space):
@@ -320,32 +348,34 @@ def _solve_triple_by_triple(space):
     one = group.identity()
     first = {pair: k * t for k, pair in enumerate(shape.pairs)}  # the coordinate of (pair, 0)
     nvars = len(shape.orders)
-    cols, orders = [], []
+    ncond = len(shape.nonid) ** 3 * t + len(shape.inverse_coords)
+    rows = [[0] * ncond for _ in range(nvars)]  # one condition column per (s, g, r; j)
+    orders = []
     for s in shape.nonid:
         p_s = space._p_mats[s]
         for g in shape.nonid:
             for r in shape.nonid:
                 sg, gr = group.mul(s, g), group.mul(g, r)
                 for j in range(t):
-                    col = [0] * nvars
+                    c = len(orders)
                     for i in range(t):
-                        col[first[g, r] + i] += p_s[i][j]
+                        rows[first[g, r] + i][c] += p_s[i][j]
                     if sg != one:
-                        col[first[sg, r] + j] -= 1
+                        rows[first[sg, r] + j][c] -= 1
                     if gr != one:
-                        col[first[s, gr] + j] += 1
-                    col[first[s, g] + j] -= 1
-                    cols.append(col)
+                        rows[first[s, gr] + j][c] += 1
+                    rows[first[s, g] + j][c] -= 1
                     orders.append(shape.d[j])
     for k in shape.inverse_coords:
-        cols.append([int(v == k) for v in range(nvars)])
+        rows[k][len(orders)] = 1
         orders.append(shape.orders[k])
-    return space._kernel_mod_orders(cols, orders, nvars)
+    return space._kernel_mod_orders(rows, orders)
 
 
 def test_factor_set_module_matches_the_triple_by_triple_identity():
     """On every torsion action of the exhaustive corpus shapes and of three
-    shapes past them: G of rank 3, (Z/3)^2 over Z/3, and l = 5."""
+    shapes past them: G of rank 3, (Z/3)^2 over Z/3, and l = 5; then on the
+    first six torsion actions of each sampled component not among them."""
     shapes = []
     for label, (params, _) in _pinned_components().items():
         manifest = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
@@ -364,6 +394,12 @@ def test_factor_set_module_matches_the_triple_by_triple_identity():
             assert (space._sub.basis, space._sub.pivots) == (want.basis, want.pivots)
             compared += 1
     assert compared == 64
+    sampled = 0
+    for space in _first_spaces_of_sampled_components(shapes):
+        want = _solve_triple_by_triple(space)
+        assert (space._sub.basis, space._sub.pivots) == (want.basis, want.pivots)
+        sampled += 1
+    assert sampled == 24
 
 
 def _torsion_key(g_orders, atilde_orders, action):
@@ -1027,8 +1063,9 @@ def test_rebuilt_component_matches_the_shipped_corpus(tmp_path, label, shape):
 @pytest.mark.parametrize("prime, precision", [(2, 3), (3, 2)])
 def test_kernel_mod_orders_matches_the_full_diagonal_preimage(prime, precision):
     """Condition columns whose orders mix N = exp(T) with smaller powers of
-    l: the module is the preimage of the whole torsion diagonal, and on
-    small systems it is exactly the set of x with x . cols[c] = 0 mod orders[c]."""
+    l, on unreduced rows: the relation rows kept for the columns of order
+    below N give the preimage of the whole torsion diagonal, and on small
+    systems exactly the set of x with (x * rows)[c] = 0 mod orders[c]."""
     ring = ZModRing(prime, precision)
     N = ring.modulus
     space = SimpleNamespace(shape=SimpleNamespace(ring=ring))
@@ -1038,16 +1075,17 @@ def test_kernel_mod_orders_matches_the_full_diagonal_preimage(prime, precision):
             nvars, width = rnd.randint(1, 2), rnd.randint(1, 4)
         else:
             nvars, width = rnd.randint(2, 10), rnd.randint(2, 20)
-        cols = [[rnd.choice([0, 0, rnd.randrange(-N, N)]) for _ in range(nvars)] for _ in range(width)]
+        rows = [[rnd.choice([0, 0, rnd.randrange(-N, N)]) for _ in range(width)] for _ in range(nvars)]
         orders = [rnd.choice([N, N, prime, prime ** (precision - 1)]) for _ in range(width)]
-        got = _CocycleSpace._kernel_mod_orders(space, cols, orders, nvars)
-        rows = [[cols[c][v] % N for c in range(width)] for v in range(nvars)]
+        got = _CocycleSpace._kernel_mod_orders(space, rows, orders)
         diagonal = Submodule.from_generators(ring, width, torsion_rows(orders, width))
-        assert got == preimage(rows, diagonal, ring)
+        assert got == preimage([[x % N for x in r] for r in rows], diagonal, ring)
         if trial < 8:
             brute = {
                 x
                 for x in itertools.product(range(N), repeat=nvars)
-                if all(sum(a * b for a, b in zip(x, col)) % o == 0 for col, o in zip(cols, orders))
+                if all(
+                    sum(a * r[c] for a, r in zip(x, rows)) % o == 0 for c, o in enumerate(orders)
+                )
             }
             assert set(span_elements(got)) == brute
