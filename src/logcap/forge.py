@@ -14,6 +14,17 @@ structure: entry steps forced by well-definedness, then powers, norms and
 commutators checked with one matrix product that reduces each column by
 its own order.
 
+The module is solved from the identity at the triples (s, g_k, r) whose
+middle is a generator of G, not at every triple.  By Light's associativity
+test (Clifford and Preston, The Algebraic Theory of Semigroups I, 1.2) the
+middles at which a product is associative are closed under it, and the
+product (a, s)(b, g) = (a + s b + f(s, g), sg) on T x G is generated by
+(e_i, 1), always such a middle, and (0, g_k).  That needs the table
+normalized, which its layout makes it, and the action a G-action, which
+``action_configurations`` checks by orders and commuting.  ``validate``
+still checks every triple of each candidate, so the search's output is
+checked independently of the reduction.
+
 A factor set takes its values in the torsion part T, so its module, and
 its coboundaries, depend only on T as a G-module: on the torsion blocks of
 the generator matrices, never on how gamma moves.  Every torsion row of an
@@ -202,7 +213,9 @@ class _Shape:
     torsion-minor, over Z/exp(T); coordinate k has order ``orders[k]``.
     ``inverse_coords`` are the coordinates of the inverse pairs (g, g^-1),
     where the inverse convention makes a factor set vanish; ``mul`` is the
-    group's product table by element position, shared by every module."""
+    group's product table by element position, shared by every module, and
+    ``middles`` the positions of the generators, the middle arguments of
+    the d^2 conditions."""
 
     def __init__(self, params: SearchParams, g_orders, atilde_orders):
         prime = params.prime
@@ -212,7 +225,8 @@ class _Shape:
         self.t = len(self.d)
         self.ring = ZModRing(prime, log_ceil(max(self.d, default=prime), prime))
         self.nonid = self.group.nonidentity()
-        _, self.mul = self.group.product_indices()
+        position, self.mul = self.group.product_indices()
+        self.middles = [position[g] for g in self.group.generators()]
         self.pairs = [(s, g) for s in self.nonid for g in self.nonid]
         self.orders = self.d * len(self.pairs)
         inverse = [k for k, (s, g) in enumerate(self.pairs) if g == self.group.inv(s)]
@@ -246,17 +260,17 @@ class _CocycleSpace:
         (dc)(g_0..g_k) = g_0 * c(g_1..g_k) + sum_q (-1)^q c(.., g_(q-1) g_q, ..)
                          + (-1)^(k+1) c(g_0..g_(k-1)).
 
-    The factor sets are the tables (2-cochains) that d^2 kills and that
-    vanish at the inverse-pair coordinates, a submodule over Z/exp(T),
-    enumerated by closing the reduced generators under addition.  The
-    coboundaries, d^1 of the shifts that keep those coordinates zero, are
-    one Howell form, torsion relations included, that every table reduces
-    against to its class representative.  Every matrix here is a list of
-    rows, as ``lattice`` reads a map: a row per variable, a column per
-    condition or image coordinate, and a solution is a left kernel.  A
-    space sees the action only through ``_p_mats``, the torsion blocks of
-    the element matrices, so it serves every configuration with that
-    torsion action.
+    The factor sets are the tables (2-cochains) that d^2 kills at the
+    generator-middle triples and that vanish at the inverse-pair
+    coordinates, a submodule over Z/exp(T), enumerated by closing the
+    reduced generators under addition.  The coboundaries, d^1 of the
+    shifts that keep those coordinates zero, are one Howell form, torsion
+    relations included, that every table reduces against to its class
+    representative.  Every matrix here is a list of rows, as ``lattice``
+    reads a map: a row per variable, a column per condition or image
+    coordinate, and a solution is a left kernel.  A space sees the action
+    only through ``_p_mats``, the torsion blocks of the element matrices,
+    so it serves every configuration with that torsion action.
     """
 
     def __init__(self, shape: _Shape, p_mats: Dict[GElt, tuple]):
@@ -265,41 +279,55 @@ class _CocycleSpace:
         self._sub = self._solve()
 
     def _coboundary_rows(self, k: int) -> List[List[int]]:
-        """d^k as the matrix that acts on row vectors, as ``lattice`` reads
-        a map: one row per k-cochain coordinate, one column per coordinate
-        (g_0..g_k; j) of a (k+1)-cochain.  Both are laid out like a table:
-        tuples of nonidentity elements in product order, torsion minor.
-        Elements are read by position, the identity at 0, so a face with an
-        identity argument is no coordinate.  Coordinate i of c(g_1..g_k)
-        feeds j through P_(g_0)[i][j]."""
+        """d^k, for k = 1 or 2, as the matrix that acts on row vectors, as
+        ``lattice`` reads a map: one row per k-cochain coordinate, one
+        column per coordinate (g_0..g_k; j) of a (k+1)-cochain whose inner
+        arguments g_1..g_(k-1) are generators of G.  For d^1 that is every
+        pair; for d^2 it is the generator-middle triples, which by Light's
+        test (see ``_solve``) have the same kernel as all triples, so only
+        those columns are built.  Both sides are laid out like a table:
+        tuples in product order over their ranges, torsion minor.  Elements
+        are read by position, the identity at 0, so a face with an identity
+        argument is no coordinate.  Coordinate i of c(g_1..g_k) feeds j
+        through P_(g_0)[i][j]."""
         elements, t, mul = self.shape.group.elements(), self.shape.t, self.shape.mul
         if not t:  # no torsion, no coordinates: skip the walk over the tuples
             return []
         nonid = range(1, len(elements))
         first = {args: n * t for n, args in enumerate(itertools.product(nonid, repeat=k))}
-        rows = [[0] * (len(nonid) ** (k + 1) * t) for _ in range(len(first) * t)]
-        col = 0
-        for gs in itertools.product(nonid, repeat=k + 1):
+        ranges = [nonid, *[self.shape.middles] * (k - 1), nonid]
+        rows = [[0] * (math.prod(map(len, ranges)) * t) for _ in range(len(first) * t)]
+        for n, gs in enumerate(itertools.product(*ranges)):
             faces = [gs[:q] + (mul[gs[q]][gs[q + 1]],) + gs[q + 2 :] for q in range(k)]
             signed = [((-1) ** q, first[f]) for q, f in enumerate(faces, 1) if f in first]
             signed.append(((-1) ** (k + 1), first[gs[:-1]]))
             p, inner = self._p_mats[elements[gs[0]]], first[gs[1:]]
-            for j in range(t):
+            for j, col in enumerate(range(n * t, (n + 1) * t)):
                 for i in range(t):
                     rows[inner + i][col] += p[i][j]
                 for sign, row in signed:
                     rows[row + j][col] += sign
-                col += 1
         return rows
 
     def _solve(self) -> Submodule:
-        """The tables x with x * d^2 = 0, each (s, g, r; j) column taken mod
-        d_j, and x = 0 at the inverse-pair coordinates, one unit column each."""
-        shape, inverse = self.shape, self.shape.inverse_coords
+        """The tables x with x * d^2 = 0 at the generator-middle triples,
+        each (s, g_k, r; j) column taken mod d_j, and x = 0 at the
+        inverse-pair coordinates, one unit column each.
+
+        That is every factor set, by Light's associativity test: in any
+        magma the middles m with (x m) y = x (m y) for all x, y are closed
+        under the product.  Take (a, s)(b, g) = (a + s b + f(s, g), sg) on
+        T x G.  A table is normalized by its layout, so each (e_i, 1) is
+        such a middle, and the (e_i, 1) and (0, g_k) generate T x G.  Each
+        configuration is a G-action, as ``action_configurations`` checks
+        orders and commuting, so (0, g) is such a middle exactly when the
+        identity holds at every (s, g, r).  ``validate`` still checks every
+        triple of each candidate."""
+        shape, inverse, rank = self.shape, self.shape.inverse_coords, len(self.shape.middles)
         rows = self._coboundary_rows(2)
         for v, row in enumerate(rows):
             row += [int(v == k) for k in inverse]
-        orders = list(shape.d) * len(shape.nonid) ** 3 + [shape.orders[k] for k in inverse]
+        orders = list(shape.d) * (len(shape.nonid) ** 2 * rank) + [shape.orders[k] for k in inverse]
         return self._kernel_mod_orders(rows, orders)
 
     def _kernel_mod_orders(self, rows, orders) -> Submodule:

@@ -373,9 +373,13 @@ def _solve_triple_by_triple(space):
 
 
 def test_factor_set_module_matches_the_triple_by_triple_identity():
-    """On every torsion action of the exhaustive corpus shapes and of three
-    shapes past them: G of rank 3, (Z/3)^2 over Z/3, and l = 5; then on the
-    first six torsion actions of each sampled component not among them."""
+    """The module solved at the generator-middle triples is the one solved
+    at every triple.  On every torsion action of the exhaustive corpus
+    shapes and of three shapes past them: G of rank 3, (Z/3)^2 over Z/3,
+    and l = 5; then on the first six torsion actions of each sampled
+    component not among them; then where the reduction drops the most
+    triples: every torsion action of (Z/2)^3 over (2,2), and (Z/2)^4 over
+    Z/2, 4 middles in place of 15."""
     shapes = []
     for label, (params, _) in _pinned_components().items():
         manifest = json.loads((CORPUS / label / "manifest.json").read_text(encoding="utf-8"))
@@ -400,6 +404,14 @@ def test_factor_set_module_matches_the_triple_by_triple_identity():
         assert (space._sub.basis, space._sub.pivots) == (want.basis, want.pivots)
         sampled += 1
     assert sampled == 24
+    wide = 0
+    for g_orders, atilde_orders in [((2, 2, 2), (2, 2)), ((2, 2, 2, 2), (2,))]:
+        shape = _Shape(SearchParams(2, 4, (g_orders,), (atilde_orders,)), g_orders, atilde_orders)
+        for space in {id(s): s for s in map(shape.space, shape.configs)}.values():
+            want = _solve_triple_by_triple(space)
+            assert (space._sub.basis, space._sub.pivots) == (want.basis, want.pivots)
+            wide += 1
+    assert wide == 23
 
 
 def _torsion_key(g_orders, atilde_orders, action):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from logcap import lattice, resolvent, verifier
-from logcap.forge import ComponentSpec, SearchParams, build_corpus
+from logcap.forge import ComponentSpec, SearchParams, _Shape, build_corpus
 from logcap.instance import load_instance
 from logcap.lattice import (
     ContainmentError,
@@ -21,6 +21,7 @@ from logcap.lattice import (
     vec_mat,
 )
 from tests.conftest import corpus_paths, span_elements
+from tests.test_forge import _solve_triple_by_triple
 
 Z8 = ZModRing(2, 3)
 Z4 = ZModRing(2, 2)
@@ -438,8 +439,9 @@ def test_kernel_is_the_cut_tail_of_the_full_howell_form_on_builds_and_a_corpus_p
     """kernel back-reduces only the rows it returns.  Each answer is the
     rows of the fully reduced Howell form of [rows | I] with pivots past
     the width, cut to the identity part, on the factor-set kernels of two
-    sampled builds (up to 27 x 90 and 64 x 520, past every howell_cases
-    shape) and on a bound-0 corpus pass."""
+    sampled builds (up to 27 x 36 and 64 x 136), on a bound-0 corpus pass,
+    and on the all-triples system of a sampled torsion action of each
+    build (27 x 90 and 64 x 520, past every howell_cases shape)."""
     shapes = []
 
     def checked(rows, width, ring):
@@ -462,8 +464,13 @@ def test_kernel_is_the_cut_tail_of_the_full_howell_form_on_builds_and_a_corpus_p
     built = len(shapes)
     for path in corpus_paths():
         verifier.run_all(load_instance(path), oracle_bound=0)
-    assert {(27, 90), (64, 520)} <= set(shapes[:built])
+    assert {(27, 36), (64, 136)} <= set(shapes[:built])
     assert len(shapes) - built == 2 * len(corpus_paths())
+    passed = len(shapes)
+    for i, (params, g_orders, atilde_orders) in enumerate(builds):
+        action = load_instance(min((tmp_path / str(i)).glob("p*.json"))).action
+        _solve_triple_by_triple(_Shape(params, g_orders, atilde_orders).space(action))
+    assert {(27, 90), (64, 520)} <= set(shapes[passed:])
 
 
 def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
