@@ -264,23 +264,17 @@ def trace_element(group: AbelianLGroup, ring: ZModRing) -> GroupRingElt:
 
 
 def det_ring(m: Sequence[Sequence]):
-    """Determinant by cofactor expansion over a commutative coefficient ring.
-
-    Entries are GroupRingElt or elements of any other commutative ring with
-    +, - and *; fraction-free elimination is not an option here because the
-    ring has zero divisors.
-    """
+    """Determinant over a commutative ring: the last row dotted with its
+    cofactor_row, a Laplace expansion memoized on column sets.  Entries,
+    GroupRingElt or any other, need only +, unary - and *; fraction-free
+    elimination is not an option, since the ring has zero divisors."""
     s = len(m)
     for row in m:
         if len(row) != s:
             raise ShapeError("determinant of a non-square matrix")
     if s == 0:
         raise ShapeError("cannot infer the ring of an empty matrix; use a 1x1 or larger")
-    return _det_rec([list(r) for r in m])
-
-
-def _det_rec(m):
-    if len(m) == 1:
+    if s == 1:
         return m[0][0]
     terms = [x * c for x, c in zip(m[-1], cofactor_row(m[:-1]))]
     return sum(terms[1:], terms[0])
@@ -288,6 +282,18 @@ def _det_rec(m):
 
 def cofactor_row(rows: Sequence[Sequence]) -> list:
     """The signed minors C_j along a last row placed below the s - 1 >= 1
-    given rows of length s: sum_j last[j] * C_j is the determinant."""
-    minors = [_det_rec([row[:j] + row[j + 1 :] for row in rows]) for j in range(len(rows) + 1)]
-    return [-d if (len(rows) + j) % 2 else d for j, d in enumerate(minors)]
+    given rows of length s: sum_j last[j] * C_j is the determinant.  The
+    Laplace expansion down the rows is memoized on column sets: the minor
+    of the first k rows on the columns S comes from those of the first
+    k - 1 rows on S minus one column.  Entries need only +, unary - and *."""
+    s = len(rows) + 1
+    minors = {(j,): x for j, x in enumerate(rows[0])}
+    for k, row in enumerate(rows[1:], 2):
+        level = {}
+        for cols in itertools.combinations(range(s), k):
+            terms = [row[j] * minors[cols[:p] + cols[p + 1 :]] for p, j in enumerate(cols)]
+            terms = [-t if (k - 1 + p) % 2 else t for p, t in enumerate(terms)]
+            level[cols] = sum(terms[1:], terms[0])
+        minors = level
+    last = [minors[tuple(c for c in range(s) if c != j)] for j in range(s)]
+    return [-d if (s - 1 + j) % 2 else d for j, d in enumerate(last)]

@@ -584,12 +584,6 @@ def _verify_certificate(inst: "Instance", cert: RelationCertificate, b: Sequence
             raise CertificateError(f"nonzero residual in gamma-form row {i}")
 
 
-def _det(inst: "Instance", rows) -> GroupRingElt:
-    """det over the plain group ring; the empty matrix of a trivial G has
-    det 1."""
-    return det_ring(rows) if rows else GroupRingElt.one(inst.group, inst.ring)
-
-
 def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:
     """Extract the operator d with Tr = w d on the degree-zero part.
 
@@ -603,7 +597,7 @@ def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:
     """
     group, ring = inst.group, inst.ring
     m, n = cert.m_matrix, cert.n_matrix
-    d0 = _det(inst, m)
+    d0 = det_ring(m) if m else GroupRingElt.one(group, ring)  # a trivial G: det of () is 1
     kappa = d0.trace_multiple()
     if kappa is None:
         raise CertificateError("det M does not annihilate the augmentation ideal")
@@ -613,5 +607,5 @@ def delta(inst: "Instance", cert: RelationCertificate) -> GroupRingElt:
         )
     if d0 != trace_element(group, ring):
         raise CertificateError(f"det M = {kappa} * Tr with kappa != 1")
-    replaced = (_det(inst, m[:i] + (n[i],) + m[i + 1 :]) for i in range(cert.size()))
+    replaced = (det_ring(m[:i] + (n[i],) + m[i + 1 :]) for i in range(cert.size()))
     return sum(replaced, GroupRingElt.zero(group, ring))

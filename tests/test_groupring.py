@@ -232,7 +232,7 @@ def _dot(row, cof):
 
 
 @pytest.mark.parametrize("omega", [False, True], ids=["groupring", "omega"])
-@pytest.mark.parametrize("size", [2, 3, 4])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_cofactor_row_expands_along_a_last_row(size, omega):
     """sum_j last[j] * C_j is the determinant, and every given row pairs
     with the cofactors to zero (a matrix with a repeated row)."""

@@ -6,7 +6,7 @@ import pytest
 
 from logcap import lattice, resolvent
 from logcap.extension import u_order
-from logcap.groupring import GroupRingElt, det_ring, trace_element
+from logcap.groupring import GroupRingElt, cofactor_row, det_ring, trace_element
 from logcap.instance import build_instance, load_instance
 from logcap.lattice import InternalInvariantError, Submodule, quotient_order
 from logcap.resolvent import (
@@ -552,6 +552,39 @@ def test_delta_matches_the_dual_number_determinant(rank3, trivial_atilde):
         "CertificateError": 65,
     }
     assert sum(kind != "value" and "kappa" in text for kind, text in outcomes) == 6
+
+
+def test_determinants_make_the_pinned_number_of_products(rank3, rank5, monkeypatch):
+    """GroupRingElt products, counted: the expansion memoized on column sets
+    makes sum_k C(s, k) * k for k = 2..s over an s x s determinant, and the
+    s - 1 rows of cofactor_row stop one level short of it; delta makes
+    s + 1 such determinants and relation_matrices one cofactor_row."""
+    count = 0
+    mul = GroupRingElt.__mul__
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += 1
+        return mul(self, other)
+
+    def products(fn, *args):
+        nonlocal count
+        count = 0
+        fn(*args)
+        return count
+
+    rnd = random.Random(7)
+
+    def matrix(rows, cols):
+        return [[random_ring_elt(rank3, rnd) for _ in range(cols)] for _ in range(rows)]
+
+    insts = [rank3, rank5]
+    certs = [relation_matrices(inst) for inst in insts]
+    monkeypatch.setattr(GroupRingElt, "__mul__", counting_mul)
+    assert [products(det_ring, matrix(s, s)) for s in range(1, 6)] == [0, 2, 9, 28, 75]
+    assert [products(cofactor_row, matrix(r, r + 1)) for r in range(1, 5)] == [0, 6, 24, 70]
+    assert [products(delta, inst, cert) for inst, cert in zip(insts, certs)] == [36, 450]
+    assert [products(relation_matrices, inst) for inst in insts] == [6, 70]
 
 
 def test_certificate_makes_one_solve_per_matrix_row(e1, inst33, rank3, rank5, monkeypatch):
